@@ -1,7 +1,8 @@
 """stonedual: exact arithmetic and Stone-type duality for finite inverse semigroups.
 
 Subpackages by topic:
-  words       words, prefix codes, Kraft sums, graphs and paths
+  words       words, prefix codes, Kraft sums, graphs and paths, and the
+              element operations shared by polycyclic and graphisg
   polycyclic  polycyclic inverse monoids and their r-fold matrix variants
   graphisg    graph inverse semigroups
   finitesgp   finite inverse semigroups as multiplication tables, predicates

@@ -213,6 +213,12 @@ def cmd_thompson(args):
 # selftest suites: seeded randomized cross-checks between modules
 
 
+def _check(ok, what, *args):
+    # an explicit raise: a bare assert would vanish under python -O
+    if not ok:
+        raise ValueError(what % args)
+
+
 def _selftest_words(rng):
     checks = 0
     for _ in range(50):
@@ -222,13 +228,15 @@ def _selftest_words(rng):
             w = code.pop(rng.randrange(len(code)))
             code.extend(w + (k,) for k in range(n))
         ws = [wd.Word(n, t) for t in code]
-        assert wd.is_maximal_prefix_code(ws, n)
-        assert wd.kraft_sum(ws, n) == 1
+        shown = ",".join(map(wd.format_word, ws))
+        _check(wd.is_maximal_prefix_code(ws, n), "code %s not maximal", shown)
+        _check(wd.kraft_sum(ws, n) == 1, "code %s has Kraft sum != 1", shown)
         checks += 2
         if len(ws) > 1:
             ws.pop(rng.randrange(len(ws)))
-            assert not wd.is_maximal_prefix_code(ws, n)
-            assert wd.kraft_sum(ws, n) < 1
+            shown = ",".join(map(wd.format_word, ws))
+            _check(not wd.is_maximal_prefix_code(ws, n), "code %s maximal", shown)
+            _check(wd.kraft_sum(ws, n) < 1, "code %s has Kraft sum >= 1", shown)
             checks += 2
     return checks
 
@@ -245,14 +253,17 @@ def _selftest_poly(rng):
         n = rng.randrange(2, 4)
         a, b, c = (_random_poly(n, rng) for _ in range(3))
         lhs = pc.poly_mul(pc.poly_mul(a, b), c)
-        assert lhs == pc.poly_mul(a, pc.poly_mul(b, c))
-        assert pc.poly_mul(pc.poly_mul(a, pc.poly_inv(a)), a) == a
+        rhs = pc.poly_mul(a, pc.poly_mul(b, c))
+        _check(lhs == rhs, "product of %s not associative", (a, b, c))
+        aa_a = pc.poly_mul(pc.poly_mul(a, pc.poly_inv(a)), a)
+        _check(aa_a == a, "a a^-1 a != a for %s", a)
         checks += 2
         if not pc.poly_is_zero(a):
             sibs = [
                 pc.poly_mul(a, pc.poly(n, (k,), (k,))) for k in range(n)
             ]
-            assert pc.lenz_arrow(a, [s for s in sibs if not pc.poly_is_zero(s)])
+            children = [s for s in sibs if not pc.poly_is_zero(s)]
+            _check(pc.lenz_arrow(a, children), "%s -/-> its children", a)
             checks += 1
     return checks
 
@@ -273,10 +284,11 @@ def _selftest_graph(rng):
         p = pc.poly_mul(a, b)
         q = graphisg.gisg_mul(lift(a), lift(b))
         if pc.poly_is_zero(p):
-            assert graphisg.gisg_is_zero(q)
+            _check(graphisg.gisg_is_zero(q), "graph product of %s not zero", (a, b))
         else:
-            assert q == lift(p)
-        assert pc.poly_leq(a, b) == graphisg.gisg_leq(lift(a), lift(b))
+            _check(q == lift(p), "graph product of %s differs", (a, b))
+        leq = graphisg.gisg_leq(lift(a), lift(b))
+        _check(pc.poly_leq(a, b) == leq, "graph order on %s differs", (a, b))
         checks += 2
     return checks
 
@@ -304,17 +316,18 @@ def _selftest_finite(rng):
     for k in (2, 3):
         S = finitesgp.symmetric_inverse_monoid(k)
         rep = finitesgp.predicates(S)
-        assert rep["boolean"] and rep["fundamental"]
+        _check(rep["boolean"] and rep["fundamental"], "I(%d) predicates %s", k, rep)
         got, _ = duality.classify_symmetric(S)
-        assert got == k
+        _check(got == k, "I(%d) classified as %s", k, got)
         ok, _ = duality.duality_roundtrip(S)
-        assert ok
-        assert finitesgp.is_zero_simplifying(S)
-        assert len(finitesgp.tightly_closed_ideals(S)) == 2
+        _check(ok, "I(%d) fails the duality round trip", k)
+        _check(finitesgp.is_zero_simplifying(S), "I(%d) not 0-simplifying", k)
+        ideals = finitesgp.tightly_closed_ideals(S)
+        _check(len(ideals) == 2, "I(%d) has %d tightly closed ideals", k, len(ideals))
         checks += 6
         R = _relabeled(S, rng)
         got, _ = duality.classify_symmetric(R)
-        assert got == k
+        _check(got == k, "relabelled I(%d) classified as %s", k, got)
         checks += 1
     return checks
 
@@ -339,12 +352,11 @@ def _selftest_thompson(rng):
         for _ in range(10):
             g = _random_tree_pair(n, r, rng, rng.randrange(1, 4))
             h = _random_tree_pair(n, r, rng, rng.randrange(1, 4))
-            assert th.tp_mul(g, th.tp_inv(g)) == ident
+            _check(th.tp_mul(g, th.tp_inv(g)) == ident, "g g^-1 != 1 for %s", g)
             gh = th.tp_mul(g, h)
-            assert th.tp_from_unit(
-                th.cuntz_mul(th.tp_to_unit(g), th.tp_to_unit(h))
-            ) == gh
-            assert th.is_unit(th.tp_to_unit(gh))
+            unit_gh = th.cuntz_mul(th.tp_to_unit(g), th.tp_to_unit(h))
+            _check(th.tp_from_unit(unit_gh) == gh, "Cuntz product is not %s", gh)
+            _check(th.is_unit(th.tp_to_unit(gh)), "%s is not a unit", gh)
             checks += 3
     return checks
 
@@ -362,7 +374,10 @@ def cmd_selftest(args):
     names = list(SELFTESTS) if args.suite == "all" else [args.suite]
     records, lines = [], []
     for name in names:
-        checks = SELFTESTS[name](random.Random(args.seed))
+        try:
+            checks = SELFTESTS[name](random.Random(args.seed))
+        except ValueError as exc:
+            raise ValueError("selftest %s: %s" % (name, exc)) from None
         records.append(
             {
                 "op": "selftest",

@@ -8,8 +8,9 @@ standard predicates are derived on demand.
 Table text format:
     elements <m> zero <z> [identity <e>]
     <m rows of m indices>
-    name <i> <label>     (optional, any number of lines)
-Lines may carry '#' comments.
+    name <i> <label>     (optional, after the header, one per element)
+Lines may carry '#' comments. A line that does not fit raises TableError
+naming the line.
 """
 
 import itertools
@@ -299,17 +300,29 @@ class MulTable:
             if parts[0] == "elements":
                 if header is not None:
                     raise TableError("line %d: duplicate header" % lineno)
-                if len(parts) < 4 or parts[2] != "zero":
+                if len(parts) not in (4, 6) or parts[2] != "zero" or (
+                    len(parts) == 6 and parts[4] != "identity"
+                ):
                     raise TableError("line %d: bad header" % lineno)
-                header = {"m": int(parts[1]), "zero": int(parts[3]), "identity": None}
-                if len(parts) >= 6 and parts[4] == "identity":
-                    header["identity"] = int(parts[5])
+                header = {
+                    "m": _index(parts[1], lineno),
+                    "zero": _index(parts[3], lineno),
+                    "identity": _index(parts[5], lineno) if len(parts) == 6 else None,
+                }
+            elif header is None:
+                raise TableError("line %d: %r before the header" % (lineno, line))
             elif parts[0] == "name":
-                names[int(parts[1])] = " ".join(parts[2:])
+                i = _index(parts[1], lineno) if len(parts) > 1 else -1
+                if not 0 <= i < header["m"] or i in names:
+                    msg = "line %d: name needs a new index in 0..%d"
+                    raise TableError(msg % (lineno, header["m"] - 1))
+                names[i] = " ".join(parts[2:])
             else:
-                if header is None:
-                    raise TableError("line %d: row before header" % lineno)
-                row = [int(x) for x in parts]
+                try:
+                    row = [int(x) for x in parts]
+                except ValueError:
+                    msg = "line %d: entries must be integers" % lineno
+                    raise TableError(msg) from None
                 if len(row) != header["m"]:
                     raise TableError("line %d: expected %d entries" % (lineno, header["m"]))
                 rows.append(row)
@@ -321,6 +334,13 @@ class MulTable:
         if names:
             name_list = [names.get(i, "s%d" % i) for i in range(header["m"])]
         return cls(rows, header["zero"], header["identity"], name_list)
+
+
+def _index(token, lineno):
+    try:
+        return int(token)
+    except ValueError:
+        raise TableError("line %d: %r is not an integer" % (lineno, token)) from None
 
 
 # ---------------------------------------------------------------------------

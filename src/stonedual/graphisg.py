@@ -2,9 +2,11 @@
 vertex, multiplied by the prefix three-case rule.
 
 A nonzero element (u, v) stands for u v^-1, the partial map sending paths that
-extend v to the corresponding extension of u. The underlying graph may have
-sources (in-degree 0 vertices); the arrow decision accounts for the resulting
-dead branches of the extension tree.
+extend v to the corresponding extension of u. This module holds the
+primitives; meet, compatibility, orthogonality and the arrow decision are the
+shared ones of `words.element_ops`. The underlying graph may have sources
+(in-degree 0 vertices), and the extension tree of the arrow decision then has
+dead branches.
 """
 
 from collections import namedtuple
@@ -13,14 +15,13 @@ from .words import (
     EQUAL,
     INCOMPARABLE,
     X_PREFIX_OF_Y,
-    Y_PREFIX_OF_X,
+    element_ops,
     format_path,
     make_path,
     parse_path,
     path_compose,
     path_dom,
     path_prefix_compare,
-    path_range,
 )
 
 GraphISGElement = namedtuple("GraphISGElement", ["graph", "u", "v"])
@@ -105,27 +106,6 @@ def gisg_leq(s, t):
     return rel_u.remainder.edges == rel_v.remainder.edges
 
 
-def gisg_meet(s, t):
-    _check_graph(s, t)
-    if gisg_leq(s, t):
-        return s
-    if gisg_leq(t, s):
-        return t
-    return gisg_zero(s.graph)
-
-
-def gisg_compatible(s, t):
-    return gisg_is_idempotent(gisg_mul(gisg_inv(s), t)) and gisg_is_idempotent(
-        gisg_mul(s, gisg_inv(t))
-    )
-
-
-def gisg_orthogonal(s, t):
-    return gisg_is_zero(gisg_mul(gisg_inv(s), t)) and gisg_is_zero(
-        gisg_mul(s, gisg_inv(t))
-    )
-
-
 def gisg_act(s, p):
     """Apply the partial path substitution: defined iff v is a prefix of p."""
     if gisg_is_zero(s):
@@ -138,46 +118,11 @@ def gisg_act(s, p):
     return None
 
 
-def gisg_lenz_arrow(a, B):
-    """Decide whether every nonzero element below a meets some member of B.
-
-    Extensions of a correspond to paths out of the domain vertex of a (grown by
-    in-edges). Unlike the free-monoid case the extension tree can die out: a
-    dead branch shorter than the deepest tail witnesses failure unless already
-    covered.
-    """
-    if gisg_is_zero(a):
-        raise ValueError("arrow source must be nonzero")
-    g = a.graph
-    tails = set()
-    for b in B:
-        m = gisg_meet(a, b)
-        if not gisg_is_zero(m):
-            tails.add(m.v.edges[len(a.v.edges):])
-    if () in tails:
-        return True
-    if not tails:
-        return False
-    depth = max(len(t) for t in tails)
-
-    def walk(cur, vertex):
-        if cur in tails:
-            return True
-        if len(cur) == depth:
-            return False
-        ins = g.in_edges[vertex]
-        if not ins:
-            return False
-        return all(walk(cur + (e,), g.edge_src(e)) for e in ins)
-
-    return walk((), path_dom(a.v))
-
-
-def gisg_is_cover(a, A):
-    A = list(A)
-    if not all(gisg_leq(s, a) for s in A):
-        return False
-    return gisg_lenz_arrow(a, A)
+gisg_compatible, gisg_orthogonal, gisg_meet, gisg_lenz_arrow = element_ops(
+    gisg_mul, gisg_inv, gisg_is_zero, gisg_is_idempotent, gisg_leq,
+    lambda s: gisg_zero(s.graph), lambda s: s.v.edges,
+    lambda a: (path_dom(a.v), a.graph.branches),
+)[:4]
 
 
 def semilattice_predicates(graph):

@@ -7,6 +7,9 @@ v = x z, is y (u z)^-1 when x = v z, and 0 otherwise.
 
 The r-fold variant decorates a nonzero element with a range root i and a domain
 root j in 1..r; products compose only when the inner roots agree.
+
+This module holds the primitives of both; meet, compatibility, orthogonality,
+the arrow relation and covers are the shared ones of `words.element_ops`.
 """
 
 import re
@@ -14,9 +17,10 @@ from collections import namedtuple
 
 from .words import (
     Word,
+    element_ops,
     format_word,
+    letter_branches,
     parse_word,
-    prefix_covers_depth,
     _strip_prefix,
 )
 
@@ -98,28 +102,6 @@ def poly_leq(s, t):
     return p is not None and s.x == t.x + p
 
 
-def poly_meet(s, t):
-    _check_n(s, t)
-    if poly_leq(s, t):
-        return s
-    if poly_leq(t, s):
-        return t
-    # incomparable nonzero elements never share a nonzero lower bound here
-    return poly_zero(s.n)
-
-
-def poly_compatible(s, t):
-    return poly_is_idempotent(poly_mul(poly_inv(s), t)) and poly_is_idempotent(
-        poly_mul(s, poly_inv(t))
-    )
-
-
-def poly_orthogonal(s, t):
-    return poly_is_zero(poly_mul(poly_inv(s), t)) and poly_is_zero(
-        poly_mul(s, poly_inv(t))
-    )
-
-
 def poly_act(s, w):
     """Apply the partial prefix substitution: defined iff x is a prefix of w."""
     if not isinstance(w, Word):
@@ -134,41 +116,10 @@ def poly_act(s, w):
     return Word(s.n, s.y + rem)
 
 
-def _meet_tails(a, meets):
-    """Extension words w with a_w = (y w)(x w)^-1 ranging over the given meets."""
-    tails = set()
-    for m in meets:
-        if poly_is_zero(m):
-            continue
-        tails.add(m.x[len(a.x):])
-    return tails
-
-
-def lenz_arrow(a, B):
-    """Decide whether every nonzero element below a meets some member of B.
-
-    Every nonzero element below a is a_w for a unique extension word w, and a_w
-    meets b iff w is prefix-comparable with b's tail, so the answer only depends
-    on the set of tails: it is yes iff every word of length L = max tail length
-    has some tail as a prefix.
-    """
-    if poly_is_zero(a):
-        raise ValueError("arrow source must be nonzero")
-    tails = _meet_tails(a, (poly_meet(a, b) for b in B))
-    if () in tails:
-        return True
-    if not tails:
-        return False
-    depth = max(len(t) for t in tails)
-    return prefix_covers_depth(tails, a.n, depth)
-
-
-def is_cover(a, A):
-    """A finite subset of the lower set of a that every nonzero element below a meets."""
-    A = list(A)
-    if not all(poly_leq(s, a) for s in A):
-        return False
-    return lenz_arrow(a, A)
+poly_compatible, poly_orthogonal, poly_meet, lenz_arrow, is_cover = element_ops(
+    poly_mul, poly_inv, poly_is_zero, poly_is_idempotent, poly_leq,
+    lambda s: poly_zero(s.n), lambda s: s.x, lambda a: (0, letter_branches(a.n)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -272,39 +223,10 @@ def ext_leq(s, t):
     return s.i == t.i and s.j == t.j and poly_leq(s.m, t.m)
 
 
-def ext_meet(s, t):
-    _check_ext(s, t)
-    if ext_leq(s, t):
-        return s
-    if ext_leq(t, s):
-        return t
-    return ext_zero(s.n, s.r)
-
-
-def ext_compatible(s, t):
-    return ext_is_idempotent(ext_mul(ext_inv(s), t)) and ext_is_idempotent(
-        ext_mul(s, ext_inv(t))
-    )
-
-
-def ext_orthogonal(s, t):
-    return ext_is_zero(ext_mul(ext_inv(s), t)) and ext_is_zero(ext_mul(s, ext_inv(t)))
-
-
-def ext_lenz_arrow(a, B):
-    if ext_is_zero(a):
-        raise ValueError("arrow source must be nonzero")
-    tails = set()
-    for b in B:
-        m = ext_meet(a, b)
-        if not ext_is_zero(m):
-            tails.add(m.m.x[len(a.m.x):])
-    if () in tails:
-        return True
-    if not tails:
-        return False
-    depth = max(len(t) for t in tails)
-    return prefix_covers_depth(tails, a.n, depth)
+ext_compatible, ext_orthogonal, ext_meet, ext_lenz_arrow = element_ops(
+    ext_mul, ext_inv, ext_is_zero, ext_is_idempotent, ext_leq,
+    lambda s: ext_zero(s.n, s.r), lambda s: s.m.x, lambda a: (0, letter_branches(a.n)),
+)[:4]
 
 
 def format_ext(s):

@@ -86,29 +86,6 @@ def cuntz_one(n, r):
     return cuntz(n, r, [pc.ext(n, r, i, one, i) for i in range(1, r + 1)])
 
 
-def _contract_once(n, r, parts):
-    """Glue every complete sibling family in one sweep; report whether any fired.
-
-    A part belongs to at most one family, because the parent words and the
-    shared last letter are read off the part itself, so families never overlap
-    and one sweep can apply them all.
-    """
-    fams = {}
-    for p in parts:
-        if p.m.y and p.m.x and p.m.y[-1] == p.m.x[-1]:
-            key = (p.i, p.j, p.m.y[:-1], p.m.x[:-1])
-            fams.setdefault(key, set()).add(p.m.y[-1])
-    changed = False
-    for (i, j, u, v), ks in fams.items():
-        if len(ks) < n:
-            continue
-        for k in range(n):
-            parts.remove(pc.ext(n, r, i, pc.poly(n, u + (k,), v + (k,)), j))
-        parts.add(pc.ext(n, r, i, pc.poly(n, u, v), j))
-        changed = True
-    return changed
-
-
 def cuntz_normalize(x):
     """Rewrite to the normal form: discard parts under other parts, then glue
     complete sibling families until none remain.
@@ -117,9 +94,21 @@ def cuntz_normalize(x):
     arrow test against the original parts.
     """
     orig = sorted(x.parts, key=_part_key)
-    kept = set(orthogonalize_poly(orig))
-    while _contract_once(x.n, x.r, kept):
+    # orthogonal parts have distinct domain words, so they form a leaf map
+    # from domain words to range words, and a complete sibling family of
+    # parts is a reducible leaf family of that map
+    pairs = {
+        RootedWord(p.j, p.m.x): RootedWord(p.i, p.m.y)
+        for p in orthogonalize_poly(orig)
+    }
+    while _reduce_once(x.n, pairs):
         pass
+    kept = {
+        pc.ExtPolyElement(
+            x.n, x.r, w.root, pc.PolyElement(x.n, w.letters, d.letters), d.root
+        )
+        for d, w in pairs.items()
+    }
     # gluing keeps the set orthogonal: a glued part is the join of parts that
     # were orthogonal to everything else, and that survives the join
     for a, b in itertools.combinations(kept, 2):

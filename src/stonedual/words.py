@@ -1,4 +1,5 @@
-"""Words over a finite alphabet, prefix codes, and paths in a directed graph.
+"""Words over a finite alphabet, prefix codes, paths in a directed graph, and
+the element operations shared by every semigroup of such words or paths.
 
 Words are tuples of small integer letter indices; the empty word is ().
 Letters print as a..z for alphabets of size <= 26 and as a0, a1, ... beyond.
@@ -7,6 +8,7 @@ src(e_i) = dst(e_{i+1}), its range is dst(e1) and its domain is src(ek), so a
 prefix (initial segment) of a path shares its range vertex.
 """
 
+import functools
 import re
 from collections import namedtuple
 from fractions import Fraction
@@ -110,20 +112,38 @@ def _strip_prefix(short, long):
     return None
 
 
+def covers_to_depth(tails, start, branches, depth):
+    """True iff every branch of length `depth` from vertex `start` has a
+    prefix in `tails`; a dead end (a vertex with no branches) above `depth`
+    counts against. branches[v] lists the (label, next vertex) pairs out of
+    v, and nodes are label tuples. Iterative, so any depth works.
+    """
+    stack = [((), start)]
+    while stack:
+        cur, vertex = stack.pop()
+        if cur in tails:
+            continue
+        if len(cur) == depth:
+            return False
+        out = branches[vertex]
+        if not out:
+            return False
+        stack.extend((cur + (label,), nxt) for label, nxt in out)
+    return True
+
+
+@functools.cache
+def letter_branches(n):
+    """The extension tree of words over n letters: vertex 0 with n loops."""
+    return (tuple((a, 0) for a in range(n)),)
+
+
 def prefix_covers_depth(letters_set, n, depth):
     """True iff every word of length `depth` has a prefix in letters_set.
 
-    letters_set is a set of letter tuples, all of length <= depth. Walks the
-    n-ary tree, pruning at covered nodes.
+    letters_set is a set of letter tuples, all of length <= depth.
     """
-    def walk(cur):
-        if cur in letters_set:
-            return True
-        if len(cur) == depth:
-            return False
-        return all(walk(cur + (a,)) for a in range(n))
-
-    return walk(())
+    return covers_to_depth(letters_set, 0, letter_branches(n), depth)
 
 
 def is_prefix_code(code):
@@ -267,6 +287,12 @@ class DirectedGraph:
             src, dst = self.edges[name]
             self.in_edges[dst].append(name)
             self.out_edges[src].append(name)
+        # the extension tree of paths: a path ending at v grows by an in-edge
+        # of v, and the grown path ends at that edge's source
+        self.branches = {
+            v: tuple((e, self.edges[e][0]) for e in self.in_edges[v])
+            for v in self.vertices
+        }
 
     def in_degree(self, v):
         return len(self.in_edges[v])
@@ -385,3 +411,63 @@ def one_vertex_graph(n, vertex="*"):
 
 def word_to_path(letters, n, graph, vertex="*"):
     return make_path(graph, vertex, tuple(letter_name(a, n) for a in letters))
+
+
+# ---------------------------------------------------------------------------
+# element operations shared by P_n, its r-rooted variant and the graph
+# inverse semigroups
+
+
+def element_ops(mul, inv, is_zero, is_idempotent, leq, zero, dom_word, tree):
+    """(compatible, orthogonal, meet, lenz_arrow, is_cover) for one element
+    type, as closures over its primitives. zero(s) is the zero next to s,
+    dom_word(s) the domain-side word or edge tuple of a nonzero s, and tree(a)
+    the (start, branches) of the extension tree below a, for covers_to_depth.
+    The types are unambiguous: elements with a nonzero common lower bound are
+    comparable, so a meet is the smaller one or zero.
+    """
+
+    def compatible(s, t):
+        return is_idempotent(mul(inv(s), t)) and is_idempotent(mul(s, inv(t)))
+
+    def orthogonal(s, t):
+        return is_zero(mul(inv(s), t)) and is_zero(mul(s, inv(t)))
+
+    def meet(s, t):
+        if leq(s, t):
+            return s
+        if leq(t, s):
+            return t
+        return zero(s)
+
+    def lenz_arrow(a, B):
+        """Decide whether every nonzero element below a meets some member of B.
+
+        A nonzero element below a is a with its domain side extended by some
+        w, and it meets b iff w is prefix-comparable with the tail that the
+        meet of a and b adds there. So the answer is yes iff every extension
+        of length L = max tail length has some tail as a prefix.
+        """
+        if is_zero(a):
+            raise ValueError("arrow source must be nonzero")
+        k = len(dom_word(a))
+        tails = set()
+        for b in B:
+            m = meet(a, b)
+            if not is_zero(m):
+                tails.add(dom_word(m)[k:])
+        if () in tails:
+            return True
+        if not tails:
+            return False
+        start, branches = tree(a)
+        return covers_to_depth(tails, start, branches, max(map(len, tails)))
+
+    def is_cover(a, A):
+        """A finite subset of the lower set of a that every nonzero x <= a meets."""
+        A = list(A)
+        if not all(leq(s, a) for s in A):
+            return False
+        return lenz_arrow(a, A)
+
+    return compatible, orthogonal, meet, lenz_arrow, is_cover

@@ -169,6 +169,57 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     assert rc == 1 and err.startswith("error:")
 
 
+DEEP_A = "a" * 3000
+DEEP_PATH = ".".join("a" * 3000)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["mpc", "check", "-n", "2", DEEP_A + ",b"], "maximal prefix code: false\n"),
+        (
+            ["poly", "arrow", "-n", "2", "1", "%s.%s^-1,b.b^-1" % (DEEP_A, DEEP_A)],
+            "false\n",
+        ),
+        (
+            ["graph", "arrow", "ROSE", "@*/@*", "%s/%s,b/b" % (DEEP_PATH, DEEP_PATH)],
+            "false\n",
+        ),
+    ],
+    ids=["mpc-check", "poly-arrow", "graph-arrow"],
+)
+def test_deep_inputs_answer(capsys, rose_file, argv, expected):
+    # the extension-tree walk is 3000 levels deep, past the recursion limit
+    argv = [rose_file if t == "ROSE" else t for t in argv]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (0, expected, "")
+
+
+TABLE2 = "elements 2 zero 0\n0 0\n0 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (TABLE2 + "name 5 foo\n", "line 4: name needs a new index in 0..1"),
+        (TABLE2 + "name\n", "line 4: name needs a new index in 0..1"),
+        (TABLE2 + "name 1 x\nname 1 y\n", "line 5: name needs a new index in 0..1"),
+        (TABLE2 + "name b x\n", "line 4: 'b' is not an integer"),
+        ("elements 2 zero 0 identity\n0 0\n0 1\n", "line 1: bad header"),
+        ("elements 2 zero 0 idnt 1\n0 0\n0 1\n", "line 1: bad header"),
+        ("elements 2 zero 0\n0 0\n0 x\n", "line 3: entries must be integers"),
+        ("# c\nelements two zero 0\n0 0\n0 1\n", "line 2: 'two' is not an integer"),
+    ],
+)
+def test_table_parse_errors_name_the_line(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.tbl"
+    bad.write_text(text)
+    rc, out, err = run(capsys, ["finite", "validate", str(bad)])
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: " + message)
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["poly", "bogus"])
@@ -240,6 +291,21 @@ def test_selftest_suites(capsys):
     rc, out, _ = run(capsys, ["selftest", "words", "--seed", "7", "--json"])
     rec = json.loads(out)
     assert rec["ok"] is True and rec["checks"] > 0 and rec["seed"] == 7
+
+
+def test_selftest_failure_survives_optimize():
+    # python -O strips bare asserts; a failed selftest check must still fail
+    code = (
+        "import sys; from stonedual import cli, words; "
+        "words.kraft_sum = lambda code, n=None: 0; "
+        "sys.exit(cli.main(['selftest', 'words']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: selftest words: ")
 
 
 def test_module_entry_point():

@@ -145,6 +145,13 @@ def test_one_vertex_graph_is_polycyclic():
         assert P.poly_leq(s, t) == G.gisg_leq(lifted[i], lifted[j])
         assert lift(P.poly_meet(s, t)) == G.gisg_meet(lifted[i], lifted[j])
         assert P.poly_compatible(s, t) == G.gisg_compatible(lifted[i], lifted[j])
+        assert P.poly_orthogonal(s, t) == G.gisg_orthogonal(lifted[i], lifted[j])
+        if not P.poly_is_zero(s):
+            # targets: t and some restrictions of s, so both answers occur
+            ks = [rng.randrange(len(pieces)) for _ in range(rng.randrange(4))]
+            B = [t] + [P.poly_mul(s, P.poly(n, pieces[k], pieces[k])) for k in ks]
+            got = G.gisg_lenz_arrow(lifted[i], [lift(b) for b in B])
+            assert P.lenz_arrow(s, B) == got
 
 
 def test_properties_fuzz():

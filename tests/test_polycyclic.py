@@ -285,6 +285,17 @@ def test_ext_laws_fuzz():
             assert P.ext_leq(below, s)
             assert P.ext_meet(below, s) == below
             assert P.ext_compatible(below, s)
+        # at r = 1 the r-rooted variant is P_n itself
+        p, q = rand_elt(rng, n, 3), rand_elt(rng, n, 3)
+        ep, eq = P.ext_of_poly(p), P.ext_of_poly(q)
+        assert P.ext_meet(ep, eq) == P.ext_of_poly(P.poly_meet(p, q))
+        assert P.ext_compatible(ep, eq) == P.poly_compatible(p, q)
+        assert P.ext_orthogonal(ep, eq) == P.poly_orthogonal(p, q)
+        if not P.poly_is_zero(p):
+            w = rand_word(rng, n, 2)
+            B = [q, P.poly_mul(p, P.poly(n, w, w))]
+            got = P.ext_lenz_arrow(ep, [P.ext_of_poly(b) for b in B])
+            assert got == P.lenz_arrow(p, B)
 
 
 def test_ext_roundtrip_and_matrix_meets():

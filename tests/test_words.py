@@ -140,6 +140,11 @@ def test_depth_criterion_stable_beyond_max_length():
                 for t in W.all_letter_tuples(n, depth + extra)
             )
             assert deeper == base
+    # a comb 3000 deep, past the recursion limit: b, ab, aab, ..., a^3000
+    comb = {(0,) * i + (1,) for i in range(3000)} | {(0,) * 3000}
+    assert W.prefix_covers_depth(comb, 2, 3000)
+    assert not W.prefix_covers_depth(comb - {(0,) * 1500 + (1,)}, 2, 3000)
+    assert not W.prefix_covers_depth(comb - {(0,) * 3000}, 2, 3000)
 
 
 # ---------------------------------------------------------------------------
