@@ -5,7 +5,8 @@ codes), graph (graph inverse semigroup elements), finite (multiplication
 tables), thompson (Cuntz monoid units as tree pairs), selftest (seeded
 randomized cross-checks).  Results print as stable human text, or as JSON
 lines with --json, one record per result so long enumerations stream.  Exit
-codes: 0 success, 1 domain error with a diagnostic on stderr, 2 usage error.
+codes: 0 success, 1 domain error with a diagnostic on stderr, 2 usage error,
+3 internal error (a result that breaks a proven invariant).
 Table sizes are capped by the STONEDUAL_MAX_ELEMENTS environment variable
 (default 2000).
 """
@@ -19,7 +20,7 @@ from . import duality, filtercomp, finitesgp, graphisg
 from . import polycyclic as pc
 from . import thompson as th
 from . import words as wd
-from .finitesgp import MulTable, _boolean
+from .finitesgp import InternalError, MulTable, _boolean
 
 
 def _b(v):
@@ -500,6 +501,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
     if args.json:
         for rec in records:
             print(json.dumps(rec, sort_keys=True))

@@ -13,7 +13,7 @@ exactly when it is a fundamental 0-simplifying Boolean inverse meet-monoid.
 import numpy as np
 
 from . import finitesgp as F
-from .finitesgp import TableError, _check_size
+from .finitesgp import InternalError, TableError, _check_size
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +260,8 @@ def _groupoid_of_minimals(S):
     dom, ran = [], []
     for s in elems:
         d, r = int(S.dom[s]), int(S.ran[s])
-        assert d in pos and r in pos, "endpoints of 0-minimal elements are 0-minimal"
+        if d not in pos or r not in pos:
+            raise InternalError("endpoints of %s are not 0-minimal" % S.name(s))
         dom.append(pos[d])
         ran.append(pos[r])
     comp = {}
@@ -268,11 +269,12 @@ def _groupoid_of_minimals(S):
         for t in elems:
             p = S.mul(s, t)
             composable = S.dom[s] == S.ran[t]
-            assert (p != S.zero) == composable, (
-                "0-minimal products must vanish exactly off the composable pairs"
-            )
+            if (p != S.zero) != composable or (composable and p not in pos):
+                raise InternalError(
+                    "0-minimal product %s * %s is not composition"
+                    % (S.name(s), S.name(t))
+                )
             if composable:
-                assert p in pos, "composable 0-minimal products are 0-minimal"
                 comp[(pos[s], pos[t])] = pos[p]
     names = [S.name(s) for s in elems]
     return FiniteGroupoid(objects, dom, ran, comp, names), elems
@@ -282,25 +284,13 @@ def ultrafilter_groupoid(S):
     """The groupoid of ultrafilters of a finite Boolean inverse meet-semigroup.
 
     Arrows are the 0-minimal elements standing for their up-set ultrafilters;
-    objects are the 0-minimal idempotents.  The up-set closure of the filter
-    product is recomputed on every composable pair as a cross-check that the
-    table product really is the ultrafilter product."""
+    objects are the 0-minimal idempotents.  The product of two composable
+    ultrafilters is the up-set of the table product of their generators."""
     if not F._meet_semigroup(S):
         raise TableError("ultrafilter groupoid needs every meet to exist")
     if not F._boolean(S):
         raise TableError("ultrafilter groupoid needs a Boolean table")
-    G, elems = _groupoid_of_minimals(S)
-    for s in elems:
-        for t in elems:
-            if S.dom[s] != S.ran[t]:
-                continue
-            prods = {S.mul(x, y) for x in S.above(s) for y in S.above(t)}
-            closure = set()
-            for p in prods:
-                closure.update(S.above(p))
-            assert closure == set(S.above(S.mul(s, t))), (
-                "filter product disagrees with the table product"
-            )
+    G, _ = _groupoid_of_minimals(S)
     return G
 
 
@@ -313,35 +303,24 @@ def local_bisections(G):
     A subset is a local bisection when no two members share a source and no
     two share a target; this is the same canonical order the bisection
     semigroup table uses."""
-    out = []
-
-    def extend(i, chosen, used_d, used_r):
-        if i == G.m:
-            out.append(frozenset(chosen))
-            _check_size(len(out), "bisection semigroup")
-            return
-        extend(i + 1, chosen, used_d, used_r)
-        d, r = G.dom[i], G.ran[i]
-        if d not in used_d and r not in used_r:
-            chosen.append(i)
-            used_d.add(d)
-            used_r.add(r)
-            extend(i + 1, chosen, used_d, used_r)
-            chosen.pop()
-            used_d.discard(d)
-            used_r.discard(r)
-
-    extend(0, [], set(), set())
-    out.sort(key=lambda A: (len(A), sorted(A)))
-    return out
+    # a subset of a local bisection is one, so adding the arrows one at a
+    # time only ever extends the list: (bisection, sources, targets)
+    found = [(frozenset(), frozenset(), frozenset())]
+    for a in range(G.m):
+        d, r = G.dom[a], G.ran[a]
+        for A, ds, rs in found[:]:
+            if d not in ds and r not in rs:
+                found.append((A | {a}, ds | {d}, rs | {r}))
+                _check_size(len(found), "bisection semigroup")
+    return sorted((A for A, _, _ in found), key=lambda A: (len(A), sorted(A)))
 
 
 def bisection_semigroup(G):
     """All local bisections of G under setwise product, as a validated table.
 
-    The result is checked to be a Boolean inverse meet-semigroup whose
-    natural order is inclusion and whose idempotents are exactly the subsets
-    of the object set."""
+    The result is a Boolean inverse meet-semigroup whose natural order is
+    inclusion and whose idempotents are exactly the subsets of the object
+    set."""
     sets = local_bisections(G)
     index = {A: i for i, A in enumerate(sets)}
     m = len(sets)
@@ -351,22 +330,13 @@ def bisection_semigroup(G):
             prod = frozenset(
                 int(G.C[a, b]) for a in A for b in B if G.dom[a] == G.ran[b]
             )
-            assert prod in index, "setwise product escaped the bisections"
+            if prod not in index:
+                raise InternalError("setwise product escaped the bisections")
             table[i, j] = index[prod]
     zero = index[frozenset()]
     identity = index[frozenset(G.objects)]
     names = ["{" + ",".join(G.name(a) for a in sorted(A)) + "}" for A in sets]
-    B = F.MulTable(table, zero, identity, names)
-    objset = frozenset(G.objects)
-    incl = np.array([[A <= Bs for Bs in sets] for A in sets])
-    assert (incl == B._leq).all(), "natural order must be inclusion"
-    for i, A in enumerate(sets):
-        assert bool(B.is_idem[i]) == (A <= objset), (
-            "idempotents must be the object subsets"
-        )
-    assert F._meet_semigroup(B), "bisections must have all meets"
-    assert F._boolean(B), "bisections must form a Boolean table"
-    return B
+    return F.MulTable(table, zero, identity, names)
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +347,12 @@ def duality_roundtrip(S):
     bisection semigroup of the ultrafilter groupoid.
 
     Returns (True, phi) where phi[s] is the index of V_s in the bisection
-    table, or (False, witness) naming the first failure.  A failure means the
-    input was not a Boolean inverse meet-semigroup, and that equivalence is
-    asserted both ways."""
+    table, or (False, witness) naming the first failure.  The round trip
+    succeeds exactly on Boolean inverse meet-semigroups."""
     G, elems = _groupoid_of_minimals(S)
     pos = {s: i for i, s in enumerate(elems)}
     sets = local_bisections(G)
     v = [frozenset(pos[t] for t in S.minset(s)) for s in range(S.m)]
-    for A in v:
-        assert A in set(sets), "each V_s is a local bisection"
 
     ok, witness = True, None
     for s in range(S.m):
@@ -420,22 +387,13 @@ def duality_roundtrip(S):
         witness = "no element has V_s = {%s}" % ",".join(
             G.name(a) for a in sorted(missing)
         )
-
-    boolean = F._meet_semigroup(S) and F._boolean(S)
-    assert ok == boolean, "the round trip succeeds exactly on Boolean tables"
     if not ok:
         return False, witness
 
     index = {A: i for i, A in enumerate(sets)}
-    phi = [index[v[s]] for s in range(S.m)]
-    B = bisection_semigroup(G)
-    arr = np.asarray(phi)
-    assert sorted(phi) == list(range(B.m)), "phi must be a bijection"
-    assert (arr[S.T] == B.T[arr[:, None], arr[None, :]]).all(), (
-        "phi must carry the table product to the bisection product"
-    )
-    assert phi[S.zero] == B.zero
-    return True, phi
+    if any(A not in index for A in v):
+        raise InternalError("some V_s is not a local bisection")
+    return True, [index[A] for A in v]
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +401,7 @@ def duality_roundtrip(S):
 
 def ideal_correspondence(S):
     """Pair every tightly closed ideal of S with an invariant arrow subset of
-    the ultrafilter groupoid, and verify the pairing is an order isomorphism.
+    the ultrafilter groupoid; the pairing is an order isomorphism.
 
     The ideal T goes to O(T), its 0-minimal members; the invariant subset O
     comes back as C(O) = all s whose 0-minimal elements lie in O.  Returns
@@ -453,45 +411,8 @@ def ideal_correspondence(S):
         raise TableError("ideal correspondence needs every meet to exist")
     if not F._boolean(S):
         raise TableError("ideal correspondence needs a Boolean table")
-    G, elems = _groupoid_of_minimals(S)
-    comps = [frozenset(elems[a] for a in comp) for comp in G.components()]
-    invariants = set()
-    for bits in range(1 << len(comps)):
-        chosen = [comps[i] for i in range(len(comps)) if bits >> i & 1]
-        invariants.add(frozenset().union(*chosen) if chosen else frozenset())
-    assert len(invariants) == 1 << len(comps)
-
-    ideals = F.tightly_closed_ideals(S)
-    minimals = frozenset(elems)
-
-    def come_back(O):
-        return frozenset(s for s in range(S.m) if S.minset(s) <= O)
-
-    pairs = []
-    for T in ideals:
-        O = frozenset(T) & minimals
-        assert O in invariants, "O(T) must be a union of components"
-        assert come_back(O) == T, "C(O(T)) must recover the ideal"
-        pairs.append((T, O))
-    for O in invariants:
-        T = come_back(O)
-        assert T in ideals, "C(O) must be a tightly closed ideal"
-        assert frozenset(T) & minimals == O, "O(C(O)) must recover the subset"
-    assert len(ideals) == len(invariants)
-    for T1, O1 in pairs:
-        for T2, O2 in pairs:
-            assert (T1 <= T2) == (O1 <= O2), "the pairing must respect order"
-
-    # in a Boolean table, tightly closed = closed under the joins that exist
-    for T in F.all_ideals(S):
-        by_joins = all(
-            S.join(a, b) in T
-            for a in T
-            for b in T
-            if S.compatible(a, b) and S.join(a, b) is not None
-        )
-        assert by_joins == F.is_tightly_closed_ideal(S, T)
-    return pairs
+    minimals = frozenset(S.zero_minimal())
+    return [(T, frozenset(T) & minimals) for T in F.tightly_closed_ideals(S)]
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +442,6 @@ def classify_symmetric(S):
     atoms = [e for e in S.zero_minimal() if S.is_idem[e]]
     k = len(atoms)
     apos = {e: j for j, e in enumerate(atoms)}
-    I = F.symmetric_inverse_monoid(k)
     maps = F._maps_of_partial_injections(k)
     index = {f: i for i, f in enumerate(maps)}
     phi = []
@@ -530,20 +450,35 @@ def classify_symmetric(S):
         for j, e in enumerate(atoms):
             c = S.mul(S.mul(s, e), S.inverse(s))
             if c != S.zero:
-                assert c in apos, "conjugates of atoms are atoms"
+                if c not in apos:
+                    raise InternalError("a conjugate of an atom is not an atom")
                 f[j] = apos[c]
+        if tuple(f) not in index:
+            raise InternalError("the atom action of %s is not injective" % S.name(s))
         phi.append(index[tuple(f)])
-    arr = np.asarray(phi)
-    assert sorted(phi) == list(range(I.m)), "the atom action must be a bijection"
-    assert (arr[S.T] == I.T[arr[:, None], arr[None, :]]).all(), (
-        "the atom action must be multiplicative"
-    )
-    assert phi[S.zero] == I.zero and phi[S.find_identity()] == I.find_identity()
     return k, phi
 
 
 # ---------------------------------------------------------------------------
 # the principality criterion
+
+def _up_and_fc(S, e):
+    """The up-set of the ultrafilter generated by the atom e, and its F^c."""
+    filt = [f for f in S.E if S.leq(e, f)]
+    fset = frozenset(filt)
+    up = {s for s in range(S.m) if S.leq(e, s)}
+    fc = set()
+    for s in range(S.m):
+        if int(S.dom[s]) not in fset or int(S.ran[s]) not in fset:
+            continue
+        si = S.inverse(s)
+        if all(
+            S.mul(S.mul(s, f), si) in fset and S.mul(S.mul(si, f), s) in fset
+            for f in filt
+        ):
+            fc.add(s)
+    return up, fc
+
 
 def principal_criterion(S):
     """Whether F^up = F^c for every ultrafilter F of the idempotent part.
@@ -552,38 +487,14 @@ def principal_criterion(S):
     conjugation preserves F; it is the largest inverse subsemigroup with
     idempotent part F, and it always contains the up-set of F.  On a finite
     Boolean table the criterion, triviality of the local groups of the
-    ultrafilter groupoid, and being fundamental all agree, and that is
-    asserted."""
+    ultrafilter groupoid, and being fundamental all agree."""
     if not F._meet_semigroup(S):
         raise TableError("principal criterion needs every meet to exist")
     if not F._boolean(S):
         raise TableError("principal criterion needs a Boolean table")
-    ok = True
     for e in S.zero_minimal():
-        if not S.is_idem[e]:
-            continue
-        filt = [f for f in S.E if S.leq(e, f)]
-        fset = frozenset(filt)
-        up = {s for s in range(S.m) if S.leq(e, s)}
-        fc = set()
-        for s in range(S.m):
-            if int(S.dom[s]) not in fset or int(S.ran[s]) not in fset:
-                continue
-            si = S.inverse(s)
-            if all(
-                S.mul(S.mul(s, f), si) in fset and S.mul(S.mul(si, f), s) in fset
-                for f in filt
-            ):
-                fc.add(s)
-        assert up <= fc, "the up-set of an ultrafilter sits inside F^c"
-        assert frozenset(x for x in fc if S.is_idem[x]) == fset, (
-            "the idempotent part of F^c is F"
-        )
-        if up != fc:
-            ok = False
-    G, _ = _groupoid_of_minimals(S)
-    assert ok == G.is_principal(), "criterion must match trivial local groups"
-    assert ok == F._fundamental(S), (
-        "criterion must match fundamental on finite Boolean tables"
-    )
-    return ok
+        if S.is_idem[e]:
+            up, fc = _up_and_fc(S, e)
+            if up != fc:
+                return False
+    return True

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import polycyclic as pc
 from .finitesgp import (
+    InternalError,
     MulTable,
     TableError,
     _boolean,
@@ -24,7 +25,6 @@ from .finitesgp import (
     _e_star_unitary,
     _meet_semigroup,
     _unambiguous,
-    _zero_disjunctive,
     idempotent_subtable,
     is_cover,
     is_set_cover,
@@ -105,8 +105,7 @@ def lenz_congruence(S):
 
     Returns (Q, lam) with lam[s] the class of s.  The class of zero is just
     {zero}, products and meets descend, and the quotient is separative: the
-    arrow on Q agrees with its natural order.  All of that is rechecked here
-    rather than assumed.
+    arrow on Q agrees with its natural order.
     """
     if not _meet_semigroup(S):
         raise TableError("lenz_congruence requires all binary meets to exist")
@@ -116,7 +115,6 @@ def lenz_congruence(S):
     sym[S.zero, :] = False
     sym[:, S.zero] = False
     sym[S.zero, S.zero] = True
-    assert sym.diagonal().all(), "arrow must be reflexive on nonzero elements"
     lam = [-1] * m
     reps = []
     for s in range(m):
@@ -125,15 +123,11 @@ def lenz_congruence(S):
             reps.append(s)
             for x in np.flatnonzero(sym[s]):
                 lam[int(x)] = cid
-    assert [s for s in range(m) if lam[s] == lam[S.zero]] == [S.zero]
     k = len(reps)
-    lam_arr = np.array(lam)
     QT = np.zeros((k, k), dtype=int)
     for i, ri in enumerate(reps):
         for j, rj in enumerate(reps):
             QT[i, j] = lam[S.T[ri, rj]]
-    # the class of a product depends only on the classes
-    assert (QT[lam_arr[:, None], lam_arr[None, :]] == lam_arr[S.T]).all()
     fid = S.find_identity()
     Q = MulTable(
         QT,
@@ -141,14 +135,6 @@ def lenz_congruence(S):
         identity=None if fid is None else lam[fid],
         names=[S.name(r) for r in reps],
     )
-    # separative: on the quotient the arrow is the natural order
-    qarrows = _arrow_matrix(Q)
-    for a in Q.nonzero():
-        assert (qarrows[a] == np.asarray(Q._leq[a])).all()
-    # lam preserves meets
-    for s in range(m):
-        for t in range(m):
-            assert Q.meet(lam[s], lam[t]) == lam[S.meet(s, t)]
     return Q, lam
 
 
@@ -226,7 +212,8 @@ def fc_semigroup(S):
                 for h in ideals[j].generators:
                     prod |= down[S.T[g, h]]
             key = frozenset(int(x) for x in np.flatnonzero(prod))
-            assert key in index, "product ideal escaped the enumeration"
+            if key not in index:
+                raise InternalError("product ideal escaped the enumeration")
             FT[i, j] = index[key]
     fid = S.find_identity()
     F = MulTable(
@@ -235,10 +222,6 @@ def fc_semigroup(S):
         identity=None if fid is None else iota[fid],
         names=["{" + ",".join(S.name(g) for g in ci.generators) + "}" for ci in ideals],
     )
-    assert _distributive(F), "the ideal semigroup must be distributive"
-    # principal downsets multiply like S
-    iota_arr = np.array(iota)
-    assert (FT[iota_arr[:, None], iota_arr[None, :]] == iota_arr[S.T]).all()
     return F, ideals, iota
 
 
@@ -249,10 +232,9 @@ def distributive_completion(S):
     the same 0-minimal elements; that support set is a complete class
     invariant, so classes are keyed by it.  Returns the completion table D,
     delta (class of the principal downset of the arrow class of s), and the
-    intermediate data.  Rechecked here: support equality is a congruence,
-    D is distributive, delta is a 0-restricted homomorphism sending the
-    covers of each element to joins, and every class is a join of delta
-    images.
+    intermediate data.  Support equality is a congruence, D is distributive,
+    delta is a 0-restricted homomorphism sending the covers of each element
+    to joins, and every class is a join of delta images.
     """
     Q, lam = lenz_congruence(S)
     F, ideals, iota = fc_semigroup(Q)
@@ -262,7 +244,6 @@ def distributive_completion(S):
     skeys = sorted(set(supports), key=lambda k: (len(k), sorted(k)))
     sindex = {k: i for i, k in enumerate(skeys)}
     xi = [sindex[sp] for sp in supports]
-    xi_arr = np.array(xi)
     nD = len(skeys)
     rep = [-1] * nD
     for i, c in enumerate(xi):
@@ -272,9 +253,6 @@ def distributive_completion(S):
     for a in range(nD):
         for b in range(nD):
             DT[a, b] = xi[F.mul(rep[a], rep[b])]
-    assert (DT[xi_arr[:, None], xi_arr[None, :]] == xi_arr[F.T]).all(), (
-        "support equality must be a congruence"
-    )
     fidF = F.find_identity()
     D = MulTable(
         DT,
@@ -282,26 +260,15 @@ def distributive_completion(S):
         identity=None if fidF is None else xi[fidF],
         names=["{" + ",".join(Q.name(t) for t in sorted(k)) + "}" for k in skeys],
     )
-    assert _distributive(D), "the completion must be distributive"
     delta = [xi[iota[lam[s]]] for s in range(S.m)]
-    delta_arr = np.array(delta)
-    assert (DT[delta_arr[:, None], delta_arr[None, :]] == delta_arr[S.T]).all()
-    assert all((delta[s] == D.zero) == (s == S.zero) for s in range(S.m))
-    # covers become joins: each element is the join of the images of its
-    # 0-minimal lower bounds, which sit below any of its covers
-    for s in range(S.m):
-        assert D.join_of_set(delta[x] for x in S.minset(s)) == delta[s]
-    # every class is a join of delta images: pull supports back along lam
-    pre = {}
-    for s in range(S.m):
-        pre.setdefault(lam[s], s)
+    # a support is a compatible set of 0-minimal elements, so it is also the
+    # member set of the ideal it generates
     member_index = {mem: i for i, mem in enumerate(members)}
     classes = []
-    for c, k in enumerate(skeys):
-        assert D.join_of_set(delta[pre[t]] for t in sorted(k)) == c
-        rid = member_index[k]
-        assert xi[rid] == c
-        classes.append(DClass(support=k, representative=ideals[rid]))
+    for k in skeys:
+        if k not in member_index:
+            raise InternalError("no compatible ideal has the support %r" % sorted(k))
+        classes.append(DClass(support=k, representative=ideals[member_index[k]]))
     return Completion(D, delta, Q, lam, F, ideals, iota, xi, classes)
 
 
@@ -320,18 +287,9 @@ def part1_isomorphism(S):
     E, emb = idempotent_subtable(S)
     comp_e = distributive_completion(E)
     # arrow classes of E line up with arrow classes of S
-    trans = {}
-    for e in range(E.m):
-        qe, qs = comp_e.lam[e], comp_s.lam[emb[e]]
-        assert trans.setdefault(qe, qs) == qs, (
-            "idempotent arrow classes must agree in S and E(S)"
-        )
+    trans = {comp_e.lam[e]: comp_s.lam[emb[e]] for e in range(E.m)}
     ED, embD = idempotent_subtable(comp_s.D)
-    sup_to_ed = {}
-    for i in range(ED.m):
-        k = comp_s.classes[embD[i]].support
-        assert all(comp_s.Q.is_idem[t] for t in k)
-        sup_to_ed[k] = i
+    sup_to_ed = {comp_s.classes[embD[i]].support: i for i in range(ED.m)}
     nE = comp_e.D.m
     if nE != ED.m:
         return False, None
@@ -358,16 +316,15 @@ def booleanization_report(S):
     Takes any finite inverse meet-semigroup table; the flags concern its
     semilattice of idempotents E (equal to S when S is a semilattice), while
     part1_iso compares the idempotents of the completion of S with the
-    completion of E.  Each flag is computed directly and the theorem
-    equivalences are asserted afterwards: Boolean completion iff tight
-    filters are ultrafilters, unital iff compactable, densely embedded iff
-    0-disjunctive.  The trapping condition is vacuous at finite scale (a
-    finite set covers itself) and is reported as such.
+    completion of E.  Each flag is computed directly; by the theorems,
+    Boolean completion holds iff tight filters are ultrafilters, unital iff
+    compactable, and densely embedded iff 0-disjunctive.  The trapping
+    condition is vacuous at finite scale (a finite set covers itself) and is
+    reported as such.
     """
     E, _ = idempotent_subtable(S)
     ultra = set(f.generator for f in ultrafilters(E))
     tight = set(e for e in E.nonzero() if is_tight_filter(E, e))
-    assert ultra <= tight, "ultrafilters must be tight"
     comp_e = distributive_completion(E)
     DE = comp_e.D
     d_boolean = _boolean(DE)
@@ -375,8 +332,7 @@ def booleanization_report(S):
     atoms = E.zero_minimal()
     compactable = is_set_cover(E, E.nonzero(), atoms)
     # dense embedding into the completion: injective, meets preserved, every
-    # nonzero class a join of images (the last is rechecked inside
-    # distributive_completion)
+    # nonzero class a join of images (the last holds in every completion)
     injective = len(set(comp_e.delta)) == E.m
     meets_ok = all(
         DE.meet(comp_e.delta[a], comp_e.delta[b]) == comp_e.delta[E.meet(a, b)]
@@ -385,7 +341,7 @@ def booleanization_report(S):
     )
     densely = bool(d_boolean and injective and meets_ok)
     ok_iso, _ = part1_isomorphism(S)
-    report = {
+    return {
         "tight_eq_ultra": tight == ultra,
         "D_boolean": d_boolean,
         "unital": ident is not None,
@@ -396,12 +352,6 @@ def booleanization_report(S):
         "essential_set": sorted(E.name(a) for a in atoms),
         "D_size": DE.m,
     }
-    assert report["unital"] == report["compactable"]
-    assert report["D_boolean"] == report["tight_eq_ultra"]
-    assert report["densely_embedded"] == _zero_disjunctive(E)
-    if ident is not None:
-        assert DE.join_of_set(comp_e.delta[a] for a in atoms) == ident
-    return report
 
 
 def orthogonalize(S, X):
@@ -421,12 +371,7 @@ def orthogonalize(S, X):
             raise TableError(
                 "not pairwise compatible: %s, %s" % (S.name(a), S.name(b))
             )
-    kept = [a for a in xs if not any(b != a and S.leq(a, b) for b in xs)]
-    for a, b in itertools.combinations(kept, 2):
-        assert S.orthogonal(a, b)
-    for a in xs:
-        assert any(S.leq(a, b) for b in kept)
-    return kept
+    return [a for a in xs if not any(b != a and S.leq(a, b) for b in xs)]
 
 
 def orthogonalize_poly(X):
@@ -442,32 +387,25 @@ def orthogonalize_poly(X):
     if not xs:
         return []
     if isinstance(xs[0], pc.ExtPolyElement):
-        leq, compat, orth = pc.ext_leq, pc.ext_compatible, pc.ext_orthogonal
+        leq, compat = pc.ext_leq, pc.ext_compatible
     else:
-        leq, compat, orth = pc.poly_leq, pc.poly_compatible, pc.poly_orthogonal
+        leq, compat = pc.poly_leq, pc.poly_compatible
     for a, b in itertools.combinations(xs, 2):
         if not compat(a, b):
             raise ValueError("not pairwise compatible: %r, %r" % (a, b))
-    kept = [a for a in xs if not any(b != a and leq(a, b) for b in xs)]
-    for a, b in itertools.combinations(kept, 2):
-        assert orth(a, b)
-    for a in xs:
-        assert any(leq(a, b) for b in kept)
-    return kept
+    return [a for a in xs if not any(b != a and leq(a, b) for b in xs)]
 
 
 def check_universal_property(S, T, theta):
     """Extend theta: S -> T to the completion of S, or say why that fails.
 
     theta lists one T index per S element.  It must be a zero-preserving
-    homomorphism into a distributive T that turns covers into joins; for a
-    homomorphism the idempotents decide that, and the full sweep double
-    checks the reduction.  On success returns (True, theta_bar) where
-    theta_bar joins theta over any representative ideal of each class; it is
-    rechecked to be well-defined, a homomorphism, join-preserving, and to
-    restrict to theta along delta.  Uniqueness comes from every class being
-    a join of delta images.  On failure returns (False, reason) naming the
-    violated product or cover.
+    homomorphism into a distributive T that turns covers into joins.  On
+    success returns (True, theta_bar) where theta_bar joins theta over any
+    representative ideal of each class; it is checked to be well-defined, a
+    homomorphism, join-preserving, and to restrict to theta along delta.
+    Uniqueness comes from every class being a join of delta images.  On
+    failure returns (False, reason) naming the violated product or cover.
     """
     theta = [int(x) for x in theta]
     if len(theta) != S.m:
@@ -486,30 +424,19 @@ def check_universal_property(S, T, theta):
     if not _distributive(T):
         return False, "target is not distributive"
 
-    def audit(elems):
-        for s in elems:
-            if T.join_of_set(theta[x] for x in S.minset(s)) != theta[s]:
-                return s
-        return None
-
-    bad_idem = audit([e for e in range(S.m) if S.is_idem[e]])
-    bad_any = audit(range(S.m))
-    assert (bad_idem is None) == (bad_any is None), (
-        "cover-to-join must be decided on the idempotents"
-    )
-    if bad_any is not None:
-        return False, "not cover-to-join at %s with cover {%s}" % (
-            S.name(bad_any),
-            ",".join(S.name(x) for x in sorted(S.minset(bad_any))),
-        )
+    for s in range(S.m):
+        if T.join_of_set(theta[x] for x in S.minset(s)) != theta[s]:
+            return False, "not cover-to-join at %s with cover {%s}" % (
+                S.name(s),
+                ",".join(S.name(x) for x in sorted(S.minset(s))),
+            )
 
     comp = distributive_completion(S)
     # theta is constant on arrow classes: equal classes have equal 0-minimal
     # lower bounds and theta of an element is the join over those
     theta_q = {}
     for s in range(S.m):
-        q = comp.lam[s]
-        assert theta_q.setdefault(q, theta[s]) == theta[s]
+        theta_q.setdefault(comp.lam[s], theta[s])
     values = [None] * comp.D.m
     for i, ci in enumerate(comp.ideals):
         v = T.join_of_set(theta_q[g] for g in ci.generators)

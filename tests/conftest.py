@@ -1,0 +1,398 @@
+"""Theorem checks that run on every library call the test suite makes.
+
+The library computes each answer once, by one route.  The checks below
+re-prove the theorems behind those answers from a call's inputs and its
+result: each is a plain function check(*inputs, result).  The session
+fixture `recheck_theorems` wraps the library functions, under every module
+name that tests or the library call them by, so that each call made by a
+test, directly or from inside the library or a check, is followed by its
+check.  A check that recomputes a result whose call was already checked
+does so under `RECHECKER.unchecked()`.
+"""
+
+import contextlib
+import functools
+import itertools
+
+import numpy as np
+import pytest
+
+from stonedual import duality as D
+from stonedual import filtercomp as FC
+from stonedual import finitesgp as F
+from stonedual import polycyclic as pc
+from stonedual import thompson as TH
+from tests_support_tables import principal_congruence
+
+# the O(m^4) enumeration route of is_congruence_free runs up to this size
+ENUMERATION_LIMIT = 60
+
+
+# ---------------------------------------------------------------------------
+# finitesgp
+
+
+def check_is_congruence_free(S, result):
+    if S.m <= ENUMERATION_LIMIT:
+        by_enumeration = S.m >= 2 and all(
+            max(principal_congruence(S, a, b)) == 0
+            for a in range(S.m)
+            for b in range(a + 1, S.m)
+        )
+        assert result == by_enumeration, "congruence-freeness routes disagree"
+
+
+def check_is_zero_simplifying(S, result):
+    trivial = {frozenset([S.zero]), frozenset(range(S.m))}
+    by_ideals = all(I in trivial for I in F.tightly_closed_ideals(S))
+    assert result == by_ideals, "0-simplifying routes disagree"
+
+
+# ---------------------------------------------------------------------------
+# filtercomp
+
+
+def check_lenz_congruence(S, result):
+    Q, lam = result
+    for s in S.nonzero():
+        assert F.arrow_enum(S, s, [s]), "arrow must be reflexive on nonzero elements"
+    assert [s for s in range(S.m) if lam[s] == lam[S.zero]] == [S.zero]
+    lam_arr = np.array(lam)
+    # the class of a product depends only on the classes
+    assert (Q.T[lam_arr[:, None], lam_arr[None, :]] == lam_arr[S.T]).all()
+    # separative: on the quotient the arrow is the natural order
+    qarrows = FC._arrow_matrix(Q)
+    for a in Q.nonzero():
+        assert (qarrows[a] == np.asarray(Q._leq[a])).all()
+    # lam preserves meets
+    for s in range(S.m):
+        for t in range(S.m):
+            assert Q.meet(lam[s], lam[t]) == lam[S.meet(s, t)]
+
+
+def check_fc_semigroup(S, result):
+    Fm, _, iota = result
+    assert F._distributive(Fm), "the ideal semigroup must be distributive"
+    # principal downsets multiply like S
+    iota_arr = np.array(iota)
+    assert (Fm.T[iota_arr[:, None], iota_arr[None, :]] == iota_arr[S.T]).all()
+
+
+def check_distributive_completion(S, comp):
+    Dm, delta, xi = comp.D, comp.delta, comp.xi
+    xi_arr = np.array(xi)
+    assert (Dm.T[xi_arr[:, None], xi_arr[None, :]] == xi_arr[comp.F.T]).all(), (
+        "support equality must be a congruence"
+    )
+    assert F._distributive(Dm), "the completion must be distributive"
+    delta_arr = np.array(delta)
+    assert (Dm.T[delta_arr[:, None], delta_arr[None, :]] == delta_arr[S.T]).all()
+    assert all((delta[s] == Dm.zero) == (s == S.zero) for s in range(S.m))
+    # covers become joins: each element is the join of the images of its
+    # 0-minimal lower bounds, which sit below any of its covers
+    for s in range(S.m):
+        assert Dm.join_of_set(delta[x] for x in S.minset(s)) == delta[s]
+    # every class is a join of delta images: pull supports back along lam
+    pre = {}
+    for s in range(S.m):
+        pre.setdefault(comp.lam[s], s)
+    ideal_index = {ci: i for i, ci in enumerate(comp.ideals)}
+    for c, cls in enumerate(comp.classes):
+        assert Dm.join_of_set(delta[pre[t]] for t in sorted(cls.support)) == c
+        assert xi[ideal_index[cls.representative]] == c
+
+
+def check_part1_isomorphism(S, result):
+    E, emb = F.idempotent_subtable(S)
+    with RECHECKER.unchecked():
+        comp_s = FC.distributive_completion(S)
+        comp_e = FC.distributive_completion(E)
+    trans = {}
+    for e in range(E.m):
+        qe, qs = comp_e.lam[e], comp_s.lam[emb[e]]
+        assert trans.setdefault(qe, qs) == qs, (
+            "idempotent arrow classes must agree in S and E(S)"
+        )
+    ED, embD = F.idempotent_subtable(comp_s.D)
+    for i in range(ED.m):
+        assert all(comp_s.Q.is_idem[t] for t in comp_s.classes[embD[i]].support)
+
+
+def check_booleanization_report(S, report):
+    E, _ = F.idempotent_subtable(S)
+    ultra = set(f.generator for f in FC.ultrafilters(E))
+    tight = set(e for e in E.nonzero() if FC.is_tight_filter(E, e))
+    assert ultra <= tight, "ultrafilters must be tight"
+    assert report["unital"] == report["compactable"]
+    assert report["D_boolean"] == report["tight_eq_ultra"]
+    assert report["densely_embedded"] == F._zero_disjunctive(E)
+    with RECHECKER.unchecked():
+        comp_e = FC.distributive_completion(E)
+    ident = comp_e.D.find_identity()
+    if ident is not None:
+        atoms = E.zero_minimal()
+        assert comp_e.D.join_of_set(comp_e.delta[a] for a in atoms) == ident
+
+
+def check_orthogonalize(S, X, kept):
+    for a, b in itertools.combinations(kept, 2):
+        assert S.orthogonal(a, b)
+    for a in set(int(x) for x in X):
+        assert any(S.leq(a, b) for b in kept)
+
+
+def check_orthogonalize_poly(X, kept):
+    if not kept:
+        return
+    if isinstance(kept[0], pc.ExtPolyElement):
+        leq, orth = pc.ext_leq, pc.ext_orthogonal
+    else:
+        leq, orth = pc.poly_leq, pc.poly_orthogonal
+    for a, b in itertools.combinations(kept, 2):
+        assert orth(a, b)
+    for a in X:
+        assert any(leq(a, b) for b in kept)
+
+
+def check_universal_property(S, T, theta, result):
+    theta = [int(x) for x in theta]
+    th = np.array(theta)
+    # the cover-to-join audit is reached by zero-preserving homomorphisms
+    # into distributive targets
+    homomorphism = (th[S.T] == T.T[th[:, None], th[None, :]]).all()
+    if theta[S.zero] != T.zero or not homomorphism or not F._distributive(T):
+        return
+
+    def audit(elems):
+        for s in elems:
+            if T.join_of_set(theta[x] for x in S.minset(s)) != theta[s]:
+                return s
+        return None
+
+    bad_idem = audit([e for e in range(S.m) if S.is_idem[e]])
+    bad_any = audit(range(S.m))
+    assert (bad_idem is None) == (bad_any is None), (
+        "cover-to-join must be decided on the idempotents"
+    )
+    if bad_any is None:
+        # theta is constant on arrow classes
+        with RECHECKER.unchecked():
+            comp = FC.distributive_completion(S)
+        theta_q = {}
+        for s in range(S.m):
+            assert theta_q.setdefault(comp.lam[s], theta[s]) == theta[s]
+
+
+# ---------------------------------------------------------------------------
+# duality
+
+
+def check_ultrafilter_groupoid(S, G):
+    # the table product of composable 0-minimal elements is the filter product
+    elems = S.zero_minimal()
+    for s in elems:
+        for t in elems:
+            if S.dom[s] != S.ran[t]:
+                continue
+            prods = {S.mul(x, y) for x in S.above(s) for y in S.above(t)}
+            closure = set()
+            for p in prods:
+                closure.update(S.above(p))
+            assert closure == set(S.above(S.mul(s, t))), (
+                "filter product disagrees with the table product"
+            )
+
+
+def check_bisection_semigroup(G, B):
+    sets = D.local_bisections(G)
+    objset = frozenset(G.objects)
+    incl = np.array([[A <= Bs for Bs in sets] for A in sets])
+    assert (incl == B._leq).all(), "natural order must be inclusion"
+    for i, A in enumerate(sets):
+        assert bool(B.is_idem[i]) == (A <= objset), (
+            "idempotents must be the object subsets"
+        )
+    assert F._meet_semigroup(B), "bisections must have all meets"
+    assert F._boolean(B), "bisections must form a Boolean table"
+
+
+def check_duality_roundtrip(S, result):
+    ok, phi = result
+    G, elems = D._groupoid_of_minimals(S)
+    pos = {s: i for i, s in enumerate(elems)}
+    sets = set(D.local_bisections(G))
+    for s in range(S.m):
+        V = frozenset(pos[t] for t in S.minset(s))
+        assert V in sets, "each V_s is a local bisection"
+    boolean = F._meet_semigroup(S) and F._boolean(S)
+    assert ok == boolean, "the round trip succeeds exactly on Boolean tables"
+    if not ok:
+        return
+    B = D.bisection_semigroup(G)
+    arr = np.asarray(phi)
+    assert sorted(phi) == list(range(B.m)), "phi must be a bijection"
+    assert (arr[S.T] == B.T[arr[:, None], arr[None, :]]).all(), (
+        "phi must carry the table product to the bisection product"
+    )
+    assert phi[S.zero] == B.zero
+
+
+def check_ideal_correspondence(S, pairs):
+    G, elems = D._groupoid_of_minimals(S)
+    comps = [frozenset(elems[a] for a in comp) for comp in G.components()]
+    invariants = set()
+    for bits in range(1 << len(comps)):
+        chosen = [comps[i] for i in range(len(comps)) if bits >> i & 1]
+        invariants.add(frozenset().union(*chosen) if chosen else frozenset())
+    assert len(invariants) == 1 << len(comps)
+    ideals = F.tightly_closed_ideals(S)
+    minimals = frozenset(elems)
+
+    def come_back(O):
+        return frozenset(s for s in range(S.m) if S.minset(s) <= O)
+
+    assert [T for T, _ in pairs] == ideals
+    for T, O in pairs:
+        assert O in invariants, "O(T) must be a union of components"
+        assert come_back(O) == T, "C(O(T)) must recover the ideal"
+    for O in invariants:
+        T = come_back(O)
+        assert T in ideals, "C(O) must be a tightly closed ideal"
+        assert frozenset(T) & minimals == O, "O(C(O)) must recover the subset"
+    assert len(ideals) == len(invariants)
+    for T1, O1 in pairs:
+        for T2, O2 in pairs:
+            assert (T1 <= T2) == (O1 <= O2), "the pairing must respect order"
+    # in a Boolean table, tightly closed = closed under the joins that exist
+    for T in F.all_ideals(S):
+        by_joins = all(
+            S.join(a, b) in T
+            for a in T
+            for b in T
+            if S.compatible(a, b) and S.join(a, b) is not None
+        )
+        assert by_joins == F.is_tightly_closed_ideal(S, T)
+
+
+def check_classify_symmetric(S, result):
+    k, phi = result
+    if k is None:
+        return
+    I = F.symmetric_inverse_monoid(k)
+    arr = np.asarray(phi)
+    assert sorted(phi) == list(range(I.m)), "the atom action must be a bijection"
+    assert (arr[S.T] == I.T[arr[:, None], arr[None, :]]).all(), (
+        "the atom action must be multiplicative"
+    )
+    assert phi[S.zero] == I.zero and phi[S.find_identity()] == I.find_identity()
+
+
+def check_principal_criterion(S, ok):
+    for e in S.zero_minimal():
+        if not S.is_idem[e]:
+            continue
+        up, fc = D._up_and_fc(S, e)
+        assert up <= fc, "the up-set of an ultrafilter sits inside F^c"
+        assert {x for x in fc if S.is_idem[x]} == {x for x in up if S.is_idem[x]}, (
+            "the idempotent part of F^c is F"
+        )
+    G, _ = D._groupoid_of_minimals(S)
+    assert ok == G.is_principal(), "criterion must match trivial local groups"
+    assert ok == F._fundamental(S), (
+        "criterion must match fundamental on finite Boolean tables"
+    )
+
+
+# ---------------------------------------------------------------------------
+# thompson
+
+
+def check_cuntz_normalize(x, nf):
+    # gluing keeps the set orthogonal: a glued part is the join of parts that
+    # were orthogonal to everything else, and that survives the join
+    for a, b in itertools.combinations(nf.parts, 2):
+        assert pc.ext_orthogonal(a, b)
+    assert all(pc.ext_lenz_arrow(a, nf.parts) for a in x.parts)
+    assert all(pc.ext_lenz_arrow(b, x.parts) for b in nf.parts)
+
+
+def check_cuntz_eq(x, y, same):
+    with RECHECKER.unchecked():
+        nx, ny = TH.cuntz_normalize(x), TH.cuntz_normalize(y)
+    fwd = all(pc.ext_lenz_arrow(a, ny.parts) for a in nx.parts)
+    bwd = all(pc.ext_lenz_arrow(b, nx.parts) for b in ny.parts)
+    assert same == (fwd and bwd)
+
+
+def check_tp_to_unit(g, x):
+    assert TH.is_unit(x)
+
+
+def check_tp_from_unit(x, g):
+    # a contractible part family is the same thing as a reducible leaf family
+    assert TH.tp_reduce(g) == g
+
+
+# ---------------------------------------------------------------------------
+# wiring
+
+RECHECKS = [
+    (F, "is_congruence_free", check_is_congruence_free),
+    (F, "is_zero_simplifying", check_is_zero_simplifying),
+    (FC, "lenz_congruence", check_lenz_congruence),
+    (FC, "fc_semigroup", check_fc_semigroup),
+    (FC, "distributive_completion", check_distributive_completion),
+    (FC, "part1_isomorphism", check_part1_isomorphism),
+    (FC, "booleanization_report", check_booleanization_report),
+    (FC, "orthogonalize", check_orthogonalize),
+    (FC, "orthogonalize_poly", check_orthogonalize_poly),
+    (TH, "orthogonalize_poly", check_orthogonalize_poly),
+    (FC, "check_universal_property", check_universal_property),
+    (D, "ultrafilter_groupoid", check_ultrafilter_groupoid),
+    (D, "bisection_semigroup", check_bisection_semigroup),
+    (D, "duality_roundtrip", check_duality_roundtrip),
+    (D, "ideal_correspondence", check_ideal_correspondence),
+    (D, "classify_symmetric", check_classify_symmetric),
+    (D, "principal_criterion", check_principal_criterion),
+    (TH, "cuntz_normalize", check_cuntz_normalize),
+    (TH, "cuntz_eq", check_cuntz_eq),
+    (TH, "tp_to_unit", check_tp_to_unit),
+    (TH, "tp_from_unit", check_tp_from_unit),
+]
+
+
+class _Rechecker:
+    """Wraps library functions so that each call is followed by its check."""
+
+    def __init__(self):
+        self.off = 0
+
+    def wrap(self, func, check):
+        @functools.wraps(func)
+        def checked(*args):
+            result = func(*args)
+            if not self.off:
+                check(*args, result)
+            return result
+
+        return checked
+
+    @contextlib.contextmanager
+    def unchecked(self):
+        self.off += 1
+        try:
+            yield
+        finally:
+            self.off -= 1
+
+
+RECHECKER = _Rechecker()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def recheck_theorems():
+    patch = pytest.MonkeyPatch()
+    for module, name, check in RECHECKS:
+        patch.setattr(module, name, RECHECKER.wrap(getattr(module, name), check))
+    yield
+    patch.undo()

@@ -1,14 +1,19 @@
 """Command line behavior: frozen outputs, exit codes, JSON round-trips."""
 
+import contextlib
+import io
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stonedual import cli
+from stonedual import cli, finitesgp
 from stonedual import polycyclic as pc
 from stonedual import thompson as th
+from stonedual import words as wd
 from stonedual.finitesgp import MulTable, symmetric_inverse_monoid
 
 ROSE2 = "vertex *\nedge a * *\nedge b * *\n"
@@ -316,3 +321,190 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+def test_internal_error_exits_3(capsys, monkeypatch, i2_file):
+    def broken(S):
+        raise finitesgp.InternalError("invariant broken")
+
+    monkeypatch.setattr(finitesgp, "is_congruence_free", broken)
+    rc, out, err = run(capsys, ["finite", "congfree", i2_file])
+    assert rc == 3 and out == ""
+    assert err.splitlines() == ["internal error: invariant broken"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input gets an answer or error: lines, never a traceback
+
+FUZZ = settings(max_examples=120, derandomize=True, deadline=None)
+TABLES = pathlib.Path(__file__).resolve().parent.parent / "tables"
+SEED_TABLES = [
+    (TABLES / "chain2.tbl").read_text(),
+    (TABLES / "i2.tbl").read_text(),
+    "elements 1 zero 0\n0\n",
+]
+FINITE_SUBS = [
+    "validate", "predicates", "congfree", "simplifying",
+    "complete", "dualize", "classify", "ideals",
+]
+
+
+def quiet_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(argv):
+    rc, out, err = quiet_main(argv)
+    assert rc in (0, 1, 2), (argv, rc, err)
+    if rc != 0:
+        lines = err.splitlines()
+        assert out == "" and lines, (argv, out, err)
+        assert all(line.startswith("error: ") for line in lines), (argv, err)
+
+
+_token = st.one_of(
+    st.integers(-2, 8).map(str),
+    st.sampled_from(["elements", "zero", "identity", "name", "#"]),
+    st.text(max_size=3),
+)
+_noise_line = st.lists(_token, max_size=6).map(" ".join)
+
+
+@st.composite
+def table_texts(draw):
+    """A random table, or a shipped one, with lines inserted and dropped."""
+    if not draw(st.booleans()):
+        lines = draw(st.sampled_from(SEED_TABLES)).splitlines()
+    else:
+        m = draw(st.integers(0, 3))
+        cell = st.integers(-1, m).map(str)
+        header = "elements %d zero %s" % (m, draw(cell))
+        if draw(st.booleans()):
+            header += " identity %s" % draw(cell)
+        lines = [header]
+        for _ in range(m):
+            lines.append(" ".join(draw(st.lists(cell, min_size=m, max_size=m))))
+        for _ in range(draw(st.integers(0, m))):
+            lines.append("name %s %s" % (draw(cell), draw(st.text(max_size=4))))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_noise_line))
+    if lines and draw(st.booleans()):
+        lines.pop(draw(st.integers(0, len(lines) - 1)))
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(
+    text=table_texts(),
+    sub=st.sampled_from(FINITE_SUBS),
+    flags=st.lists(st.sampled_from(["--json", "--dump"]), max_size=2, unique=True),
+)
+def test_fuzz_table_format(tmp_path_factory, text, sub, flags):
+    path = tmp_path_factory.mktemp("fuzz") / "t.tbl"
+    path.write_text(text)
+    if sub not in ("complete", "dualize"):
+        flags = [f for f in flags if f != "--dump"]
+    assert_clean_exit(["finite", sub] + flags + ["--", str(path)])
+
+
+_n = st.one_of(st.sampled_from(["2", "3"]), st.integers(-1, 28).map(str))
+_root = st.one_of(st.sampled_from(["1", "2"]), st.integers(-1, 3).map(str))
+_word = st.one_of(
+    st.text(alphabet="ab", max_size=4),
+    st.text(alphabet="abc1", max_size=4),
+    st.text(max_size=3),
+)
+_poly = st.one_of(
+    _word,
+    st.builds("{}^-1".format, _word),
+    st.builds("{}.{}^-1".format, _word, _word),
+    st.text(alphabet="ab.^-10,", max_size=8),
+)
+_ext = st.one_of(
+    st.builds("({}|{},{}|{})".format, _root, _word, _word, _root),
+    st.text(alphabet="(|,)ab12", max_size=10),
+)
+_rooted = st.one_of(_word, st.builds("r{}:{}".format, _root, _word))
+_codes = st.lists(_rooted, max_size=4).map(",".join)
+
+
+@st.composite
+def _mutated(draw, text):
+    """The text, or the text with one character inserted or removed."""
+    pos = draw(st.integers(0, len(text)))
+    choice = draw(st.integers(0, 3))
+    if choice == 1:
+        return text[:pos] + draw(st.sampled_from("ab,{}()|:r-[]1 ")) + text[pos:]
+    if choice == 2 and text:
+        return text[:pos] + text[pos + 1:]
+    return text
+
+
+@st.composite
+def _tree_pairs(draw, n, r):
+    """A valid tree pair over (n, r) when there is one, possibly mutated, or
+    a literal assembled from random pieces."""
+    if 2 <= n <= 4 and 1 <= r <= 3 and not draw(st.booleans()):
+        splits = draw(st.integers(0, 3))
+        codes = []
+        for _ in range(2):
+            code = [wd.RootedWord(i, ()) for i in range(1, r + 1)]
+            for _ in range(splits):
+                w = code.pop(draw(st.integers(0, len(code) - 1)))
+                code.extend(wd.RootedWord(w.root, w.letters + (k,)) for k in range(n))
+            codes.append(code)
+        perm = draw(st.permutations(range(len(codes[0]))))
+        g = th.tree_pair(n, r, codes[0], codes[1], perm)
+        return g, draw(_mutated(th.format_tree_pair(g)))
+    perm = st.lists(st.integers(-1, 4).map(str), max_size=4).map(",".join)
+    text = draw(st.one_of(
+        st.builds("{{{}}}->{{{}}}:perm=[{}]".format, _codes, _codes, perm),
+        st.text(max_size=10),
+    ))
+    return None, text
+
+
+@FUZZ
+@given(
+    sub=st.sampled_from(["mul", "meet", "leq", "arrow"]),
+    n=_n,
+    a=_poly,
+    b=st.lists(_poly, min_size=1, max_size=3).map(",".join),
+)
+def test_fuzz_poly_literals(sub, n, a, b):
+    assert_clean_exit(["poly", sub, "-n", n, "--", a, b])
+
+
+@FUZZ
+@given(n=_n, r=_root, data=st.data())
+def test_fuzz_extended_literals(n, r, data):
+    g, _ = data.draw(_tree_pairs(int(n), int(r)))
+    if g is not None and not data.draw(st.booleans()):
+        # a unit, or a unit with one part dropped
+        parts = sorted(th.tp_to_unit(g).parts)
+        if data.draw(st.booleans()):
+            parts.pop(data.draw(st.integers(0, len(parts) - 1)))
+        text = data.draw(_mutated("{%s}" % ", ".join(map(pc.format_ext, parts))))
+    else:
+        text = data.draw(st.one_of(
+            st.lists(_ext, max_size=4).map(lambda ps: "{" + ", ".join(ps) + "}"),
+            st.text(max_size=8),
+        ))
+    assert_clean_exit(["thompson", "fromunit", "-n", n, "-r", r, "--", text])
+
+
+@FUZZ
+@given(
+    sub=st.sampled_from(["mul", "eq", "inv", "reduce", "tounit"]),
+    n=_n,
+    r=_root,
+    data=st.data(),
+)
+def test_fuzz_tree_pair_literals(sub, n, r, data):
+    literals = [data.draw(_tree_pairs(int(n), int(r)))[1]]
+    if sub in ("mul", "eq"):
+        literals.append(data.draw(_tree_pairs(int(n), int(r)))[1])
+    assert_clean_exit(["thompson", sub, "-n", n, "-r", r, "--"] + literals)

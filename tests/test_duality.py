@@ -240,6 +240,13 @@ def test_bisection_counts():
         D.disjoint_union(D.pair_groupoid(2), D.discrete_groupoid(1)))) == 14
 
 
+def test_local_bisections_stop_at_the_size_cap():
+    # 2^1100 bisections, one arrow per level: a recursive walk over the
+    # arrows would overflow the stack before reaching the cap
+    with pytest.raises(F.SizeLimitError):
+        D.local_bisections(D.discrete_groupoid(1100))
+
+
 def test_bisection_semigroup_examples():
     B = D.bisection_semigroup(D.pair_groupoid(2))
     assert B.m == 7

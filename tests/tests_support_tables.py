@@ -134,3 +134,34 @@ def boolean_corpus():
         "I(2)xI(2)": i2_x_i2(),
     }
     return out
+
+
+def principal_congruence(S, a, b):
+    """Class ids of the smallest congruence merging a and b."""
+    parent = list(range(S.m))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    work = [(a, b)]
+    T = S.T
+    while work:
+        x, y = work.pop()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        parent[rx] = ry
+        for s in range(S.m):
+            work.append((int(T[s, x]), int(T[s, y])))
+            work.append((int(T[x, s]), int(T[y, s])))
+    reps = {}
+    out = [0] * S.m
+    for s in range(S.m):
+        r = find(s)
+        if r not in reps:
+            reps[r] = len(reps)
+        out[s] = reps[r]
+    return out
