@@ -13,7 +13,7 @@ exactly when it is a fundamental 0-simplifying Boolean inverse meet-monoid.
 import numpy as np
 
 from . import finitesgp as F
-from .finitesgp import InternalError, TableError, _check_size
+from .finitesgp import InternalError, TableError, _check_size, _first_failure
 
 
 # ---------------------------------------------------------------------------
@@ -36,58 +36,69 @@ class FiniteGroupoid:
         for (a, b), c in compose.items():
             C[a, b] = c
         self.C = C
-        diag = self._validate()
+        dom = np.array(self.dom, dtype=np.int64)
+        ran = np.array(self.ran, dtype=np.int64)
+        diag = self._validate(dom, ran)
         if diag is not None:
             raise TableError(diag)
-        inv = []
-        for a in range(m):
-            cands = [
-                b
-                for b in range(m)
-                if C[a, b] == self.ran[a] and C[b, a] == self.dom[a]
-            ]
-            if len(cands) != 1:
-                raise TableError("arrow %d has %d inverses" % (a, len(cands)))
-            inv.append(cands[0])
-        self.inv = inv
+        # b inverts a when a b = r(a) and b a = d(a)
+        hits = (C == ran[:, None]) & (C.T == dom[:, None])
+        counts = hits.sum(axis=1)
+        if (counts != 1).any():
+            a = int(np.argmax(counts != 1))
+            raise TableError("arrow %d has %d inverses" % (a, counts[a]))
+        self.inv = np.nonzero(hits)[1].tolist()  # one hit per row
 
-    def _validate(self):
+    def _validate(self, dom, ran):
+        """The first failing groupoid axiom with a witness, or None."""
         m, C = self.m, self.C
-        if len(self.ran) != m:
+        if len(ran) != m:
             return "dom and ran must have equal length"
-        for e in self.objects:
-            if not 0 <= e < m:
-                return "object %d out of range" % e
-            if self.dom[e] != e or self.ran[e] != e:
-                return "object %d is not its own source and target" % e
+        objs = np.array(self.objects, dtype=np.int64)
+        inside = (objs >= 0) & (objs < m)
+        e = np.where(inside, objs, 0)
+        own = (dom[e] == objs) & (ran[e] == objs)
+        fail = _first_failure(~inside, inside & ~own)
+        if fail is not None:
+            k, (i,) = fail
+            if k == 0:
+                return "object %d out of range" % objs[i]
+            return "object %d is not its own source and target" % objs[i]
+        fail = _first_failure(~np.isin(dom, objs), ~np.isin(ran, objs))
+        if fail is not None:
+            k, (a,) = fail
+            return "%s of arrow %d is not an object" % (("source", "target")[k], a)
+        defined = C >= 0
+        composable = dom[:, None] == ran[None, :]
+        inside = defined & (C < m)
+        c = np.where(inside, C, 0)
+        fail = _first_failure(
+            defined & ~composable,
+            composable & ~defined,
+            defined & ~inside,
+            inside & ((dom[c] != dom[None, :]) | (ran[c] != ran[:, None])),
+        )
+        if fail is not None:
+            k, (a, b) = fail
+            text = (
+                "composite %d * %d should be undefined",
+                "missing composite %d * %d",
+                "composite %d * %d out of range",
+                "composite %d * %d has wrong endpoints",
+            )
+            return text[k] % (a, b)
+        idx = np.arange(m)
+        bad = (C[idx, dom] != idx) | (C[ran, idx] != idx)
+        if bad.any():
+            return "identity law fails at arrow %d" % bad.argmax()
         for a in range(m):
-            if self.dom[a] not in self._objset:
-                return "source of arrow %d is not an object" % a
-            if self.ran[a] not in self._objset:
-                return "target of arrow %d is not an object" % a
-        for a in range(m):
-            for b in range(m):
-                defined = int(C[a, b]) >= 0
-                if defined != (self.dom[a] == self.ran[b]):
-                    if defined:
-                        return "composite %d * %d should be undefined" % (a, b)
-                    return "missing composite %d * %d" % (a, b)
-                if defined:
-                    c = int(C[a, b])
-                    if not 0 <= c < m:
-                        return "composite %d * %d out of range" % (a, b)
-                    if self.dom[c] != self.dom[b] or self.ran[c] != self.ran[a]:
-                        return "composite %d * %d has wrong endpoints" % (a, b)
-        for a in range(m):
-            if C[a, self.dom[a]] != a or C[self.ran[a], a] != a:
-                return "identity law fails at arrow %d" % a
-        for a in range(m):
-            for b in np.flatnonzero(C[a, :] >= 0):
-                b = int(b)
-                for c in np.flatnonzero(C[b, :] >= 0):
-                    c = int(c)
-                    if C[C[a, b], c] != C[a, C[b, c]]:
-                        return "associativity fails at (%d, %d, %d)" % (a, b, c)
+            # (a b) c = a (b c) for every composable b and c at once
+            bs = np.flatnonzero(defined[a])
+            bc = C[bs]
+            bad = (bc >= 0) & (C[C[a, bs]] != C[a, np.maximum(bc, 0)])
+            if bad.any():
+                b, c = np.argwhere(bad)[0]
+                return "associativity fails at (%d, %d, %d)" % (a, bs[b], c)
         return None
 
     def compose(self, a, b):

@@ -23,7 +23,10 @@ from .finitesgp import (
     _check_size,
     _distributive,
     _e_star_unitary,
+    _first_failure,
+    _join_table,
     _meet_semigroup,
+    _meet_table,
     _unambiguous,
     idempotent_subtable,
     is_cover,
@@ -74,29 +77,16 @@ def is_tight_filter(S, generator):
 
 
 def _arrow_matrix(S):
-    """arr[a, b] decides a -> {b} by enumerating the nonzero x <= a.
+    """arr[a, b] decides a -> {b}: every 0-minimal element below a lies
+    below b, which on finite meet-semigroups is the same as every nonzero
+    x <= a meeting b nontrivially.
 
     The zero row is left False; arrows out of zero are vacuous and never
-    consulted.  Requires binary meets.
+    consulted.
     """
-    m = S.m
-    arr = np.zeros((m, m), dtype=bool)
-    for a in range(m):
-        if a == S.zero:
-            continue
-        xs = [x for x in S.below(a) if x != S.zero]
-        for b in range(m):
-            ok = True
-            for x in xs:
-                mt = S.meet(x, b)
-                if mt is None:
-                    raise TableError(
-                        "meet of %s and %s does not exist" % (S.name(x), S.name(b))
-                    )
-                if mt == S.zero:
-                    ok = False
-                    break
-            arr[a, b] = ok
+    below = S._leq[S.zero_minimal()].astype(np.int32)  # below[i, s]: i-th <= s
+    arr = below.T @ below == below.sum(axis=0)[:, None]
+    arr[S.zero] = False
     return arr
 
 
@@ -123,11 +113,7 @@ def lenz_congruence(S):
             reps.append(s)
             for x in np.flatnonzero(sym[s]):
                 lam[int(x)] = cid
-    k = len(reps)
-    QT = np.zeros((k, k), dtype=int)
-    for i, ri in enumerate(reps):
-        for j, rj in enumerate(reps):
-            QT[i, j] = lam[S.T[ri, rj]]
+    QT = np.array(lam)[S.T[np.ix_(reps, reps)]]
     fid = S.find_identity()
     Q = MulTable(
         QT,
@@ -249,10 +235,7 @@ def distributive_completion(S):
     for i, c in enumerate(xi):
         if rep[c] < 0:
             rep[c] = i
-    DT = np.zeros((nD, nD), dtype=int)
-    for a in range(nD):
-        for b in range(nD):
-            DT[a, b] = xi[F.mul(rep[a], rep[b])]
+    DT = np.array(xi)[F.T[np.ix_(rep, rep)]]
     fidF = F.find_identity()
     D = MulTable(
         DT,
@@ -301,10 +284,8 @@ def part1_isomorphism(S):
         mapping.append(sup_to_ed[ks])
     if sorted(mapping) != list(range(nE)):
         return False, None
-    for a in range(nE):
-        for b in range(nE):
-            if mapping[comp_e.D.mul(a, b)] != ED.mul(mapping[a], mapping[b]):
-                return False, None
+    if _hom_defects(comp_e.D, ED, mapping).any():
+        return False, None
     if mapping[comp_e.D.zero] != ED.zero:
         return False, None
     return True, mapping
@@ -334,11 +315,8 @@ def booleanization_report(S):
     # dense embedding into the completion: injective, meets preserved, every
     # nonzero class a join of images (the last holds in every completion)
     injective = len(set(comp_e.delta)) == E.m
-    meets_ok = all(
-        DE.meet(comp_e.delta[a], comp_e.delta[b]) == comp_e.delta[E.meet(a, b)]
-        for a in range(E.m)
-        for b in range(E.m)
-    )
+    d = np.array(comp_e.delta)
+    meets_ok = (_meet_table(DE)[np.ix_(d, d)] == d[_meet_table(E)]).all()
     densely = bool(d_boolean and injective and meets_ok)
     ok_iso, _ = part1_isomorphism(S)
     return {
@@ -396,6 +374,12 @@ def orthogonalize_poly(X):
     return [a for a in xs if not any(b != a and leq(a, b) for b in xs)]
 
 
+def _hom_defects(A, B, f):
+    """defects[a, b]: f(a b) != f(a) f(b), for f listing a B index per A element."""
+    f = np.asarray(f)
+    return f[A.T] != B.T[f[:, None], f]
+
+
 def check_universal_property(S, T, theta):
     """Extend theta: S -> T to the completion of S, or say why that fails.
 
@@ -414,13 +398,9 @@ def check_universal_property(S, T, theta):
         raise TableError("theta image out of range")
     if theta[S.zero] != T.zero:
         return False, "zero is not preserved"
-    for a in range(S.m):
-        for b in range(S.m):
-            if theta[S.T[a, b]] != T.T[theta[a], theta[b]]:
-                return False, "not a homomorphism at (%s, %s)" % (
-                    S.name(a),
-                    S.name(b),
-                )
+    fail = _first_failure(_hom_defects(S, T, theta))
+    if fail is not None:
+        return False, "not a homomorphism at (%s, %s)" % tuple(map(S.name, fail[1]))
     if not _distributive(T):
         return False, "target is not distributive"
 
@@ -451,23 +431,15 @@ def check_universal_property(S, T, theta):
             return False, "not well-defined on class %s" % comp.D.name(c)
     theta_bar = [int(v) for v in values]
     D = comp.D
-    for a in range(D.m):
-        for b in range(D.m):
-            if theta_bar[D.T[a, b]] != T.T[theta_bar[a], theta_bar[b]]:
-                return False, "extension is not a homomorphism at (%s, %s)" % (
-                    D.name(a),
-                    D.name(b),
-                )
-    for a in range(D.m):
-        for b in range(D.m):
-            j = D.join(a, b)
-            if j is None:
-                continue
-            if T.join(theta_bar[a], theta_bar[b]) != theta_bar[j]:
-                return False, "extension does not preserve the join of (%s, %s)" % (
-                    D.name(a),
-                    D.name(b),
-                )
+    fail = _first_failure(_hom_defects(D, T, theta_bar))
+    if fail is not None:
+        names = tuple(map(D.name, fail[1]))
+        return False, "extension is not a homomorphism at (%s, %s)" % names
+    tb, JD = np.array(theta_bar), _join_table(D)
+    fail = _first_failure((JD >= 0) & (_join_table(T)[tb[:, None], tb] != tb[JD]))
+    if fail is not None:
+        names = tuple(map(D.name, fail[1]))
+        return False, "extension does not preserve the join of (%s, %s)" % names
     for s in range(S.m):
         if theta_bar[comp.delta[s]] != theta[s]:
             return False, "extension does not restrict to theta at %s" % S.name(s)

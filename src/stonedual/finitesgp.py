@@ -46,6 +46,16 @@ def _check_size(m, what="table"):
         )
 
 
+def _first_failure(*masks):
+    """(k, index) for the first index, in row-major order, at which one of the
+    equally shaped masks holds, with k the first mask holding there; or None."""
+    hit = np.logical_or.reduce(masks)
+    if not hit.any():
+        return None
+    at = tuple(np.argwhere(hit)[0])
+    return next(k for k, mask in enumerate(masks) if mask[at]), at
+
+
 def _semigroup_generators(arr, m):
     """Greedy generating set: closure is computed with the table's own product,
     so every member of the closure is some bracketed product of generators."""
@@ -119,6 +129,23 @@ def validate(table, zero, identity=None):
     return None
 
 
+def _bound_table(leq, count):
+    """out[s, t] = the greatest z with leq[z, s] and leq[z, t], or -1.
+
+    count[z] is the number of y with leq[y, z].  The common lower bounds of
+    s and t form a down-set, so z is the greatest of them exactly when z is
+    one of them and its own down-set has as many members.  Given the order
+    transposed, with up-set sizes, this gives least upper bounds."""
+    m = len(leq)
+    out = np.empty((m, m), dtype=np.int32)
+    for s in range(m):
+        zs = np.flatnonzero(leq[:, s])
+        low = leq[zs]                   # low[i, t]: zs[i] <= s and zs[i] <= t
+        hit = low & (count[zs, None] == low.sum(axis=0))
+        out[s] = np.where(hit.any(axis=0), zs[hit.argmax(axis=0)], -1)
+    return out
+
+
 class MulTable:
     """A validated finite inverse semigroup with zero."""
 
@@ -147,6 +174,7 @@ class MulTable:
         # natural order s <= t iff s = t d(s)
         self._leq = arr[:, self.dom].T == diag_idx[:, None]
         self._below_count = self._leq.sum(axis=0)
+        self._above_count = self._leq.sum(axis=1)
         self._meet = None
         self._join = None
         self._minset = None
@@ -194,55 +222,22 @@ class MulTable:
     def meet(self, a, b):
         """Greatest lower bound, or None if it does not exist."""
         if self._meet is None:
-            self._meet = np.full((self.m, self.m), -1, dtype=np.int32)
-            np.fill_diagonal(self._meet, np.arange(self.m))
-            # scan candidates biggest-first: the greatest lower bound, if any,
-            # is the candidate whose lower set contains every lower bound
-            by_size = np.argsort(-self._below_count, kind="stable")
-            for s in range(self.m):
-                for t in range(s + 1, self.m):
-                    lows = self._leq[:, s] & self._leq[:, t]
-                    got = -1
-                    for z in by_size:
-                        if lows[z]:
-                            if not (lows & ~self._leq[:, z]).any():
-                                got = int(z)
-                            break
-                    self._meet[s, t] = self._meet[t, s] = got
+            self._meet = _bound_table(self._leq, self._below_count)
         v = int(self._meet[a, b])
         return None if v < 0 else v
 
     def join(self, a, b):
         """Least upper bound, or None if it does not exist."""
         if self._join is None:
-            self._join = np.full((self.m, self.m), -1, dtype=np.int32)
-            np.fill_diagonal(self._join, np.arange(self.m))
-            by_size = np.argsort(self._below_count, kind="stable")
-            for s in range(self.m):
-                for t in range(s + 1, self.m):
-                    ups = self._leq[s, :] & self._leq[t, :]
-                    got = -1
-                    for z in by_size:
-                        if ups[z]:
-                            if not (ups & ~self._leq[z, :]).any():
-                                got = int(z)
-                            break
-                    self._join[s, t] = self._join[t, s] = got
+            self._join = _bound_table(self._leq.T, self._above_count)
         v = int(self._join[a, b])
         return None if v < 0 else v
 
     def join_of_set(self, xs):
         """Least upper bound of a finite set, or None; empty set joins to zero."""
-        xs = list(xs)
-        if not xs:
-            return self.zero
-        ups = np.ones(self.m, dtype=bool)
-        for x in xs:
-            ups &= self._leq[x, :]
-        for z in np.flatnonzero(ups):
-            if not (ups & ~self._leq[z, :]).any():
-                return int(z)
-        return None
+        ups = self._leq[list(xs)].all(axis=0)
+        hit = ups & (self._above_count == ups.sum())
+        return int(hit.argmax()) if hit.any() else None
 
     def compatible(self, a, b):
         return bool(self.compat_matrix()[a, b])
@@ -261,12 +256,7 @@ class MulTable:
 
     def zero_minimal(self):
         """Nonzero elements with nothing strictly between them and zero."""
-        counts = self._leq.sum(axis=0)
-        return [
-            s
-            for s in range(self.m)
-            if s != self.zero and counts[s] == 2
-        ]
+        return np.flatnonzero(self._below_count == 2).tolist()
 
     def minset(self, a):
         """The 0-minimal elements below a."""
@@ -584,10 +574,7 @@ def subtable(S, elements):
 # predicates
 
 def _fundamental(S):
-    sigs = set()
-    for s in range(S.m):
-        sigs.add(tuple(int(S.T[S.T[s, e], S.inv[s]]) for e in S.E))
-    return len(sigs) == S.m
+    return len(set(mu_classes(S))) == S.m
 
 
 def mu_classes(S):
@@ -604,53 +591,48 @@ def mu_classes(S):
 
 
 def _zero_simple(S):
-    if S.m < 2:
-        return False
-    everything = set(range(S.m))
-    for s in S.nonzero():
-        ideal = set(int(x) for x in S.T[:, S.T[s, :]].ravel())
-        if ideal != everything:
+    return S.m >= 2 and all(len(principal_ideal(S, s)) == S.m for s in S.nonzero())
+
+
+def _zero_disjunctive(S):
+    """Each idempotent e < f, both nonzero, is missed by some nonzero
+    idempotent g <= f: g e = 0."""
+    E = np.array([e for e in S.E if e != S.zero], dtype=np.intp)
+    for f in E:
+        lo = E[S._leq[E, f]]
+        missed = S.T[np.ix_(lo, lo)] == S.zero      # missed[g, e]: g e = 0
+        if not missed[:, lo != f].any(axis=0).all():
             return False
     return True
 
 
-def _zero_disjunctive(S):
-    E = [e for e in S.E if e != S.zero]
-    for f in E:
-        for e in E:
-            if e != f and S.leq(e, f):
-                if not any(
-                    S.leq(g, f) and S.mul(g, e) == S.zero for g in E
-                ):
-                    return False
-    return True
-
-
 def _e_star_unitary(S):
-    for e in S.E:
-        if e == S.zero:
-            continue
-        for s in np.flatnonzero(S._leq[e, :]):
-            if not S.is_idem[s]:
-                return False
-    return True
+    """Everything above a nonzero idempotent is idempotent."""
+    E = [e for e in S.E if e != S.zero]
+    return not (S._leq[E] & ~S.is_idem).any()
 
 
 def _unambiguous(S):
+    """Nonzero idempotents with a nonzero product are comparable."""
     E = [e for e in S.E if e != S.zero]
-    for e in E:
-        for f in E:
-            if S.mul(e, f) != S.zero and not (S.leq(e, f) or S.leq(f, e)):
-                return False
-    return True
+    L = S._leq[np.ix_(E, E)]
+    return not ((S.T[np.ix_(E, E)] != S.zero) & ~L & ~L.T).any()
+
+
+def _meet_table(S):
+    """out[s, t] = the meet of s and t, or -1; the first meet call fills it."""
+    S.meet(S.zero, S.zero)
+    return S._meet
+
+
+def _join_table(S):
+    """out[s, t] = the join of s and t, or -1; the first join call fills it."""
+    S.join(S.zero, S.zero)
+    return S._join
 
 
 def _meet_semigroup(S):
-    for s in range(S.m):
-        for t in range(S.m):
-            if S.meet(s, t) is None:
-                return False
-    return True
+    return bool((_meet_table(S) >= 0).all())
 
 
 def _distributive(S):
@@ -661,39 +643,33 @@ def _distributive(S):
     a verified binary law keeps products of joins compatible."""
     T = S.T
     comp = S.compat_matrix()
-    S.join(0, 0)  # force the join table
-    J = S._join
+    J = _join_table(S)
     for a in range(S.m):
-        for b in range(a, S.m):
-            if not comp[a, b]:
-                continue
-            j = int(J[a, b])
-            if j < 0:
-                return False
-            # c (a v b) = ca v cb and (a v b) c = ac v bc, for every c at once
-            if (J[T[:, a], T[:, b]] != T[:, j]).any():
-                return False
-            if (J[T[a, :], T[b, :]] != T[j, :]).any():
-                return False
+        bs = np.flatnonzero(comp[a])
+        js = J[a, bs]
+        if (js < 0).any():
+            return False
+        # c (a v b) = ca v cb and (a v b) c = ac v bc, for every b and c at once
+        if (J[T[:, a, None], T[:, bs]] != T[:, js]).any():
+            return False
+        if (J[T[a, :, None], T[bs].T] != T[js].T).any():
+            return False
     return True
 
 
 def _boolean(S):
+    """Distributive, and each idempotent e <= f has a complement below the
+    idempotent f: some idempotent g <= f with g e = 0 and g v e = f."""
     if not _distributive(S):
         return False
-    E = S.E
+    E = np.array(S.E, dtype=np.intp)
+    J = _join_table(S)
     for f in E:
-        for e in E:
-            if not S.leq(e, f):
-                continue
-            # need g <= f with g e = 0 and g v e = f
-            ok = False
-            for g in E:
-                if S.leq(g, f) and S.mul(g, e) == S.zero and S.join(g, e) == f:
-                    ok = True
-                    break
-            if not ok:
-                return False
+        lo = E[S._leq[E, f]]
+        cut = np.ix_(lo, lo)
+        complement = (S.T[cut] == S.zero) & (J[cut] == f)  # complement[g, e]
+        if not complement.any(axis=0).all():
+            return False
     return True
 
 
@@ -725,7 +701,9 @@ def is_congruence_free(S):
 # tightly closed ideals and the 0-simplifying property
 
 def principal_ideal(S, s):
-    return frozenset(int(x) for x in S.T[:, S.T[s, :]].ravel())
+    mask = np.zeros(S.m, dtype=bool)
+    mask[S.T[np.unique(S.T[:, s])]] = True  # (S s) S
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def all_ideals(S):
@@ -768,10 +746,11 @@ def is_zero_simplifying(S):
     if not _meet_semigroup(S):
         raise TableError("0-simplifying check needs all meets to exist")
     E = [e for e in S.E if e != S.zero]
-
-    def preceq(e, f):
-        targets = [int(S.ran[x]) for x in range(S.m) if S.leq(int(S.dom[x]), f)]
-        targets = [t for t in targets if t != S.zero]
-        return arrow_minset(S, e, targets)
-
-    return all(preceq(e, f) for e in E for f in E)
+    zm = S.zero_minimal()
+    below = S._leq[np.ix_(zm, E)]  # below[i, e]: the i-th 0-minimal element <= e
+    for f in E:
+        # the 0-minimal elements under the ranges of the x with d(x) <= f
+        covered = S._leq[np.ix_(zm, S.ran[S._leq[S.dom, f]])].any(axis=1)
+        if (below & ~covered[:, None]).any():
+            return False
+    return True

@@ -187,6 +187,8 @@ def parse_cuntz(text, n, r):
 def tree_pair(n, r, domain, range_, perm):
     """Build a tree pair in canonical order: both codes sorted, the pairing
     rewired to match.  Construction does not reduce; tp_reduce does."""
+    if n < 2:
+        raise ValueError("alphabet size must be >= 2")
     domain = list(domain)
     range_ = list(range_)
     for w in domain + range_:

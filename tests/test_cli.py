@@ -168,6 +168,9 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     assert rc == 1 and err.startswith("error:")
     rc, _, err = run(capsys, ["thompson", "fromunit", "{(1|a,a|1)}"])
     assert rc == 1 and "not a unit" in err
+    one = "{1}->{1}:perm=[0]"
+    rc, out, err = run(capsys, ["thompson", "mul", "-n", "1", one, one])
+    assert (rc, out) == (1, "") and err == "error: alphabet size must be >= 2\n"
     bad = tmp_path / "bad.tbl"
     bad.write_text("elements 2 zero 0\n0 0\n0 0\n")
     rc, _, err = run(capsys, ["finite", "validate", str(bad)])
@@ -443,19 +446,22 @@ def _mutated(draw, text):
     return text
 
 
+def _draw_code(draw, n, r, splits):
+    """A maximal r-rooted prefix code over n letters: split leaves at random."""
+    code = [wd.RootedWord(i, ()) for i in range(1, r + 1)]
+    for _ in range(splits):
+        w = code.pop(draw(st.integers(0, len(code) - 1)))
+        code.extend(wd.RootedWord(w.root, w.letters + (k,)) for k in range(n))
+    return code
+
+
 @st.composite
 def _tree_pairs(draw, n, r):
     """A valid tree pair over (n, r) when there is one, possibly mutated, or
     a literal assembled from random pieces."""
     if 2 <= n <= 4 and 1 <= r <= 3 and not draw(st.booleans()):
         splits = draw(st.integers(0, 3))
-        codes = []
-        for _ in range(2):
-            code = [wd.RootedWord(i, ()) for i in range(1, r + 1)]
-            for _ in range(splits):
-                w = code.pop(draw(st.integers(0, len(code) - 1)))
-                code.extend(wd.RootedWord(w.root, w.letters + (k,)) for k in range(n))
-            codes.append(code)
+        codes = [_draw_code(draw, n, r, splits) for _ in range(2)]
         perm = draw(st.permutations(range(len(codes[0]))))
         g = th.tree_pair(n, r, codes[0], codes[1], perm)
         return g, draw(_mutated(th.format_tree_pair(g)))
@@ -508,3 +514,97 @@ def test_fuzz_tree_pair_literals(sub, n, r, data):
     if sub in ("mul", "eq"):
         literals.append(data.draw(_tree_pairs(int(n), int(r)))[1])
     assert_clean_exit(["thompson", sub, "-n", n, "-r", r, "--"] + literals)
+
+
+@FUZZ
+@given(sub=st.sampled_from(["check", "kraft"]), n=_n, r=_root, data=st.data())
+def test_fuzz_mpc_codes(sub, n, r, data):
+    if 1 <= int(n) <= 4 and 1 <= int(r) <= 3 and not data.draw(st.booleans()):
+        # a maximal code, maybe with one word dropped, then perhaps mutated
+        code = _draw_code(data.draw, int(n), int(r), data.draw(st.integers(0, 3)))
+        if len(code) > 1 and data.draw(st.booleans()):
+            code.pop(data.draw(st.integers(0, len(code) - 1)))
+        words = [wd.format_rooted(w, int(n), int(r)) for w in code]
+        text = data.draw(_mutated(",".join(words)))
+    else:
+        text = data.draw(st.one_of(_codes, st.text(max_size=8)))
+    assert_clean_exit(["mpc", sub, "-n", n, "-r", r, "--", text])
+
+
+_vertex = st.one_of(st.sampled_from(["u", "v", "*"]), st.text(max_size=2))
+_edge = st.one_of(st.sampled_from(["a", "b", "e", "f"]), st.text(max_size=2))
+_path = st.one_of(
+    st.builds("@{}".format, _vertex),
+    st.lists(_edge, min_size=1, max_size=3).map(".".join),
+    st.text(alphabet="abef.@*uv", max_size=5),
+)
+_gisg = st.one_of(
+    st.just("0"),
+    st.builds("{}/{}".format, _path, _path),
+    st.text(alphabet="abef./@*uv0", max_size=6),
+)
+GRAPHS = [
+    ROSE2,
+    # a source u, a sink w and a loop at v: the extension tree has dead branches
+    "vertex u\nvertex v\nvertex w\nedge e u v\nedge f v v\nedge g v w\n",
+]
+
+
+@st.composite
+def graph_texts(draw):
+    """A random graph, or a fixed one, with lines inserted and dropped."""
+    if not draw(st.booleans()):
+        lines = draw(st.sampled_from(GRAPHS)).splitlines()
+    else:
+        lines = ["vertex %s" % v for v in draw(st.lists(_vertex, max_size=3))]
+        for _ in range(draw(st.integers(0, 4))):
+            lines.append("edge %s %s %s" % (draw(_edge), draw(_vertex), draw(_vertex)))
+    noise = st.lists(st.one_of(_vertex, st.sampled_from(["vertex", "edge", "#"])),
+                     max_size=5).map(" ".join)
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(noise))
+    if lines and draw(st.booleans()):
+        lines.pop(draw(st.integers(0, len(lines) - 1)))
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(
+    text=graph_texts(),
+    sub=st.sampled_from(["analyze", "mul", "arrow"]),
+    a=_gisg,
+    b=st.lists(_gisg, min_size=1, max_size=3).map(",".join),
+)
+def test_fuzz_graph_format(tmp_path_factory, text, sub, a, b):
+    path = tmp_path_factory.mktemp("fuzz") / "g.graph"
+    path.write_text(text)
+    args = [] if sub == "analyze" else [a, b]
+    assert_clean_exit(["graph", sub, "--", str(path)] + args)
+
+
+@st.composite
+def _graph_elements(draw, graph):
+    """u/v from two walks down the extension tree, possibly mutated."""
+    ends = []
+    for _ in range(2):
+        cur = draw(st.sampled_from(graph.vertices))
+        edges = []
+        for _ in range(draw(st.integers(0, 3))):
+            if not graph.branches[cur]:
+                break
+            e, cur = draw(st.sampled_from(graph.branches[cur]))
+            edges.append(e)
+        ends.append(".".join(edges) if edges else "@" + cur)
+    return draw(_mutated("/".join(ends)))
+
+
+@FUZZ
+@given(which=st.integers(0, len(GRAPHS) - 1), sub=st.sampled_from(["mul", "arrow"]),
+       data=st.data())
+def test_fuzz_graph_literals(tmp_path_factory, which, sub, data):
+    path = tmp_path_factory.mktemp("fuzz") / "g.graph"
+    path.write_text(GRAPHS[which])
+    graph = wd.DirectedGraph.from_text(GRAPHS[which])
+    a = data.draw(_graph_elements(graph))
+    bs = data.draw(st.lists(_graph_elements(graph), min_size=1, max_size=3))
+    assert_clean_exit(["graph", sub, "--", str(path), a, ",".join(bs)])

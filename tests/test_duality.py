@@ -18,6 +18,7 @@ from tests_support_tables import (
     i_k,
     meet_corpus,
     no_meet,
+    relabel,
     union_of_chains,
 )
 
@@ -109,18 +110,6 @@ def oracle_components(G):
         seen |= block
         comps.append(sorted(block))
     return sorted(comps)
-
-
-def relabel(S, rng):
-    """The same table under a random permutation of the element ids."""
-    perm = list(range(S.m))
-    rng.shuffle(perm)
-    inv = [0] * S.m
-    for i, p in enumerate(perm):
-        inv[p] = i
-    table = [[inv[S.mul(perm[i], perm[j])] for j in range(S.m)] for i in range(S.m)]
-    names = [S.name(perm[i]) for i in range(S.m)]
-    return F.MulTable(table, inv[S.zero], None, names)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from tests_support_tables import (
     meet_corpus,
     no_meet,
     principal_congruence,
+    relabel,
     union_of_chains,
 )
 
@@ -147,9 +148,11 @@ def oracle_join(f, g):
 
 
 def test_ik_order_meet_join_match_oracle():
-    for k in (2, 3):
-        S = i_k(k)
-        maps = F._maps_of_partial_injections(k)
+    I4 = relabel(i_k(4), random.Random(5))
+    for k, S in ((2, i_k(2)), (3, i_k(3)), (4, i_k(4)), (4, I4)):
+        # element ids are arbitrary: read each element's map off its name
+        by_name = {F._map_name(f): f for f in F._maps_of_partial_injections(k)}
+        maps = [by_name[S.name(a)] for a in range(S.m)]
         index = {f: i for i, f in enumerate(maps)}
         for a, f in enumerate(maps):
             for b, g in enumerate(maps):
@@ -480,6 +483,63 @@ def test_predicates_semilattices():
     assert F.predicates(diamond()) == F.predicates(cube(2))
     pu = F.predicates(union_of_chains())
     assert not pu["distributive"] and pu["meet_semigroup"]
+
+
+def oracle_predicates(S):
+    """The idempotent and join predicates straight from their definitions."""
+    E = S.E
+    E0 = [e for e in E if e != S.zero]
+    compatible_pairs = [
+        (a, b) for a in range(S.m) for b in range(S.m) if S.compatible(a, b)
+    ]
+    distributive = all(
+        S.join(a, b) is not None
+        and all(
+            S.mul(c, S.join(a, b)) == S.join(S.mul(c, a), S.mul(c, b))
+            and S.mul(S.join(a, b), c) == S.join(S.mul(a, c), S.mul(b, c))
+            for c in range(S.m)
+        )
+        for a, b in compatible_pairs
+    )
+    return {
+        "zero_disjunctive": all(
+            any(S.leq(g, f) and S.mul(g, e) == S.zero for g in E0)
+            for f in E0
+            for e in E0
+            if e != f and S.leq(e, f)
+        ),
+        "e_star_unitary": all(
+            S.is_idem[s] for e in E0 for s in range(S.m) if S.leq(e, s)
+        ),
+        "unambiguous": all(
+            S.mul(e, f) == S.zero or S.leq(e, f) or S.leq(f, e)
+            for e in E0
+            for f in E0
+        ),
+        "distributive": distributive,
+        "boolean": distributive
+        and all(
+            any(
+                S.leq(g, f) and S.mul(g, e) == S.zero and S.join(g, e) == f
+                for g in E
+            )
+            for f in E
+            for e in E
+            if S.leq(e, f)
+        ),
+    }
+
+
+def test_predicates_match_their_definitions():
+    corpus = dict(meet_corpus())
+    corpus.update({
+        "no_meet": no_meet(), "I(3)": i_k(3), "I(2)xI(2)": i2_x_i2(),
+        "relabelled I(3)": relabel(i_k(3), random.Random(2)),
+    })
+    for name, S in corpus.items():
+        got = F.predicates(S)
+        want = oracle_predicates(S)
+        assert {key: got[key] for key in want} == want, name
 
 
 def test_predicates_products():

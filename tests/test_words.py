@@ -86,6 +86,25 @@ def test_maximal_prefix_code_examples():
         W.is_maximal_prefix_code(set())
 
 
+def test_prefix_code_matches_pairwise_definition():
+    rng = random.Random(3)
+    for trial in range(500):
+        n = rng.choice([2, 3])
+        # short words over a small alphabet, so prefixes and repeats are common
+        ws = [
+            W.Word(n, tuple(rng.randrange(n) for _ in range(rng.randrange(4))))
+            for _ in range(rng.randrange(6))
+        ]
+        pairwise = all(
+            W.prefix_compare(a, b).kind == W.INCOMPARABLE
+            for i, a in enumerate(ws)
+            for b in ws[i + 1:]
+        )
+        assert W.is_prefix_code(ws) == pairwise, ws
+    with pytest.raises(ValueError, match="alphabet mismatch: 2 vs 3"):
+        W.is_prefix_code([w(2, "a"), w(3, "b")])
+
+
 def test_kraft_values():
     assert W.kraft_sum({w(2, "a"), w(2, "ba"), w(2, "bb")}) == 1
     assert W.kraft_sum({w(2, "a"), w(2, "bb")}) == Fraction(3, 4)
