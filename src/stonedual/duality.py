@@ -34,6 +34,11 @@ class FiniteGroupoid:
         self.names = list(names) if names is not None else None
         C = np.full((m, m), -1, dtype=np.int32)
         for (a, b), c in compose.items():
+            if not (0 <= a < m and 0 <= b < m and 0 <= c < m):
+                raise TableError(
+                    "composite %d * %d = %d names an arrow outside 0..%d"
+                    % (a, b, c, m - 1)
+                )
             C[a, b] = c
         self.C = C
         dom = np.array(self.dom, dtype=np.int64)
@@ -70,20 +75,17 @@ class FiniteGroupoid:
             return "%s of arrow %d is not an object" % (("source", "target")[k], a)
         defined = C >= 0
         composable = dom[:, None] == ran[None, :]
-        inside = defined & (C < m)
-        c = np.where(inside, C, 0)
+        c = np.maximum(C, 0)
         fail = _first_failure(
             defined & ~composable,
             composable & ~defined,
-            defined & ~inside,
-            inside & ((dom[c] != dom[None, :]) | (ran[c] != ran[:, None])),
+            defined & ((dom[c] != dom[None, :]) | (ran[c] != ran[:, None])),
         )
         if fail is not None:
             k, (a, b) = fail
             text = (
                 "composite %d * %d should be undefined",
                 "missing composite %d * %d",
-                "composite %d * %d out of range",
                 "composite %d * %d has wrong endpoints",
             )
             return text[k] % (a, b)
@@ -155,7 +157,7 @@ class FiniteGroupoid:
 
     @classmethod
     def from_text(cls, text):
-        objects, dom, ran, comp = [], {}, {}, {}
+        objects, dom, ran, comp, ids = [], {}, {}, {}, []
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -165,23 +167,33 @@ class FiniteGroupoid:
                 args = [int(x) for x in parts[1:]]
             except ValueError:
                 raise TableError("line %d: cannot parse %r" % (lineno, raw))
-            if parts[0] == "object" and len(args) == 1:
-                e = args[0]
-                objects.append(e)
-                dom[e] = ran[e] = e
-            elif parts[0] == "arrow" and len(args) == 3:
+            if (parts[0], len(args)) in (("object", 1), ("arrow", 3)):
                 a = args[0]
                 if a in dom:
                     raise TableError("line %d: duplicate arrow %d" % (lineno, a))
-                dom[a] = args[1]
-                ran[a] = args[2]
+                if parts[0] == "object":
+                    objects.append(a)
+                    dom[a] = ran[a] = a
+                else:
+                    dom[a], ran[a] = args[1], args[2]
             elif parts[0] == "compose" and len(args) == 3:
+                if (args[0], args[1]) in comp:
+                    raise TableError(
+                        "line %d: duplicate composite %d * %d" % (lineno, args[0], args[1])
+                    )
                 comp[(args[0], args[1])] = args[2]
             else:
                 raise TableError("line %d: cannot parse %r" % (lineno, raw))
+            ids.append((lineno, args))
         m = len(dom)
         if sorted(dom) != list(range(m)):
             raise TableError("arrow ids must cover 0..%d exactly" % (m - 1))
+        for lineno, args in ids:
+            bad = [x for x in args if not 0 <= x < m]
+            if bad:
+                raise TableError(
+                    "line %d: arrow %d is not in 0..%d" % (lineno, bad[0], m - 1)
+                )
         return cls(
             objects,
             [dom[a] for a in range(m)],
@@ -327,19 +339,26 @@ def local_bisections(G):
 
 
 def bisection_semigroup(G):
-    """All local bisections of G under setwise product, as a validated table.
+    """All local bisections of G under setwise product, as a table.
 
     The result is a Boolean inverse meet-semigroup whose natural order is
     inclusion and whose idempotents are exactly the subsets of the object
     set."""
-    sets = local_bisections(G)
+    return _bisection_table(G, local_bisections(G))
+
+
+def _bisection_table(G, sets):
+    """The setwise products of sets, the local bisections of G in the order
+    local_bisections lists them, as a table named by its sets."""
     index = {A: i for i, A in enumerate(sets)}
     m = len(sets)
     table = np.zeros((m, m), dtype=np.int32)
     for i, A in enumerate(sets):
+        # b in B composes with the one arrow of A whose source is r(b), if any
+        by_source = {G.dom[a]: a for a in A}
         for j, B in enumerate(sets):
             prod = frozenset(
-                int(G.C[a, b]) for a in A for b in B if G.dom[a] == G.ran[b]
+                int(G.C[by_source[G.ran[b]], b]) for b in B if G.ran[b] in by_source
             )
             if prod not in index:
                 raise InternalError("setwise product escaped the bisections")
@@ -347,7 +366,27 @@ def bisection_semigroup(G):
     zero = index[frozenset()]
     identity = index[frozenset(G.objects)]
     names = ["{" + ",".join(G.name(a) for a in sorted(A)) + "}" for A in sets]
-    return F.MulTable(table, zero, identity, names)
+    # local bisections always form an inverse monoid; the tests re-prove it
+    return F.MulTable(table, zero, identity, names, check=False)
+
+
+def _minimal_bisections(S):
+    """The bisection table B of the groupoid of 0-minimal elements of S.
+
+    Returns (B, supports, phi): supports[i] is the i-th local bisection as a
+    set of 0-minimal elements of S, and phi[s] is the index in B of V_s, the
+    0-minimal elements below s.  V_s is always a local bisection: distinct
+    0-minimal elements below s have distinct domains and ranges."""
+    G, elems = _groupoid_of_minimals(S)
+    sets = local_bisections(G)
+    B = _bisection_table(G, sets)
+    index = {A: i for i, A in enumerate(sets)}
+    pos = {s: i for i, s in enumerate(elems)}
+    v = [frozenset(pos[t] for t in S.minset(s)) for s in range(S.m)]
+    if any(A not in index for A in v):
+        raise InternalError("some V_s is not a local bisection")
+    supports = [frozenset(elems[a] for a in A) for A in sets]
+    return B, supports, [index[A] for A in v]
 
 
 # ---------------------------------------------------------------------------
@@ -360,51 +399,28 @@ def duality_roundtrip(S):
     Returns (True, phi) where phi[s] is the index of V_s in the bisection
     table, or (False, witness) naming the first failure.  The round trip
     succeeds exactly on Boolean inverse meet-semigroups."""
-    G, elems = _groupoid_of_minimals(S)
-    pos = {s: i for i, s in enumerate(elems)}
-    sets = local_bisections(G)
-    v = [frozenset(pos[t] for t in S.minset(s)) for s in range(S.m)]
-
-    ok, witness = True, None
-    for s in range(S.m):
-        for t in range(S.m):
-            prod = frozenset(
-                int(G.C[a, b]) for a in v[s] for b in v[t] if G.dom[a] == G.ran[b]
-            )
-            if prod != v[S.mul(s, t)]:
-                ok = False
-                witness = "V_%s V_%s != V_%s" % (
-                    S.name(s),
-                    S.name(t),
-                    S.name(S.mul(s, t)),
-                )
-                break
-        if not ok:
-            break
-    if ok:
-        seen = {}
-        for s in range(S.m):
-            if v[s] in seen:
-                ok = False
-                witness = "V_%s = V_%s but the elements differ" % (
-                    S.name(seen[v[s]]),
-                    S.name(s),
-                )
-                break
-            seen[v[s]] = s
-    if ok and len(v) != len(sets):
-        missing = next(A for A in sets if A not in set(v))
-        ok = False
-        witness = "no element has V_s = {%s}" % ",".join(
-            G.name(a) for a in sorted(missing)
+    B, _, phi = _minimal_bisections(S)
+    arr = np.array(phi)
+    fail = _first_failure(B.T[arr[:, None], arr] != arr[S.T])
+    if fail is not None:
+        s, t = fail[1]
+        return False, "V_%s V_%s != V_%s" % (
+            S.name(s),
+            S.name(t),
+            S.name(S.mul(s, t)),
         )
-    if not ok:
-        return False, witness
-
-    index = {A: i for i, A in enumerate(sets)}
-    if any(A not in index for A in v):
-        raise InternalError("some V_s is not a local bisection")
-    return True, [index[A] for A in v]
+    seen = {}
+    for s, i in enumerate(phi):
+        if i in seen:
+            return False, "V_%s = V_%s but the elements differ" % (
+                S.name(seen[i]),
+                S.name(s),
+            )
+        seen[i] = s
+    if len(phi) != B.m:
+        missing = min(set(range(B.m)) - seen.keys())
+        return False, "no element has V_s = %s" % B.name(missing)
+    return True, phi
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Filters, the Lenz congruence, and distributive completions of finite
 inverse semigroup tables.
 
-Everything here is finite, so a filter is the up-set of its minimum and an
-order ideal is a finite downset named by its maximal antichain.  The
-completion pipeline is: quotient by the symmetrized Lenz arrow, form the
-semigroup of compatible order ideals of the quotient, then identify ideals
-that contain the same 0-minimal elements.  delta sends s to the class of the
-principal downset of its arrow class.
+Everything here is finite, so a filter is the up-set of its minimum and the
+tight filters are the ultrafilters, one per 0-minimal element.  The
+completion pipeline is: quotient by the symmetrized Lenz arrow, giving Q;
+form the groupoid of 0-minimal elements of Q; then multiply its local
+bisections setwise.  A class of the completion is named by its support, a
+local bisection of 0-minimal elements of Q, and delta sends s to the class
+whose support is the set of 0-minimal elements below its arrow class.
 """
 
 import itertools
@@ -14,13 +15,12 @@ from collections import namedtuple
 
 import numpy as np
 
+from . import duality
 from . import polycyclic as pc
 from .finitesgp import (
-    InternalError,
     MulTable,
     TableError,
     _boolean,
-    _check_size,
     _distributive,
     _e_star_unitary,
     _first_failure,
@@ -34,11 +34,8 @@ from .finitesgp import (
 )
 
 PrincipalFilter = namedtuple("PrincipalFilter", ["generator"])
-CompatibleIdeal = namedtuple("CompatibleIdeal", ["generators"])
-DClass = namedtuple("DClass", ["support", "representative"])
-Completion = namedtuple(
-    "Completion", ["D", "delta", "Q", "lam", "F", "ideals", "iota", "xi", "classes"]
-)
+DClass = namedtuple("DClass", ["support"])
+Completion = namedtuple("Completion", ["D", "delta", "Q", "lam", "classes"])
 
 
 def ultrafilters(S):
@@ -124,135 +121,24 @@ def lenz_congruence(S):
     return Q, lam
 
 
-def ideal_members(S, ci):
-    """All nonzero elements of the order ideal generated by the antichain."""
-    out = set()
-    for g in ci.generators:
-        out.update(x for x in S.below(g) if x != S.zero)
-    return frozenset(out)
-
-
-def fc_semigroup(S):
-    """The compatible order ideals of S under setwise products.
-
-    Returns (F, ideals, iota): F the multiplication table of the ideals,
-    ideals[k] the CompatibleIdeal naming the k-th one by its maximal
-    antichain, iota[s] the index of the principal downset of s.  Downsets
-    drop zero, so the zero ideal is empty.  The product of two ideals is the
-    downset of the pairwise products of their generators; each product is
-    required to land back in the enumeration.
-    """
-    m = S.m
-    compat = S.compat_matrix()
-    down = []
-    for a in range(m):
-        mask = np.array(S._leq[:, a])
-        mask[S.zero] = False
-        down.append(mask)
-
-    seen = {}
-    work = []
-
-    def register(mask):
-        key = frozenset(int(i) for i in np.flatnonzero(mask))
-        if key not in seen:
-            _check_size(len(seen) + 1, "ideal semigroup")
-            seen[key] = mask
-            work.append(key)
-        return key
-
-    register(np.zeros(m, dtype=bool))
-    for a in range(m):
-        register(down[a])
-    qi = 0
-    while qi < len(work):
-        mask = seen[work[qi]]
-        qi += 1
-        for a in range(m):
-            if a == S.zero or not (down[a] & ~mask).any():
-                continue
-            if not compat[np.ix_(mask, down[a])].all():
-                continue
-            register(mask | down[a])
-
-    keys = sorted(seen, key=lambda k: (len(k), sorted(k)))
-    index = {k: i for i, k in enumerate(keys)}
-    n = len(keys)
-    ideals = []
-    for k in keys:
-        mask = seen[k]
-        gens = []
-        for a in sorted(k):
-            ups = np.array(S._leq[a, :])
-            ups[a] = False
-            if not (ups & mask).any():
-                gens.append(a)
-        ideals.append(CompatibleIdeal(tuple(gens)))
-    iota = [index[frozenset(int(i) for i in np.flatnonzero(down[a]))] for a in range(m)]
-
-    FT = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            prod = np.zeros(m, dtype=bool)
-            for g in ideals[i].generators:
-                for h in ideals[j].generators:
-                    prod |= down[S.T[g, h]]
-            key = frozenset(int(x) for x in np.flatnonzero(prod))
-            if key not in index:
-                raise InternalError("product ideal escaped the enumeration")
-            FT[i, j] = index[key]
-    fid = S.find_identity()
-    F = MulTable(
-        FT,
-        zero=index[frozenset()],
-        identity=None if fid is None else iota[fid],
-        names=["{" + ",".join(S.name(g) for g in ci.generators) + "}" for ci in ideals],
-    )
-    return F, ideals, iota
-
-
 def distributive_completion(S):
     """Distributive completion of a finite inverse meet-semigroup.
 
-    Composes lenz_congruence and fc_semigroup, then identifies ideals with
-    the same 0-minimal elements; that support set is a complete class
-    invariant, so classes are keyed by it.  Returns the completion table D,
-    delta (class of the principal downset of the arrow class of s), and the
-    intermediate data.  Support equality is a congruence, D is distributive,
-    delta is a 0-restricted homomorphism sending the covers of each element
-    to joins, and every class is a join of delta images.
+    Divides S by the Lenz congruence, giving Q and lam, then multiplies the
+    local bisections of the groupoid of 0-minimal elements of Q setwise.  By
+    the duality the completion is the semigroup of compact-open local
+    bisections of the groupoid of tight filters, and in a finite table the
+    tight filters are the ultrafilters, one per 0-minimal element.  Class c
+    of D is named by its support, the 0-minimal elements of Q in its local
+    bisection, and delta sends s to the class with support minset(lam[s]).
+    D is distributive, delta is a 0-restricted homomorphism sending the
+    covers of each element to joins, and every class is the join of the
+    delta images of its support.
     """
     Q, lam = lenz_congruence(S)
-    F, ideals, iota = fc_semigroup(Q)
-    zmin = set(Q.zero_minimal())
-    members = [ideal_members(Q, ci) for ci in ideals]
-    supports = [frozenset(mem & zmin) for mem in members]
-    skeys = sorted(set(supports), key=lambda k: (len(k), sorted(k)))
-    sindex = {k: i for i, k in enumerate(skeys)}
-    xi = [sindex[sp] for sp in supports]
-    nD = len(skeys)
-    rep = [-1] * nD
-    for i, c in enumerate(xi):
-        if rep[c] < 0:
-            rep[c] = i
-    DT = np.array(xi)[F.T[np.ix_(rep, rep)]]
-    fidF = F.find_identity()
-    D = MulTable(
-        DT,
-        zero=xi[F.zero],
-        identity=None if fidF is None else xi[fidF],
-        names=["{" + ",".join(Q.name(t) for t in sorted(k)) + "}" for k in skeys],
-    )
-    delta = [xi[iota[lam[s]]] for s in range(S.m)]
-    # a support is a compatible set of 0-minimal elements, so it is also the
-    # member set of the ideal it generates
-    member_index = {mem: i for i, mem in enumerate(members)}
-    classes = []
-    for k in skeys:
-        if k not in member_index:
-            raise InternalError("no compatible ideal has the support %r" % sorted(k))
-        classes.append(DClass(support=k, representative=ideals[member_index[k]]))
-    return Completion(D, delta, Q, lam, F, ideals, iota, xi, classes)
+    D, supports, phi = duality._minimal_bisections(Q)
+    delta = [phi[c] for c in lam]
+    return Completion(D, delta, Q, lam, [DClass(k) for k in supports])
 
 
 def part1_isomorphism(S):
@@ -385,9 +271,9 @@ def check_universal_property(S, T, theta):
 
     theta lists one T index per S element.  It must be a zero-preserving
     homomorphism into a distributive T that turns covers into joins.  On
-    success returns (True, theta_bar) where theta_bar joins theta over any
-    representative ideal of each class; it is checked to be well-defined, a
-    homomorphism, join-preserving, and to restrict to theta along delta.
+    success returns (True, theta_bar) where theta_bar joins theta over the
+    support of each class; it is checked to be a homomorphism,
+    join-preserving, and to restrict to theta along delta.
     Uniqueness comes from every class being a join of delta images.  On
     failure returns (False, reason) naming the violated product or cover.
     """
@@ -417,19 +303,12 @@ def check_universal_property(S, T, theta):
     theta_q = {}
     for s in range(S.m):
         theta_q.setdefault(comp.lam[s], theta[s])
-    values = [None] * comp.D.m
-    for i, ci in enumerate(comp.ideals):
-        v = T.join_of_set(theta_q[g] for g in ci.generators)
+    theta_bar = []
+    for c, cl in enumerate(comp.classes):
+        v = T.join_of_set(theta_q[t] for t in cl.support)
         if v is None:
-            return False, "images of {%s} have no join in the target" % ",".join(
-                comp.Q.name(g) for g in ci.generators
-            )
-        c = comp.xi[i]
-        if values[c] is None:
-            values[c] = v
-        elif values[c] != v:
-            return False, "not well-defined on class %s" % comp.D.name(c)
-    theta_bar = [int(v) for v in values]
+            return False, "images of %s have no join in the target" % comp.D.name(c)
+        theta_bar.append(v)
     D = comp.D
     fail = _first_failure(_hom_defects(D, T, theta_bar))
     if fail is not None:

@@ -270,7 +270,7 @@ class DirectedGraph:
     """
 
     def __init__(self, vertices, edges):
-        self.vertices = list(dict.fromkeys(vertices))
+        self.vertices = list(vertices)
         vs = set(self.vertices)
         if len(vs) != len(self.vertices):
             raise ValueError("duplicate vertex")

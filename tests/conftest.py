@@ -22,10 +22,15 @@ from stonedual import filtercomp as FC
 from stonedual import finitesgp as F
 from stonedual import polycyclic as pc
 from stonedual import thompson as TH
+import tests_support_tables as TS
 from tests_support_tables import principal_congruence
 
 # the O(m^4) enumeration route of is_congruence_free runs up to this size
 ENUMERATION_LIMIT = 60
+# the compatible-ideal route of the completion runs up to this size of the
+# Lenz quotient: I(3) has 34 elements and 100 compatible ideals, while I(4)
+# has 209 elements and 3761, above the element cap
+IDEAL_ROUTE_LIMIT = 60
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +85,7 @@ def check_fc_semigroup(S, result):
 
 
 def check_distributive_completion(S, comp):
-    Dm, delta, xi = comp.D, comp.delta, comp.xi
-    xi_arr = np.array(xi)
-    assert (Dm.T[xi_arr[:, None], xi_arr[None, :]] == xi_arr[comp.F.T]).all(), (
-        "support equality must be a congruence"
-    )
+    Dm, delta, Q = comp.D, comp.delta, comp.Q
     assert F._distributive(Dm), "the completion must be distributive"
     delta_arr = np.array(delta)
     assert (Dm.T[delta_arr[:, None], delta_arr[None, :]] == delta_arr[S.T]).all()
@@ -97,10 +98,25 @@ def check_distributive_completion(S, comp):
     pre = {}
     for s in range(S.m):
         pre.setdefault(comp.lam[s], s)
-    ideal_index = {ci: i for i, ci in enumerate(comp.ideals)}
     for c, cls in enumerate(comp.classes):
         assert Dm.join_of_set(delta[pre[t]] for t in sorted(cls.support)) == c
-        assert xi[ideal_index[cls.representative]] == c
+    if Q.m > IDEAL_ROUTE_LIMIT:
+        return
+    # the same completion by way of the compatible order ideals of Q
+    ref, xi, iota, Fm, ideals = TS.completion_by_ideals(Q)
+    xi_arr = np.array(xi)
+    assert (ref.T[xi_arr[:, None], xi_arr[None, :]] == xi_arr[Fm.T]).all(), (
+        "support equality must be a congruence"
+    )
+    assert Dm.m == ref.m and (Dm.T == ref.T).all(), "the routes give different tables"
+    assert Dm.names == ref.names
+    assert Dm.zero == ref.zero and Dm.find_identity() == ref.find_identity()
+    assert delta == [xi[iota[q]] for q in comp.lam], "the routes give different delta"
+    # the support of each class generates a compatible ideal in that class
+    member_index = {TS.ideal_members(Q, ci): i for i, ci in enumerate(ideals)}
+    for c, cls in enumerate(comp.classes):
+        gen = TS.ideal_members(Q, TS.CompatibleIdeal(tuple(sorted(cls.support))))
+        assert xi[member_index[gen]] == c
 
 
 def check_part1_isomorphism(S, result):
@@ -204,8 +220,8 @@ def check_ultrafilter_groupoid(S, G):
             )
 
 
-def check_bisection_semigroup(G, B):
-    sets = D.local_bisections(G)
+def check_bisection_table(G, sets, B):
+    assert F.validate(B.T, B.zero, B.identity) is None, "bisections must form a table"
     objset = frozenset(G.objects)
     incl = np.array([[A <= Bs for Bs in sets] for A in sets])
     assert (incl == B._leq).all(), "natural order must be inclusion"
@@ -341,7 +357,7 @@ RECHECKS = [
     (F, "is_congruence_free", check_is_congruence_free),
     (F, "is_zero_simplifying", check_is_zero_simplifying),
     (FC, "lenz_congruence", check_lenz_congruence),
-    (FC, "fc_semigroup", check_fc_semigroup),
+    (TS, "fc_semigroup", check_fc_semigroup),
     (FC, "distributive_completion", check_distributive_completion),
     (FC, "part1_isomorphism", check_part1_isomorphism),
     (FC, "booleanization_report", check_booleanization_report),
@@ -350,7 +366,7 @@ RECHECKS = [
     (TH, "orthogonalize_poly", check_orthogonalize_poly),
     (FC, "check_universal_property", check_universal_property),
     (D, "ultrafilter_groupoid", check_ultrafilter_groupoid),
-    (D, "bisection_semigroup", check_bisection_semigroup),
+    (D, "_bisection_table", check_bisection_table),
     (D, "duality_roundtrip", check_duality_roundtrip),
     (D, "ideal_correspondence", check_ideal_correspondence),
     (D, "classify_symmetric", check_classify_symmetric),

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stonedual import cli, finitesgp
+from stonedual import cli, duality, finitesgp
 from stonedual import polycyclic as pc
 from stonedual import thompson as th
 from stonedual import words as wd
@@ -131,6 +131,15 @@ def test_finite_commands(capsys, i2_file, i3_file, chain_file):
     assert lines[2:] == ["class 0: {}", "class 1: {e}"]
 
 
+def test_complete_answers_on_i4(capsys, tmp_path):
+    # the completion of a Boolean table is the table itself: 209 classes
+    path = tmp_path / "i4.tbl"
+    path.write_text(symmetric_inverse_monoid(4).to_text())
+    rc, out, err = run(capsys, ["finite", "complete", str(path)])
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[:2] == ["completion size: 209", "boolean: true"]
+
+
 def test_thompson_commands(capsys):
     g3 = "{a,ba,bb}->{aa,ab,b}:perm=[0,1,2]"
     rc, out, _ = run(capsys, ["thompson", "mul", g3, g3])
@@ -175,6 +184,10 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     bad.write_text("elements 2 zero 0\n0 0\n0 0\n")
     rc, _, err = run(capsys, ["finite", "validate", str(bad)])
     assert rc == 1 and err.startswith("error:")
+    twice = tmp_path / "twice.graph"
+    twice.write_text("vertex v\nvertex v\nedge a v v\n")
+    rc, out, err = run(capsys, ["graph", "analyze", str(twice)])
+    assert (rc, out, err) == (1, "", "error: duplicate vertex\n")
 
 
 DEEP_A = "a" * 3000
@@ -580,6 +593,44 @@ def test_fuzz_graph_format(tmp_path_factory, text, sub, a, b):
     path.write_text(text)
     args = [] if sub == "analyze" else [a, b]
     assert_clean_exit(["graph", sub, "--", str(path)] + args)
+
+
+GROUPOIDS = [duality.pair_groupoid(2).to_text(), duality.discrete_groupoid(2).to_text()]
+_arrow_id = st.one_of(st.integers(-1, 4), st.sampled_from([99999999999, -(10**30)]))
+
+
+@st.composite
+def groupoid_texts(draw):
+    """A groupoid dump, or random object/arrow/compose lines, with lines
+    inserted and dropped."""
+    if not draw(st.booleans()):
+        lines = draw(st.sampled_from(GROUPOIDS)).splitlines()
+    else:
+        lines = []
+        for _ in range(draw(st.integers(0, 6))):
+            kind, count = draw(st.sampled_from([("object", 1), ("arrow", 3), ("compose", 3)]))
+            ids = draw(st.lists(_arrow_id, min_size=count, max_size=count))
+            lines.append(" ".join([kind] + [str(x) for x in ids]))
+    noise = st.lists(st.one_of(_arrow_id.map(str), st.text(max_size=2),
+                               st.sampled_from(["object", "arrow", "compose", "#"])),
+                     max_size=5).map(" ".join)
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(noise))
+    if lines and draw(st.booleans()):
+        lines.pop(draw(st.integers(0, len(lines) - 1)))
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(text=groupoid_texts())
+def test_fuzz_groupoid_format(text):
+    # no command reads this format, so the property is on the parser: a
+    # groupoid or TableError, never another exception
+    try:
+        G = duality.FiniteGroupoid.from_text(text)
+    except finitesgp.TableError:
+        return
+    assert duality.FiniteGroupoid.from_text(G.to_text()).to_text() == G.to_text()
 
 
 @st.composite

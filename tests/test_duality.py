@@ -563,3 +563,14 @@ def test_groupoid_dump_accepts_comments_and_rejects_junk():
         D.FiniteGroupoid.from_text("object 3\n")
     with pytest.raises(F.TableError, match="missing composite"):
         D.FiniteGroupoid.from_text("object 0\narrow 1 0 0\ncompose 0 0 0\n")
+    for text, message in (
+        ("object 0\ncompose 0 5 0\n", "line 2: arrow 5 is not in 0..0"),
+        ("object 0\ncompose 0 0 99999999999\n", "line 2: arrow 99999999999 is not"),
+        ("object 0\ncompose 0 0 0\ncompose -1 -1 1\n", "line 3: arrow -1 is not"),
+        ("object 0\narrow 1 0 0\nobject 1\n", "line 3: duplicate arrow 1"),
+        ("object 0\ncompose 0 0 0\ncompose 0 0 0\n", "line 3: duplicate composite"),
+    ):
+        with pytest.raises(F.TableError, match=message):
+            D.FiniteGroupoid.from_text(text)
+    with pytest.raises(F.TableError, match="outside 0..0"):
+        D.FiniteGroupoid([0], [0], [0], {(0, 5): 0})

@@ -6,6 +6,7 @@ import pytest
 from stonedual import filtercomp as FC
 from stonedual import finitesgp as F
 from stonedual import polycyclic as pc
+import tests_support_tables as TS
 from tests_support_tables import (
     adjoined_z2,
     b2,
@@ -199,36 +200,37 @@ def test_arrow_iff_lambda_leq():
 
 
 # ---------------------------------------------------------------------------
-# the semigroup of compatible order ideals
+# the semigroup of compatible order ideals (the reference route to the
+# completion, kept in tests_support_tables)
 
 def test_fc_chain2():
-    Ftab, ideals, iota = FC.fc_semigroup(chain(2))
+    Ftab, ideals, iota = TS.fc_semigroup(chain(2))
     assert Ftab.m == 2
     assert [ci.generators for ci in ideals] == [(), (1,)]
     assert iota == [0, 1]
 
 
 def test_fc_sizes():
-    assert FC.fc_semigroup(i_k(2))[0].m == 9
+    assert TS.fc_semigroup(i_k(2))[0].m == 9
     # downsets of the 7 nonzero elements of the 3-cube: Dedekind count 20
     # for all downsets of the cube, minus the one forced to contain the
     # empty set, leaves 19
-    assert FC.fc_semigroup(cube(3))[0].m == 19
-    assert FC.fc_semigroup(b2())[0].m == 7
+    assert TS.fc_semigroup(cube(3))[0].m == 19
+    assert TS.fc_semigroup(b2())[0].m == 7
 
 
 def test_fc_orthogonal_pair_is_an_ideal():
-    Ftab, ideals, iota = FC.fc_semigroup(i_k(2))
+    Ftab, ideals, iota = TS.fc_semigroup(i_k(2))
     I2 = i_k(2)
     pos = {I2.name(i): i for i in range(I2.m)}
     pair = tuple(sorted((pos["[0>0]"], pos["[1>1]"])))
-    assert FC.CompatibleIdeal(pair) in ideals
+    assert TS.CompatibleIdeal(pair) in ideals
 
 
 def test_fc_singletons_multiply_like_s():
     for name in ("I(2)", "B2", "clifford_witness"):
         S = meet_corpus()[name]
-        Ftab, ideals, iota = FC.fc_semigroup(S)
+        Ftab, ideals, iota = TS.fc_semigroup(S)
         for a in range(S.m):
             for b in range(S.m):
                 assert Ftab.mul(iota[a], iota[b]) == iota[S.mul(a, b)], name
@@ -237,8 +239,8 @@ def test_fc_singletons_multiply_like_s():
 def test_fc_order_is_inclusion():
     for name in ("I(2)", "cube3", "B2", "union_of_chains"):
         S = meet_corpus()[name]
-        Ftab, ideals, iota = FC.fc_semigroup(S)
-        mem = [FC.ideal_members(S, ci) for ci in ideals]
+        Ftab, ideals, iota = TS.fc_semigroup(S)
+        mem = [TS.ideal_members(S, ci) for ci in ideals]
         for i in range(Ftab.m):
             for j in range(Ftab.m):
                 assert Ftab.leq(i, j) == (mem[i] <= mem[j]), name
@@ -248,8 +250,8 @@ def test_fc_product_matches_setwise_product():
     rng = random.Random(3)
     for name in ("I(2)", "B2", "union_of_chains", "cube3", "B2(Z2)"):
         S = meet_corpus()[name]
-        Ftab, ideals, iota = FC.fc_semigroup(S)
-        mem = [FC.ideal_members(S, ci) for ci in ideals]
+        Ftab, ideals, iota = TS.fc_semigroup(S)
+        mem = [TS.ideal_members(S, ci) for ci in ideals]
         idx = {m: i for i, m in enumerate(mem)}
         for _ in range(50):
             i, j = rng.randrange(Ftab.m), rng.randrange(Ftab.m)
@@ -367,13 +369,11 @@ def test_class_supports_are_unique_keys():
         comp = FC.distributive_completion(meet_corpus()[name])
         sups = [cl.support for cl in comp.classes]
         assert len(set(sups)) == len(sups)
-        for ci, cl in zip(comp.ideals, comp.classes):
-            del ci, cl
-        # the representative ideal of each class carries the class support
+        # the ideal each support generates carries just that support
+        zmin = set(comp.Q.zero_minimal())
         for cl in comp.classes:
-            mem = FC.ideal_members(comp.Q, cl.representative)
-            zmin = set(comp.Q.zero_minimal())
-            assert frozenset(mem & zmin) == cl.support
+            gen = TS.CompatibleIdeal(tuple(sorted(cl.support)))
+            assert TS.ideal_members(comp.Q, gen) & zmin == cl.support
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
-"""Corpus of small inverse semigroup tables shared across the test suite."""
+"""Corpus of small inverse semigroup tables shared across the test suite,
+and reference routes that the library's answers are compared against."""
 
+from collections import namedtuple
 from functools import lru_cache
+
+import numpy as np
 
 from stonedual import finitesgp as F
 
@@ -177,3 +181,126 @@ def principal_congruence(S, a, b):
             reps[r] = len(reps)
         out[s] = reps[r]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the compatible-ideal route to the distributive completion
+
+CompatibleIdeal = namedtuple("CompatibleIdeal", ["generators"])
+
+
+def ideal_members(S, ci):
+    """All nonzero elements of the order ideal generated by the antichain."""
+    out = set()
+    for g in ci.generators:
+        out.update(x for x in S.below(g) if x != S.zero)
+    return frozenset(out)
+
+
+def fc_semigroup(S):
+    """The compatible order ideals of S under setwise products.
+
+    Returns (F, ideals, iota): F the multiplication table of the ideals,
+    ideals[k] the CompatibleIdeal naming the k-th one by its maximal
+    antichain, iota[s] the index of the principal downset of s.  Downsets
+    drop zero, so the zero ideal is empty.  The product of two ideals is the
+    downset of the pairwise products of their generators; each product is
+    required to land back in the enumeration.
+    """
+    m = S.m
+    compat = S.compat_matrix()
+    down = []
+    for a in range(m):
+        mask = np.array(S._leq[:, a])
+        mask[S.zero] = False
+        down.append(mask)
+
+    seen = {}
+    work = []
+
+    def register(mask):
+        key = frozenset(int(i) for i in np.flatnonzero(mask))
+        if key not in seen:
+            F._check_size(len(seen) + 1, "ideal semigroup")
+            seen[key] = mask
+            work.append(key)
+        return key
+
+    register(np.zeros(m, dtype=bool))
+    for a in range(m):
+        register(down[a])
+    qi = 0
+    while qi < len(work):
+        mask = seen[work[qi]]
+        qi += 1
+        for a in range(m):
+            if a == S.zero or not (down[a] & ~mask).any():
+                continue
+            if not compat[np.ix_(mask, down[a])].all():
+                continue
+            register(mask | down[a])
+
+    keys = sorted(seen, key=lambda k: (len(k), sorted(k)))
+    index = {k: i for i, k in enumerate(keys)}
+    n = len(keys)
+    ideals = []
+    for k in keys:
+        mask = seen[k]
+        gens = []
+        for a in sorted(k):
+            ups = np.array(S._leq[a, :])
+            ups[a] = False
+            if not (ups & mask).any():
+                gens.append(a)
+        ideals.append(CompatibleIdeal(tuple(gens)))
+    iota = [index[frozenset(int(i) for i in np.flatnonzero(down[a]))] for a in range(m)]
+
+    FT = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        for j in range(n):
+            prod = np.zeros(m, dtype=bool)
+            for g in ideals[i].generators:
+                for h in ideals[j].generators:
+                    prod |= down[S.T[g, h]]
+            key = frozenset(int(x) for x in np.flatnonzero(prod))
+            assert key in index, "product ideal escaped the enumeration"
+            FT[i, j] = index[key]
+    fid = S.find_identity()
+    Fm = F.MulTable(
+        FT,
+        zero=index[frozenset()],
+        identity=None if fid is None else iota[fid],
+        names=["{" + ",".join(S.name(g) for g in ci.generators) + "}" for ci in ideals],
+    )
+    return Fm, ideals, iota
+
+
+def completion_by_ideals(Q):
+    """The distributive completion of a Lenz quotient Q by way of F.
+
+    F is the semigroup of compatible order ideals of Q; identifying ideals
+    with the same 0-minimal elements (their support) gives D.  Returns
+    (D, xi, iota, F, ideals): xi[i] is the class of the i-th ideal and
+    iota[q] the ideal of the principal downset of q, so q goes to the class
+    xi[iota[q]].  The reference for filtercomp.distributive_completion,
+    which builds D from the local bisections of the 0-minimal elements.
+    """
+    Fm, ideals, iota = fc_semigroup(Q)
+    zmin = set(Q.zero_minimal())
+    supports = [ideal_members(Q, ci) & zmin for ci in ideals]
+    skeys = sorted(set(supports), key=lambda k: (len(k), sorted(k)))
+    sindex = {k: i for i, k in enumerate(skeys)}
+    xi = [sindex[sp] for sp in supports]
+    rep = [-1] * len(skeys)
+    for i, c in enumerate(xi):
+        if rep[c] < 0:
+            rep[c] = i
+    DT = np.array(xi)[Fm.T[np.ix_(rep, rep)]]
+    fidF = Fm.find_identity()
+    D = F.MulTable(
+        DT,
+        zero=xi[Fm.zero],
+        identity=None if fidF is None else xi[fidF],
+        names=["{" + ",".join(Q.name(t) for t in sorted(k)) + "}" for k in skeys],
+    )
+    return D, xi, iota, Fm, ideals
