@@ -16,6 +16,8 @@ import json
 import random
 import sys
 
+import numpy as np
+
 from . import duality, filtercomp, finitesgp, graphisg
 from . import polycyclic as pc
 from . import thompson as th
@@ -129,7 +131,7 @@ def cmd_finite(args):
         ]
     if sub == "complete":
         comp = filtercomp.distributive_completion(S)
-        rep = filtercomp.booleanization_report(S)
+        rep = filtercomp.booleanization_report(S, comp)
         head = {
             "op": "finite.complete",
             "size": comp.D.m,
@@ -297,16 +299,11 @@ def _selftest_graph(rng):
 def _relabeled(S, rng):
     perm = list(range(S.m))
     rng.shuffle(perm)
-    T2 = [[0] * S.m for _ in range(S.m)]
-    for a in range(S.m):
-        for b in range(S.m):
-            T2[perm[a]][perm[b]] = perm[int(S.T[a, b])]
+    p = np.array(perm)
+    T2 = np.empty_like(S.T)
+    T2[np.ix_(p, p)] = p[S.T]
     ident = S.find_identity()
-    names = None
-    if S.names is not None:
-        names = [None] * S.m
-        for i in range(S.m):
-            names[perm[i]] = S.names[i]
+    names = None if S.names is None else [S.names[i] for i in np.argsort(p)]
     return MulTable(
         T2, perm[S.zero], None if ident is None else perm[ident], names
     )

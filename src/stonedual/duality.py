@@ -124,22 +124,17 @@ class FiniteGroupoid:
 
     def components(self):
         """Connected components as sorted arrow lists, each with its objects."""
-        parent = list(range(self.m))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in range(self.m):
-            for b in (self.dom[a], self.ran[a]):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
+        label = np.arange(self.m)
+        while True:  # arrows and their endpoints all take the least label
+            new = np.minimum(label, np.minimum(label[self.dom], label[self.ran]))
+            np.minimum.at(new, self.dom, new.copy())
+            np.minimum.at(new, self.ran, new.copy())
+            if (new == label).all():
+                break
+            label = new
         groups = {}
         for a in range(self.m):
-            groups.setdefault(find(a), []).append(a)
+            groups.setdefault(int(label[a]), []).append(a)
         return sorted(sorted(g) for g in groups.values())
 
     # -- serialization ------------------------------------------------------
@@ -252,16 +247,9 @@ def disjoint_union(G, H):
     dom = list(G.dom) + [x + off for x in H.dom]
     ran = list(G.ran) + [x + off for x in H.ran]
     comp = {}
-    for a in range(G.m):
-        for b in range(G.m):
-            c = G.compose(a, b)
-            if c is not None:
-                comp[(a, b)] = c
-    for a in range(H.m):
-        for b in range(H.m):
-            c = H.compose(a, b)
-            if c is not None:
-                comp[(a + off, b + off)] = c + off
+    for X, off in ((G, 0), (H, G.m)):
+        for a, b in zip(*np.nonzero(X.C >= 0)):
+            comp[(int(a) + off, int(b) + off)] = int(X.C[a, b]) + off
     names = ["L:" + G.name(a) for a in range(G.m)]
     names += ["R:" + H.name(a) for a in range(H.m)]
     return FiniteGroupoid(objects, dom, ran, comp, names)
@@ -277,30 +265,26 @@ def _groupoid_of_minimals(S):
     because distinct 0-minimal idempotents multiply to zero, and the nonzero
     product is 0-minimal again; so the groupoid needs no Boolean hypothesis.
     Returns the groupoid together with the arrow -> element list."""
-    elems = S.zero_minimal()
-    pos = {s: i for i, s in enumerate(elems)}
-    objects = [pos[s] for s in elems if S.is_idem[s]]
-    dom, ran = [], []
-    for s in elems:
-        d, r = int(S.dom[s]), int(S.ran[s])
-        if d not in pos or r not in pos:
-            raise InternalError("endpoints of %s are not 0-minimal" % S.name(s))
-        dom.append(pos[d])
-        ran.append(pos[r])
-    comp = {}
-    for s in elems:
-        for t in elems:
-            p = S.mul(s, t)
-            composable = S.dom[s] == S.ran[t]
-            if (p != S.zero) != composable or (composable and p not in pos):
-                raise InternalError(
-                    "0-minimal product %s * %s is not composition"
-                    % (S.name(s), S.name(t))
-                )
-            if composable:
-                comp[(pos[s], pos[t])] = pos[p]
+    elems = np.array(S.zero_minimal(), dtype=np.intp)
+    pos = np.full(S.m, -1, dtype=np.intp)
+    pos[elems] = np.arange(len(elems))
+    dom, ran = pos[S.dom[elems]], pos[S.ran[elems]]
+    fail = _first_failure((dom < 0) | (ran < 0))
+    if fail is not None:
+        raise InternalError("endpoints of %s are not 0-minimal" % S.name(elems[fail[1][0]]))
+    P = S.T[np.ix_(elems, elems)]
+    composable = dom[:, None] == ran[None, :]
+    fail = _first_failure((P != S.zero) != composable, composable & (pos[P] < 0))
+    if fail is not None:
+        s, t = elems[list(fail[1])]
+        raise InternalError(
+            "0-minimal product %s * %s is not composition" % (S.name(s), S.name(t))
+        )
+    comp = {(int(a), int(b)): int(pos[P[a, b]]) for a, b in zip(*np.nonzero(composable))}
+    objects = np.flatnonzero(S.is_idem[elems]).tolist()
     names = [S.name(s) for s in elems]
-    return FiniteGroupoid(objects, dom, ran, comp, names), elems
+    G = FiniteGroupoid(objects, dom.tolist(), ran.tolist(), comp, names)
+    return G, elems.tolist()
 
 
 def ultrafilter_groupoid(S):
@@ -349,22 +333,36 @@ def bisection_semigroup(G):
 
 def _bisection_table(G, sets):
     """The setwise products of sets, the local bisections of G in the order
-    local_bisections lists them, as a table named by its sets."""
-    index = {A: i for i, A in enumerate(sets)}
-    m = len(sets)
-    table = np.zeros((m, m), dtype=np.int32)
+    local_bisections lists them, as a table named by its sets.
+
+    A bisection is held as the row sending each object to its arrow with
+    that source, or -1.  In A B the arrow b meets the arrow of A whose
+    source is r(b), so products take two gathers and a lookup in G.C, and
+    are found again by their keys: one digit per object, in a mixed radix."""
+    m, k = len(sets), len(G.objects)
+    opos = {e: o for o, e in enumerate(G.objects)}
+    src = np.array([opos[d] for d in G.dom] + [k], dtype=np.intp)  # arrow -1: k
+    tgt = np.array([opos[r] for r in G.ran] + [k], dtype=np.intp)
+    # an arrow's digit is 1 + its rank among the arrows with its source
+    digit = np.array([G.dom[:a].count(G.dom[a]) + 1 for a in range(G.m)] + [0])
+    radix = np.bincount(src[:-1], minlength=k) + 1
+    weight = np.cumprod(radix) // radix
+    X = np.full((m, k + 1), -1, dtype=np.intp)
     for i, A in enumerate(sets):
-        # b in B composes with the one arrow of A whose source is r(b), if any
-        by_source = {G.dom[a]: a for a in A}
-        for j, B in enumerate(sets):
-            prod = frozenset(
-                int(G.C[by_source[G.ran[b]], b]) for b in B if G.ran[b] in by_source
-            )
-            if prod not in index:
-                raise InternalError("setwise product escaped the bisections")
-            table[i, j] = index[prod]
-    zero = index[frozenset()]
-    identity = index[frozenset(G.objects)]
+        X[i, src[list(A)]] = list(A)
+    B, C = X[:, :k], np.full((G.m + 1, G.m + 1), -1, dtype=np.intp)
+    C[: G.m, : G.m] = G.C
+    keys = digit[B] @ weight
+    order = np.argsort(keys)
+    keys = keys[order]
+    table = np.empty((m, m), dtype=np.int32)
+    for i in range(0, m, 16):  # 16 rows of A at a time
+        prod = digit[C[X[i : i + 16, tgt[B]], B]] @ weight
+        pos = np.minimum(np.searchsorted(keys, prod), m - 1)
+        if (keys[pos] != prod).any():
+            raise InternalError("setwise product escaped the bisections")
+        table[i : i + 16] = order[pos]
+    zero, identity = sets.index(frozenset()), sets.index(frozenset(G.objects))
     names = ["{" + ",".join(G.name(a) for a in sorted(A)) + "}" for A in sets]
     # local bisections always form an inverse monoid; the tests re-prove it
     return F.MulTable(table, zero, identity, names, check=False)
@@ -468,21 +466,16 @@ def classify_symmetric(S):
 
     atoms = [e for e in S.zero_minimal() if S.is_idem[e]]
     k = len(atoms)
-    apos = {e: j for j, e in enumerate(atoms)}
-    maps = F._maps_of_partial_injections(k)
-    index = {f: i for i, f in enumerate(maps)}
-    phi = []
-    for s in range(S.m):
-        f = [-1] * k
-        for j, e in enumerate(atoms):
-            c = S.mul(S.mul(s, e), S.inverse(s))
-            if c != S.zero:
-                if c not in apos:
-                    raise InternalError("a conjugate of an atom is not an atom")
-                f[j] = apos[c]
-        if tuple(f) not in index:
-            raise InternalError("the atom action of %s is not injective" % S.name(s))
-        phi.append(index[tuple(f)])
+    apos = np.full(S.m, -2)
+    apos[atoms], apos[S.zero] = np.arange(k), -1
+    action = apos[S.T[S.T[:, atoms], S.inv[:, None]]]  # s e s^-1 as an atom, or -1
+    if (action == -2).any():
+        raise InternalError("a conjugate of an atom is not an atom")
+    index = {f: i for i, f in enumerate(F._maps_of_partial_injections(k))}
+    phi = [index.get(tuple(f)) for f in action.tolist()]
+    if None in phi:
+        name = S.name(phi.index(None))
+        raise InternalError("the atom action of %s is not injective" % name)
     return k, phi
 
 
@@ -491,20 +484,12 @@ def classify_symmetric(S):
 
 def _up_and_fc(S, e):
     """The up-set of the ultrafilter generated by the atom e, and its F^c."""
-    filt = [f for f in S.E if S.leq(e, f)]
-    fset = frozenset(filt)
-    up = {s for s in range(S.m) if S.leq(e, s)}
-    fc = set()
-    for s in range(S.m):
-        if int(S.dom[s]) not in fset or int(S.ran[s]) not in fset:
-            continue
-        si = S.inverse(s)
-        if all(
-            S.mul(S.mul(s, f), si) in fset and S.mul(S.mul(si, f), s) in fset
-            for f in filt
-        ):
-            fc.add(s)
-    return up, fc
+    in_f = S._leq[e] & S.is_idem           # F: the idempotents above e
+    filt, every = np.flatnonzero(in_f), np.arange(S.m)[:, None]
+    conj = S.T[S.T[:, filt], S.inv[:, None]]           # s f s^-1
+    back = S.T[S.T[S.inv][:, filt], every]             # s^-1 f s
+    fc = in_f[S.dom] & in_f[S.ran] & in_f[conj].all(axis=1) & in_f[back].all(axis=1)
+    return set(np.flatnonzero(S._leq[e]).tolist()), set(np.flatnonzero(fc).tolist())
 
 
 def principal_criterion(S):

@@ -112,11 +112,13 @@ def lenz_congruence(S):
                 lam[int(x)] = cid
     QT = np.array(lam)[S.T[np.ix_(reps, reps)]]
     fid = S.find_identity()
+    # a homomorphic image of an inverse semigroup is one; the tests re-prove it
     Q = MulTable(
         QT,
         zero=lam[S.zero],
         identity=None if fid is None else lam[fid],
         names=[S.name(r) for r in reps],
+        check=False,
     )
     return Q, lam
 
@@ -141,7 +143,7 @@ def distributive_completion(S):
     return Completion(D, delta, Q, lam, [DClass(k) for k in supports])
 
 
-def part1_isomorphism(S):
+def part1_isomorphism(S, comp_s=None, comp_e=None):
     """Match the idempotents of the completion of S with the completion of
     the idempotent part of S.
 
@@ -150,11 +152,14 @@ def part1_isomorphism(S):
     the same 0-minimal arrow classes; matching support keys and rechecking
     products gives the isomorphism.  Returns (ok, mapping) with mapping[j]
     the idempotent class of the completion of S matching class j of the
-    completion of E(S), or (False, None).
+    completion of E(S), or (False, None).  comp_s and comp_e, the
+    completions of S and of E(S), are built unless given.
     """
-    comp_s = distributive_completion(S)
     E, emb = idempotent_subtable(S)
-    comp_e = distributive_completion(E)
+    if comp_s is None:
+        comp_s = distributive_completion(S)
+    if comp_e is None:
+        comp_e = distributive_completion(E)
     # arrow classes of E line up with arrow classes of S
     trans = {comp_e.lam[e]: comp_s.lam[emb[e]] for e in range(E.m)}
     ED, embD = idempotent_subtable(comp_s.D)
@@ -177,17 +182,17 @@ def part1_isomorphism(S):
     return True, mapping
 
 
-def booleanization_report(S):
+def booleanization_report(S, comp_s=None):
     """Flag record for the Booleanization of the idempotent part of S.
 
     Takes any finite inverse meet-semigroup table; the flags concern its
     semilattice of idempotents E (equal to S when S is a semilattice), while
-    part1_iso compares the idempotents of the completion of S with the
-    completion of E.  Each flag is computed directly; by the theorems,
-    Boolean completion holds iff tight filters are ultrafilters, unital iff
-    compactable, and densely embedded iff 0-disjunctive.  The trapping
-    condition is vacuous at finite scale (a finite set covers itself) and is
-    reported as such.
+    part1_iso compares the idempotents of the completion of S, comp_s when
+    given, with the completion of E.  Each flag is computed directly; by the
+    theorems, Boolean completion holds iff tight filters are ultrafilters,
+    unital iff compactable, and densely embedded iff 0-disjunctive.  The
+    trapping condition is vacuous at finite scale (a finite set covers
+    itself) and is reported as such.
     """
     E, _ = idempotent_subtable(S)
     ultra = set(f.generator for f in ultrafilters(E))
@@ -204,7 +209,7 @@ def booleanization_report(S):
     d = np.array(comp_e.delta)
     meets_ok = (_meet_table(DE)[np.ix_(d, d)] == d[_meet_table(E)]).all()
     densely = bool(d_boolean and injective and meets_ok)
-    ok_iso, _ = part1_isomorphism(S)
+    ok_iso, _ = part1_isomorphism(S, comp_s, comp_e)
     return {
         "tight_eq_ultra": tight == ultra,
         "D_boolean": d_boolean,

@@ -34,7 +34,13 @@ class InternalError(Exception):
 
 
 def max_elements():
-    return int(os.environ.get("STONEDUAL_MAX_ELEMENTS", "2000"))
+    raw = os.environ.get("STONEDUAL_MAX_ELEMENTS", "2000")
+    try:
+        if int(raw) >= 0:
+            return int(raw)
+    except ValueError:
+        pass
+    raise ValueError("STONEDUAL_MAX_ELEMENTS takes a non-negative integer, not %r" % raw)
 
 
 def _check_size(m, what="table"):
@@ -56,77 +62,110 @@ def _first_failure(*masks):
     return next(k for k, mask in enumerate(masks) if mask[at]), at
 
 
-def _semigroup_generators(arr, m):
+def _semigroup_generators(arr, widest=True):
     """Greedy generating set: closure is computed with the table's own product,
-    so every member of the closure is some bracketed product of generators."""
+    so every member of the closure is some bracketed product of generators.
+
+    Candidates are tried widest row first (most distinct entries, then lowest
+    index), which keeps few generators; widest=False tries them in index
+    order."""
+    m = len(arr)
+    order = range(m)
+    if widest:
+        srt = np.sort(arr, axis=1)
+        width = (srt[:, 1:] != srt[:, :-1]).sum(axis=1)
+        order = np.argsort(-width, kind="stable").tolist()
     in_cl = np.zeros(m, dtype=bool)
     gens = []
-    for s in range(m):
+    for s in order:
         if in_cl[s]:
             continue
         gens.append(s)
-        stack = [s]
+        new = np.array([s])
         in_cl[s] = True
-        while stack:
-            x = stack.pop()
+        while new.size:
+            # each new member times everything in the closure so far, both ways
             members = np.flatnonzero(in_cl)
-            prods = np.unique(np.concatenate([arr[x, members], arr[members, x]]))
-            for p in prods:
-                if not in_cl[p]:
-                    in_cl[p] = True
-                    stack.append(int(p))
+            prods = np.append(arr[np.ix_(new, members)], arr[np.ix_(members, new)])
+            new = np.unique(prods[~in_cl[prods]])
+            in_cl[new] = True
     return gens
+
+
+def _associativity_witness(arr, gens):
+    """The first (x, g, y) with (x g) y != x (g y), g running over gens."""
+    for g in gens:
+        left = arr[arr[:, g], :]              # (x g) y
+        right = arr[:, arr[g, :]]             # x (g y)
+        if not (left == right).all():
+            x, y = np.argwhere(left != right)[0]
+            return x, g, y
+    return None
+
+
+def _inverses(arr):
+    """pair[s, t]: s t s = s and t s t = t, and inv[s], the first such t."""
+    idx = np.arange(len(arr))
+    cond = arr[arr, idx[:, None]] == idx[:, None]     # (s t) s == s
+    pair = cond & cond.T                              # plus (t s) t == t
+    return pair, pair.argmax(axis=1).astype(np.int32)
 
 
 def validate(table, zero, identity=None):
     """Return None if the table is an inverse semigroup with absorbing zero,
     else a diagnostic string naming the first failing axiom and a witness."""
+    try:
+        _check_axioms(table, zero, identity)
+    except TableError as exc:
+        return str(exc)
+    return None
+
+
+def _check_axioms(table, zero, identity):
+    """Raise validate's diagnostic as a TableError, or return what was found
+    on the way: (a generating set, the inverse of each element)."""
     m = len(table)
     if m == 0:
-        return "empty table"
+        raise TableError("empty table")
     arr = np.asarray(table, dtype=np.int32)
     if arr.shape != (m, m):
-        return "not square: shape %r" % (arr.shape,)
+        raise TableError("not square: shape %r" % (arr.shape,))
     if arr.min() < 0 or arr.max() >= m:
         bad = np.argwhere((arr < 0) | (arr >= m))[0]
-        return "entry out of range at (%d, %d)" % (bad[0], bad[1])
+        raise TableError("entry out of range at (%d, %d)" % (bad[0], bad[1]))
     if not 0 <= zero < m:
-        return "zero index %d out of range" % zero
+        raise TableError("zero index %d out of range" % zero)
     if not (arr[zero, :] == zero).all() or not (arr[:, zero] == zero).all():
         s = int(np.argmax((arr[zero, :] != zero) | (arr[:, zero] != zero)))
-        return "zero not absorbing: witness s=%d" % s
+        raise TableError("zero not absorbing: witness s=%d" % s)
     if identity is not None:
         if not 0 <= identity < m:
-            return "identity index %d out of range" % identity
+            raise TableError("identity index %d out of range" % identity)
         idx = np.arange(m)
         if not (arr[identity, :] == idx).all() or not (arr[:, identity] == idx).all():
             s = int(np.argmax((arr[identity, :] != idx) | (arr[:, identity] != idx)))
-            return "identity fails: witness s=%d" % s
-    # associativity via the generator test: (x g) y = x (g y) for generators g
-    # suffices once every element is a bracketed product of generators
-    for g in _semigroup_generators(arr, m):
-        left = arr[arr[:, g], :]              # (x g) y
-        right = arr[:, arr[g, :]]             # x (g y)
-        if not (left == right).all():
-            x, y = np.argwhere(left != right)[0]
-            return "not associative: witness (%d, %d, %d)" % (x, g, y)
-    # unique inverses: count t with sts = s and tst = t
-    sts = arr[arr, np.arange(m)[:, None]]     # sts[s, t] = (s t) s
-    cond = sts == np.arange(m)[:, None]       # s t s == s
-    pair = cond & cond.T                      # plus t s t == t
+            raise TableError("identity fails: witness s=%d" % s)
+    # associativity via Light's test: (x g) y = x (g y) for generators g
+    # suffices once every element is a bracketed product of generators, and
+    # any generating set finds a failure; the index-order scan names it
+    gens = _semigroup_generators(arr)
+    if _associativity_witness(arr, gens) is not None:
+        witness = _associativity_witness(arr, _semigroup_generators(arr, widest=False))
+        raise TableError("not associative: witness (%d, %d, %d)" % witness)
+    pair, inv = _inverses(arr)
     counts = pair.sum(axis=1)
     if (counts == 0).any():
-        return "no inverse: element %d" % int(np.argmax(counts == 0))
+        raise TableError("no inverse: element %d" % int(np.argmax(counts == 0)))
     if (counts > 1).any():
         s = int(np.argmax(counts > 1))
         ts = np.flatnonzero(pair[s])[:2]
-        return "multiple inverses: element %d (%d and %d)" % (s, ts[0], ts[1])
+        raise TableError("multiple inverses: element %d (%d and %d)" % (s, ts[0], ts[1]))
     idems = np.flatnonzero(arr[np.arange(m), np.arange(m)] == np.arange(m))
     sub = arr[np.ix_(idems, idems)]
     if not (sub == sub.T).all():
-        i, j = np.argwhere(sub != sub.T)[0]
-        return "idempotents do not commute: witness (%d, %d)" % (idems[i], idems[j])
-    return None
+        i, j = idems[np.argwhere(sub != sub.T)[0]]
+        raise TableError("idempotents do not commute: witness (%d, %d)" % (i, j))
+    return gens, inv
 
 
 def _bound_table(leq, count):
@@ -157,15 +196,12 @@ class MulTable:
         self.zero = int(zero)
         self.identity = None if identity is None else int(identity)
         self.names = list(names) if names is not None else None
+        self._gens = None
         if check:
-            diag = validate(self.T, self.zero, self.identity)
-            if diag is not None:
-                raise TableError(diag)
+            self._gens, self.inv = _check_axioms(self.T, self.zero, self.identity)
+        else:
+            self.inv = _inverses(self.T)[1]
         arr = self.T
-        sts = arr[arr, np.arange(m)[:, None]]
-        cond = sts == np.arange(m)[:, None]
-        pair = cond & cond.T
-        self.inv = pair.argmax(axis=1).astype(np.int32)
         diag_idx = np.arange(m)
         self.is_idem = arr[diag_idx, diag_idx] == diag_idx
         self.E = [int(e) for e in np.flatnonzero(self.is_idem)]
@@ -199,8 +235,11 @@ class MulTable:
     def nonzero(self):
         return [s for s in range(self.m) if s != self.zero]
 
-    def is_monoid(self):
-        return self.identity is not None or self.find_identity() is not None
+    def generators(self):
+        """A generating set, computed once: every element is a product of these."""
+        if self._gens is None:
+            self._gens = _semigroup_generators(self.T)
+        return self._gens
 
     def find_identity(self):
         if self.identity is not None:
@@ -289,7 +328,7 @@ class MulTable:
 
     @classmethod
     def from_text(cls, text):
-        rows = []
+        rows, nrows, overflow = None, 0, None   # the int32 table, filled row by row
         header = None
         names = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -318,21 +357,37 @@ class MulTable:
                     raise TableError(msg % (lineno, header["m"] - 1))
                 names[i] = " ".join(parts[2:])
             else:
+                m = header["m"]
                 try:
-                    row = [int(x) for x in parts]
-                except ValueError:
-                    msg = "line %d: entries must be integers" % lineno
-                    raise TableError(msg) from None
-                if len(row) != header["m"]:
-                    raise TableError("line %d: expected %d entries" % (lineno, header["m"]))
-                rows.append(row)
+                    row = np.array(parts, dtype=np.int32)
+                except (ValueError, OverflowError):  # then int() has the say
+                    try:
+                        row = [int(x) for x in parts]
+                    except ValueError:
+                        msg = "line %d: entries must be integers" % lineno
+                        raise TableError(msg) from None
+                if len(row) != m:
+                    raise TableError("line %d: expected %d entries" % (lineno, m))
+                if rows is None:
+                    # above the element limit, rows are counted, not kept
+                    rows = np.empty((m if m <= max_elements() else 0, m), np.int32)
+                if nrows < len(rows):
+                    try:
+                        rows[nrows] = row
+                    except OverflowError:  # raised once the table is read, as before
+                        overflow = overflow or row
+                nrows += 1
         if header is None:
             raise TableError("missing header line")
-        if len(rows) != header["m"]:
-            raise TableError("expected %d rows, got %d" % (header["m"], len(rows)))
+        if nrows != header["m"]:
+            raise TableError("expected %d rows, got %d" % (header["m"], nrows))
+        _check_size(header["m"])
+        if overflow:
+            np.asarray(overflow, dtype=np.int32)  # the entry int32 cannot hold
         name_list = None
         if names:
             name_list = [names.get(i, "s%d" % i) for i in range(header["m"])]
+        rows = [] if rows is None else rows
         return cls(rows, header["zero"], header["identity"], name_list)
 
 
@@ -352,21 +407,7 @@ def arrow_enum(S, a, B):
     Requires all the meets x ^ b to exist (raises otherwise)."""
     if a == S.zero:
         raise TableError("arrow source must be nonzero")
-    B = [b for b in B if b != S.zero]
-    for x in S.below(a):
-        if x == S.zero:
-            continue
-        hit = False
-        for b in B:
-            mt = S.meet(x, b)
-            if mt is None:
-                raise TableError("meet of %d and %d does not exist" % (x, b))
-            if mt != S.zero:
-                hit = True
-                break
-        if not hit:
-            return False
-    return True
+    return is_set_cover(S, S.below(a), B)
 
 
 def arrow_minset(S, a, B):
@@ -459,41 +500,22 @@ def symmetric_inverse_monoid(k):
 
 def zero_direct_union(S, T):
     """Glue the zeros of two tables; everything across the seam multiplies to 0."""
-    mS, mT = S.m, T.m
-    m = (mS - 1) + (mT - 1) + 1
+    m = (S.m - 1) + (T.m - 1) + 1
     _check_size(m, "zero direct union")
-    sidx = {}
+    table = np.zeros((m, m), dtype=np.int32)
     names = ["0"]
-    nxt = 1
-    for s in range(mS):
-        if s != S.zero:
-            sidx[s] = nxt
-            names.append("L:" + S.name(s))
-            nxt += 1
-    tidx = {}
-    for t in range(mT):
-        if t != T.zero:
-            tidx[t] = nxt
-            names.append("R:" + T.name(t))
-            nxt += 1
-    table = [[0] * m for _ in range(m)]
-    for a in range(mS):
-        for b in range(mS):
-            if a != S.zero and b != S.zero:
-                p = S.mul(a, b)
-                table[sidx[a]][sidx[b]] = 0 if p == S.zero else sidx[p]
-    for a in range(mT):
-        for b in range(mT):
-            if a != T.zero and b != T.zero:
-                p = T.mul(a, b)
-                table[tidx[a]][tidx[b]] = 0 if p == T.zero else tidx[p]
+    for X, tag in ((S, "L:"), (T, "R:")):
+        nz = np.array(X.nonzero(), dtype=np.intp)
+        new = np.zeros(X.m, dtype=np.int32)   # zero stays 0
+        new[nz] = len(names) + np.arange(len(nz))
+        table[np.ix_(new[nz], new[nz])] = new[X.T[np.ix_(nz, nz)]]
+        names += [tag + X.name(s) for s in nz]
     return MulTable(table, 0, None, names)
 
 
 def direct_product(S, T):
     m = S.m * T.m
     _check_size(m, "direct product")
-    table = np.empty((m, m), dtype=np.int32)
     TS, TT = S.T, T.T
     mT = T.m
     # index (a, b) -> a * mT + b
@@ -515,59 +537,46 @@ def rees_b_r(M, r):
     with (i|m|j)(k|n|l) = (i|mn|l) when j = k and mn is nonzero, else 0."""
     if M.find_identity() is None:
         raise TableError("base must be a monoid")
-    nz = [s for s in range(M.m) if s != M.zero]
-    rank = {s: t for t, s in enumerate(nz)}
-    m = 1 + r * r * len(nz)
+    nz = np.array(M.nonzero(), dtype=np.intp)
+    n = len(nz)
+    m = 1 + r * r * n
     _check_size(m, "matrix variant")
-
-    def idx(i, s, j):
-        return 1 + ((i - 1) * r + (j - 1)) * len(nz) + rank[s]
-
-    names = ["0"]
-    for i in range(1, r + 1):
-        for j in range(1, r + 1):
-            for s in nz:
-                names.append("(%d|%s|%d)" % (i, M.name(s), j))
-    table = [[0] * m for _ in range(m)]
-    for i in range(1, r + 1):
-        for j in range(1, r + 1):
-            for s in nz:
-                a = idx(i, s, j)
-                for kk in range(1, r + 1):
-                    for l in range(1, r + 1):
-                        if j != kk:
-                            continue
-                        for t in nz:
-                            b = idx(kk, t, l)
-                            p = M.mul(s, t)
-                            table[a][b] = 0 if p == M.zero else idx(i, p, l)
+    rank = np.zeros(M.m, dtype=np.intp)
+    rank[nz] = np.arange(n)
+    # element 1 + (i r + j) n + rank[s] is (i+1|s|j+1)
+    e = np.arange(m - 1)
+    i, j, s = e // (r * n), e // n % r, nz[e % n]
+    p = M.T[np.ix_(s, s)]
+    table = np.zeros((m, m), dtype=np.int32)
+    table[1:, 1:] = np.where(
+        (j[:, None] == i) & (p != M.zero), 1 + (i[:, None] * r + j) * n + rank[p], 0
+    )
+    names = ["0"] + ["(%d|%s|%d)" % (a + 1, M.name(t), b + 1) for a, b, t in zip(i, j, s)]
     return MulTable(table, 0, None, names)
 
 
 def idempotent_subtable(S):
     """The idempotent semilattice as its own table, plus the index embedding."""
-    emb = list(S.E)
-    pos = {e: i for i, e in enumerate(emb)}
-    table = [[pos[S.mul(a, b)] for b in emb] for a in emb]
-    ident = S.find_identity()
-    identity = pos[ident] if ident is not None and ident in pos else None
-    names = [S.name(e) for e in emb]
-    return MulTable(table, pos[S.zero], identity, names), emb
+    return subtable(S, S.E)
 
 
 def subtable(S, elements):
-    """Restrict to a subset closed under product and inverse."""
-    emb = sorted(set(elements) | {S.zero})
-    pos = {e: i for i, e in enumerate(emb)}
-    for a in emb:
-        if S.inverse(a) not in pos:
-            raise TableError("subset not closed under inverse at %d" % a)
-        for b in emb:
-            if S.mul(a, b) not in pos:
-                raise TableError("subset not closed under product at (%d, %d)" % (a, b))
-    table = [[pos[S.mul(a, b)] for b in emb] for a in emb]
+    """Restrict to a subset closed under product and inverse, keeping the
+    identity if the subset holds it; returns the table and the embedding."""
+    emb = np.array(sorted(set(elements) | {S.zero}), dtype=np.intp)
+    pos = np.full(S.m, -1, dtype=np.intp)
+    pos[emb] = np.arange(len(emb))
+    table = pos[S.T[np.ix_(emb, emb)]]
+    bad = np.column_stack([pos[S.inv[emb]] < 0, table < 0])  # by a, inverse first
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        if j == 0:
+            raise TableError("subset not closed under inverse at %d" % emb[i])
+        raise TableError("subset not closed under product at (%d, %d)" % (emb[i], emb[j - 1]))
+    ident = S.find_identity()
+    identity = None if ident is None or pos[ident] < 0 else int(pos[ident])
     names = [S.name(e) for e in emb]
-    return MulTable(table, pos[S.zero], None, names), emb
+    return MulTable(table, int(pos[S.zero]), identity, names), emb.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -578,20 +587,18 @@ def _fundamental(S):
 
 
 def mu_classes(S):
-    """Partition by the maximum idempotent-separating congruence."""
-    groups = {}
-    for s in range(S.m):
-        sig = tuple(int(S.T[S.T[s, e], S.inv[s]]) for e in S.E)
-        groups.setdefault(sig, []).append(s)
-    out = [0] * S.m
-    for cid, (_, members) in enumerate(sorted(groups.items())):
-        for s in members:
-            out[s] = cid
-    return out
+    """Partition by the maximum idempotent-separating congruence: s and t
+    share a class when they conjugate every idempotent alike, s e s^-1."""
+    sig = S.T[S.T[:, S.E], S.inv[:, None]]
+    return np.unique(sig, axis=0, return_inverse=True)[1].ravel().tolist()
 
 
 def _zero_simple(S):
-    return S.m >= 2 and all(len(principal_ideal(S, s)) == S.m for s in S.nonzero())
+    """Every nonzero principal ideal is S; S s S = S s s^-1 S, so the nonzero
+    idempotents are enough."""
+    return S.m >= 2 and all(
+        len(principal_ideal(S, e)) == S.m for e in S.E if e != S.zero
+    )
 
 
 def _zero_disjunctive(S):
@@ -640,28 +647,27 @@ def _distributive(S):
 
     Binary checks suffice: joins of larger compatible sets are nested binary
     joins once every pair works, because inversion swaps the order around and
-    a verified binary law keeps products of joins compatible."""
-    T = S.T
-    comp = S.compat_matrix()
-    J = _join_table(S)
-    for a in range(S.m):
-        bs = np.flatnonzero(comp[a])
-        js = J[a, bs]
-        if (js < 0).any():
+    a verified binary law keeps products of joins compatible.  The factor c
+    runs over a generating set only: multiplying keeps compatible pairs
+    compatible, so if c and d satisfy c(a v b) = ca v cb for every compatible
+    pair, then so does cd, and likewise on the right."""
+    T, J = S.T, _join_table(S)
+    a, b = np.nonzero(S.compat_matrix())
+    js = J[a, b]
+    if (js < 0).any():
+        return False
+    for c in S.generators():
+        # c (a v b) = ca v cb and (a v b) c = ac v bc, for every pair at once
+        if (J[T[c, a], T[c, b]] != T[c, js]).any():
             return False
-        # c (a v b) = ca v cb and (a v b) c = ac v bc, for every b and c at once
-        if (J[T[:, a, None], T[:, bs]] != T[:, js]).any():
-            return False
-        if (J[T[a, :, None], T[bs].T] != T[js].T).any():
+        if (J[T[a, c], T[b, c]] != T[js, c]).any():
             return False
     return True
 
 
-def _boolean(S):
-    """Distributive, and each idempotent e <= f has a complement below the
-    idempotent f: some idempotent g <= f with g e = 0 and g v e = f."""
-    if not _distributive(S):
-        return False
+def _complemented(S):
+    """Each idempotent e <= f has a complement below the idempotent f: some
+    idempotent g <= f with g e = 0 and g v e = f."""
     E = np.array(S.E, dtype=np.intp)
     J = _join_table(S)
     for f in E:
@@ -673,7 +679,13 @@ def _boolean(S):
     return True
 
 
+def _boolean(S):
+    """Distributive, with relative complements of idempotents."""
+    return _distributive(S) and _complemented(S)
+
+
 def predicates(S):
+    distributive = _distributive(S)
     return {
         "fundamental": _fundamental(S),
         "zero_simple": _zero_simple(S),
@@ -681,8 +693,8 @@ def predicates(S):
         "e_star_unitary": _e_star_unitary(S),
         "unambiguous": _unambiguous(S),
         "meet_semigroup": _meet_semigroup(S),
-        "distributive": _distributive(S),
-        "boolean": _boolean(S),
+        "distributive": distributive,
+        "boolean": distributive and _complemented(S),
     }
 
 
@@ -707,8 +719,9 @@ def principal_ideal(S, s):
 
 
 def all_ideals(S):
-    """Every ideal is a union of principal ideals; close under union."""
-    gens = sorted({principal_ideal(S, s) for s in range(S.m)}, key=sorted)
+    """Every ideal is a union of principal ideals; close under union.  S s S
+    = S s s^-1 S, so the principal ideals are those of the idempotents."""
+    gens = sorted({principal_ideal(S, e) for e in S.E}, key=sorted)
     ideals = set(gens)
     frontier = list(gens)
     while frontier:

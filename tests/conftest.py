@@ -47,6 +47,40 @@ def check_is_congruence_free(S, result):
         assert result == by_enumeration, "congruence-freeness routes disagree"
 
 
+def check_validate(table, zero, *args, identity=None):
+    *given, diag = args
+    identity = given[0] if given else identity
+    assert diag == TS.validate_by_index_order(table, zero, identity), (
+        "the generating-set route must name the index-order diagnostic"
+    )
+
+
+def check_check_axioms(table, zero, identity, result):
+    assert TS.validate_by_index_order(table, zero, identity) is None
+    gens, inv = result
+    arr, idx = np.asarray(table), np.arange(len(table))
+    assert TS.generated(arr, gens) == len(arr), "gens must generate the table"
+    assert (arr[arr[idx, inv], idx] == idx).all(), "s s^-1 s must be s"
+    assert (arr[arr[inv, idx], inv] == inv).all(), "s^-1 s s^-1 must be s^-1"
+
+
+def check_distributive(S, result):
+    assert result == TS.distributive_for_every_c(S), (
+        "distributivity over generators must match it over every c"
+    )
+
+
+def check_zero_simple(S, result):
+    every = S.m >= 2 and all(len(F.principal_ideal(S, s)) == S.m for s in S.nonzero())
+    assert result == every, "idempotent principal ideals must decide 0-simplicity"
+
+
+def check_all_ideals(S, result):
+    assert result == TS.ideals_from_every_element(S), (
+        "idempotents must generate every ideal"
+    )
+
+
 def check_is_zero_simplifying(S, result):
     trivial = {frozenset([S.zero]), frozenset(range(S.m))}
     by_ideals = all(I in trivial for I in F.tightly_closed_ideals(S))
@@ -65,6 +99,7 @@ def check_lenz_congruence(S, result):
     lam_arr = np.array(lam)
     # the class of a product depends only on the classes
     assert (Q.T[lam_arr[:, None], lam_arr[None, :]] == lam_arr[S.T]).all()
+    assert F.validate(Q.T, Q.zero, Q.identity) is None, "Q must be a valid table"
     # separative: on the quotient the arrow is the natural order, decided by
     # enumeration, independently of the library's 0-minimal route
     for a in Q.nonzero():
@@ -119,7 +154,7 @@ def check_distributive_completion(S, comp):
         assert xi[member_index[gen]] == c
 
 
-def check_part1_isomorphism(S, result):
+def check_part1_isomorphism(S, *completions_and_result):
     E, emb = F.idempotent_subtable(S)
     with RECHECKER.unchecked():
         comp_s = FC.distributive_completion(S)
@@ -133,9 +168,15 @@ def check_part1_isomorphism(S, result):
     ED, embD = F.idempotent_subtable(comp_s.D)
     for i in range(ED.m):
         assert all(comp_s.Q.is_idem[t] for t in comp_s.classes[embD[i]].support)
+    for given, fresh in zip(completions_and_result[:-1], (comp_s, comp_e)):
+        if given is not None:
+            assert (given.D.T == fresh.D.T).all() and given.lam == fresh.lam, (
+                "the completions passed in must be those of S and E(S)"
+            )
 
 
-def check_booleanization_report(S, report):
+def check_booleanization_report(S, *completion_and_report):
+    report = completion_and_report[-1]
     E, _ = F.idempotent_subtable(S)
     ultra = set(f.generator for f in FC.ultrafilters(E))
     tight = set(e for e in E.nonzero() if FC.is_tight_filter(E, e))
@@ -221,6 +262,9 @@ def check_ultrafilter_groupoid(S, G):
 
 
 def check_bisection_table(G, sets, B):
+    ref = TS.bisection_table_by_sets(G, sets)
+    assert (B.T == ref.T).all(), "the keyed route must give the setwise table"
+    assert (B.zero, B.identity, B.names) == (ref.zero, ref.identity, ref.names)
     assert F.validate(B.T, B.zero, B.identity) is None, "bisections must form a table"
     objset = frozenset(G.objects)
     incl = np.array([[A <= Bs for Bs in sets] for A in sets])
@@ -354,6 +398,12 @@ def check_tp_from_unit(x, g):
 # wiring
 
 RECHECKS = [
+    (F, "validate", check_validate),
+    (F, "_check_axioms", check_check_axioms),
+    (F, "_distributive", check_distributive),
+    (FC, "_distributive", check_distributive),
+    (F, "_zero_simple", check_zero_simple),
+    (F, "all_ideals", check_all_ideals),
     (F, "is_congruence_free", check_is_congruence_free),
     (F, "is_zero_simplifying", check_is_zero_simplifying),
     (FC, "lenz_congruence", check_lenz_congruence),
@@ -386,10 +436,10 @@ class _Rechecker:
 
     def wrap(self, func, check):
         @functools.wraps(func)
-        def checked(*args):
-            result = func(*args)
+        def checked(*args, **kwargs):
+            result = func(*args, **kwargs)
             if not self.off:
-                check(*args, result)
+                check(*args, result, **kwargs)
             return result
 
         return checked
@@ -404,6 +454,13 @@ class _Rechecker:
 
 
 RECHECKER = _Rechecker()
+
+
+@pytest.fixture()
+def theorem_checks_off():
+    """Run a test without the checks, so that it sees only library calls."""
+    with RECHECKER.unchecked():
+        yield
 
 
 @pytest.fixture(scope="session", autouse=True)

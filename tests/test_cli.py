@@ -1,6 +1,7 @@
 """Command line behavior: frozen outputs, exit codes, JSON round-trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -10,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stonedual import cli, duality, finitesgp
+from stonedual import cli, duality, filtercomp, finitesgp
 from stonedual import polycyclic as pc
 from stonedual import thompson as th
 from stonedual import words as wd
@@ -262,6 +263,34 @@ def test_size_cap_from_environment(capsys, monkeypatch, i3_file):
     assert rc == 0 and out == "valid table: 34 elements\n"
 
 
+@pytest.mark.parametrize("value", ["x", "-1"])
+def test_bad_limit_setting_names_the_setting(capsys, monkeypatch, i2_file, value):
+    monkeypatch.setenv("STONEDUAL_MAX_ELEMENTS", value)
+    rc, out, err = run(capsys, ["finite", "validate", i2_file])
+    assert (rc, out) == (1, "")
+    assert err == (
+        "error: STONEDUAL_MAX_ELEMENTS takes a non-negative integer, not %r\n" % value
+    )
+
+
+def test_complete_builds_each_completion_once(
+    capsys, monkeypatch, i3_file, theorem_checks_off
+):
+    # the completion of S and that of E(S) are built once each and shared
+    # with the booleanization report and the part 1 isomorphism
+    sizes = []
+    build = filtercomp.distributive_completion
+
+    def counted(S):
+        sizes.append(S.m)
+        return build(S)
+
+    monkeypatch.setattr(filtercomp, "distributive_completion", counted)
+    rc, out, _ = run(capsys, ["finite", "complete", i3_file])
+    assert rc == 0 and out.startswith("completion size: 34\n")
+    assert sizes == [34, 8]
+
+
 def test_json_records_round_trip(capsys, i3_file, i2_file):
     rc, out, _ = run(capsys, ["poly", "mul", "-n", "2", "--json", "ab.b^-1", "b.a^-1"])
     assert rc == 0
@@ -379,6 +408,24 @@ def assert_clean_exit(argv):
         lines = err.splitlines()
         assert out == "" and lines, (argv, out, err)
         assert all(line.startswith("error: ") for line in lines), (argv, err)
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
+
+@pytest.mark.parametrize("sub", FINITE_SUBS)
+@pytest.mark.parametrize("label", ["chain2", "i2", "i3"])
+def test_tables_corpus_replays_golden_output(label, sub):
+    # the tables benchmark's corpus ops: stdout as recorded in golden.json
+    rc, out, err = quiet_main(["finite", sub, str(TABLES / (label + ".tbl"))])
+    if (sub, label) == ("dualize", "chain2"):
+        # the one documented refusal: dualize needs a Boolean table
+        assert (rc, out) == (1, "") and err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        return
+    want = json.loads(GOLDEN.read_text())["ops"]["%s %s" % (sub, label)]
+    assert (rc, err) == (want["exit"], "")
+    assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
 
 
 _token = st.one_of(

@@ -1,8 +1,11 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stonedual import finitesgp as F
+import tests_support_tables as TS
 from tests_support_tables import (
     adjoined_z2,
     b2,
@@ -68,6 +71,58 @@ def test_validate_never_raises_on_junk():
         assert diag is None or isinstance(diag, str)
         if diag is None:
             F.MulTable(table, 0)
+
+
+@st.composite
+def perturbed_tables(draw):
+    """(table, zero, identity): a corpus table, maybe relabelled, with a few
+    entries away from the zero row and column overwritten; or a random table
+    whose zero absorbs, so that most of them reach the associativity test."""
+    if draw(st.booleans()):
+        corpus = meet_corpus()
+        corpus.update({"no_meet": no_meet(), "I(3)": i_k(3)})
+        S = corpus[draw(st.sampled_from(sorted(corpus)))]
+        if draw(st.booleans()):
+            S = relabel(S, random.Random(draw(st.integers(0, 9))))
+        table, zero, identity = S.T.copy(), S.zero, S.find_identity()
+        m = S.m
+    else:
+        m = draw(st.integers(1, 6))
+        cell = st.integers(0, m - 1)
+        table = np.array(draw(st.lists(st.lists(cell, min_size=m, max_size=m),
+                                       min_size=m, max_size=m)), dtype=np.int32)
+        zero, identity = 0, None
+        table[0, :] = table[:, 0] = 0
+    nonzero = [s for s in range(m) if s != zero]
+    if nonzero:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.sampled_from(nonzero)), draw(st.sampled_from(nonzero))
+            table[i, j] = draw(st.integers(0, m - 1))
+    if identity is not None and draw(st.booleans()):
+        identity = None
+    return table, zero, identity
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=perturbed_tables())
+def test_validate_matches_index_order_route(case):
+    # Light's test over the widest-first generators decides associativity as
+    # the index-order scan does, and a failure is named by that scan's witness
+    table, zero, identity = case
+    assert F.validate(table, zero, identity) == TS.validate_by_index_order(
+        table, zero, identity
+    )
+
+
+def test_generating_sets_stay_small():
+    I5 = i_k(5).T
+    perm = np.random.default_rng(5).permutation(len(I5))
+    relabelled = np.empty_like(I5)
+    relabelled[np.ix_(perm, perm)] = perm[I5]
+    for arr in (i_k(4).T, I5, relabelled):
+        gens = F._semigroup_generators(arr)
+        assert len(gens) <= 8
+        assert TS.generated(arr, gens) == len(arr)
 
 
 def test_multable_rejects_bad_table():
@@ -535,6 +590,7 @@ def test_predicates_match_their_definitions():
     corpus.update({
         "no_meet": no_meet(), "I(3)": i_k(3), "I(2)xI(2)": i2_x_i2(),
         "relabelled I(3)": relabel(i_k(3), random.Random(2)),
+        "M3": TS.m3(), "N5": TS.n5(),
     })
     for name, S in corpus.items():
         got = F.predicates(S)

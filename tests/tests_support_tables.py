@@ -91,6 +91,22 @@ def no_meet():
     return F.MulTable(table, Z, Q, ["0", "u", "v", "q", "g"])
 
 
+def m3():
+    """The lattice M3 under meet: 0 < a, b, c < 1, pairwise meets 0.  Every
+    pair has a join, and meets do not distribute over them."""
+    table = [[0] * 5 for _ in range(5)]
+    for x in range(5):
+        table[x][x] = table[x][4] = table[4][x] = x
+    return F.MulTable(table, 0, 4, ["0", "a", "b", "c", "1"])
+
+
+def n5():
+    """The lattice N5 under meet: 0 < a < b < 1 and 0 < c < 1."""
+    table = m3().T.copy()
+    table[1, 2] = table[2, 1] = 1
+    return F.MulTable(table, 0, 4, ["0", "a", "b", "c", "1"])
+
+
 def trivial_monoid():
     """Two elements 0 < 1; isomorphic to I(1) but with bare names."""
     return F.MulTable([[0, 0], [0, 1]], 0, 1, ["0", "1"])
@@ -304,3 +320,142 @@ def completion_by_ideals(Q):
         names=["{" + ",".join(Q.name(t) for t in sorted(k)) + "}" for k in skeys],
     )
     return D, xi, iota, Fm, ideals
+
+
+# ---------------------------------------------------------------------------
+# the routes the library replaced, kept as references for tests/conftest.py
+
+
+def generators_by_index_order(arr):
+    """The greedy generating set scanned in index order, closed one element
+    at a time with the table's own product."""
+    m = len(arr)
+    in_cl = np.zeros(m, dtype=bool)
+    gens = []
+    for s in range(m):
+        if in_cl[s]:
+            continue
+        gens.append(s)
+        stack = [s]
+        in_cl[s] = True
+        while stack:
+            x = stack.pop()
+            members = np.flatnonzero(in_cl)
+            prods = np.unique(np.concatenate([arr[x, members], arr[members, x]]))
+            for p in prods:
+                if not in_cl[p]:
+                    in_cl[p] = True
+                    stack.append(int(p))
+    return gens
+
+
+def validate_by_index_order(table, zero, identity=None):
+    """finitesgp.validate with associativity tested against every generator
+    of the index-order scan."""
+    m = len(table)
+    if m == 0:
+        return "empty table"
+    arr = np.asarray(table, dtype=np.int32)
+    if arr.shape != (m, m):
+        return "not square: shape %r" % (arr.shape,)
+    if arr.min() < 0 or arr.max() >= m:
+        bad = np.argwhere((arr < 0) | (arr >= m))[0]
+        return "entry out of range at (%d, %d)" % (bad[0], bad[1])
+    if not 0 <= zero < m:
+        return "zero index %d out of range" % zero
+    if not (arr[zero, :] == zero).all() or not (arr[:, zero] == zero).all():
+        s = int(np.argmax((arr[zero, :] != zero) | (arr[:, zero] != zero)))
+        return "zero not absorbing: witness s=%d" % s
+    if identity is not None:
+        if not 0 <= identity < m:
+            return "identity index %d out of range" % identity
+        idx = np.arange(m)
+        if not (arr[identity, :] == idx).all() or not (arr[:, identity] == idx).all():
+            s = int(np.argmax((arr[identity, :] != idx) | (arr[:, identity] != idx)))
+            return "identity fails: witness s=%d" % s
+    for g in generators_by_index_order(arr):
+        left = arr[arr[:, g], :]
+        right = arr[:, arr[g, :]]
+        if not (left == right).all():
+            x, y = np.argwhere(left != right)[0]
+            return "not associative: witness (%d, %d, %d)" % (x, g, y)
+    sts = arr[arr, np.arange(m)[:, None]]
+    cond = sts == np.arange(m)[:, None]
+    pair = cond & cond.T
+    counts = pair.sum(axis=1)
+    if (counts == 0).any():
+        return "no inverse: element %d" % int(np.argmax(counts == 0))
+    if (counts > 1).any():
+        s = int(np.argmax(counts > 1))
+        ts = np.flatnonzero(pair[s])[:2]
+        return "multiple inverses: element %d (%d and %d)" % (s, ts[0], ts[1])
+    idems = np.flatnonzero(arr[np.arange(m), np.arange(m)] == np.arange(m))
+    sub = arr[np.ix_(idems, idems)]
+    if not (sub == sub.T).all():
+        i, j = np.argwhere(sub != sub.T)[0]
+        return "idempotents do not commute: witness (%d, %d)" % (idems[i], idems[j])
+    return None
+
+
+def generated(arr, gens):
+    """The number of elements that are bracketed products of gens."""
+    in_cl = np.zeros(len(arr), dtype=bool)
+    in_cl[list(gens)] = True
+    while True:
+        members = np.flatnonzero(in_cl)
+        grown = in_cl.copy()
+        grown[arr[np.ix_(members, members)]] = True
+        if (grown == in_cl).all():
+            return int(in_cl.sum())
+        in_cl = grown
+
+
+def distributive_for_every_c(S):
+    """finitesgp._distributive with the factor c running over all of S."""
+    T = S.T
+    comp = S.compat_matrix()
+    J = F._join_table(S)
+    for a in range(S.m):
+        bs = np.flatnonzero(comp[a])
+        js = J[a, bs]
+        if (js < 0).any():
+            return False
+        if (J[T[:, a, None], T[:, bs]] != T[:, js]).any():
+            return False
+        if (J[T[a, :, None], T[bs].T] != T[js].T).any():
+            return False
+    return True
+
+
+def ideals_from_every_element(S):
+    """finitesgp.all_ideals from the principal ideal of every element."""
+    gens = sorted({F.principal_ideal(S, s) for s in range(S.m)}, key=sorted)
+    ideals = set(gens)
+    frontier = list(gens)
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            u = cur | g
+            if u not in ideals:
+                ideals.add(u)
+                frontier.append(u)
+    return sorted(ideals, key=lambda I: (len(I), sorted(I)))
+
+
+def bisection_table_by_sets(G, sets):
+    """duality._bisection_table with each setwise product built as a set."""
+    index = {A: i for i, A in enumerate(sets)}
+    m = len(sets)
+    table = np.zeros((m, m), dtype=np.int32)
+    for i, A in enumerate(sets):
+        by_source = {G.dom[a]: a for a in A}
+        for j, B in enumerate(sets):
+            prod = frozenset(
+                int(G.C[by_source[G.ran[b]], b]) for b in B if G.ran[b] in by_source
+            )
+            assert prod in index, "setwise product escaped the bisections"
+            table[i, j] = index[prod]
+    zero = index[frozenset()]
+    identity = index[frozenset(G.objects)]
+    names = ["{" + ",".join(G.name(a) for a in sorted(A)) + "}" for A in sets]
+    return F.MulTable(table, zero, identity, names, check=False)
