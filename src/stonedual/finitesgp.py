@@ -368,9 +368,9 @@ class MulTable:
                         raise TableError(msg) from None
                 if len(row) != m:
                     raise TableError("line %d: expected %d entries" % (lineno, m))
-                if rows is None:
-                    # above the element limit, rows are counted, not kept
-                    rows = np.empty((m if m <= max_elements() else 0, m), np.int32)
+                if rows is None:  # rows are only counted when the checks below refuse
+                    keep = m <= max_elements() and m * m <= len(text)  # m rows fit
+                    rows = np.empty((m if keep else 0, m), np.int32)
                 if nrows < len(rows):
                     try:
                         rows[nrows] = row
