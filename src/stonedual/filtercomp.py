@@ -16,7 +16,6 @@ from collections import namedtuple
 import numpy as np
 
 from . import duality
-from . import polycyclic as pc
 from .finitesgp import (
     MulTable,
     TableError,
@@ -241,28 +240,6 @@ def orthogonalize(S, X):
                 "not pairwise compatible: %s, %s" % (S.name(a), S.name(b))
             )
     return [a for a in xs if not any(b != a and S.leq(a, b) for b in xs)]
-
-
-def orthogonalize_poly(X):
-    """The discard procedure for polycyclic elements, plain or r-rooted.
-
-    Those monoids are unambiguous and E*-unitary, so compatible pairs are
-    comparable or orthogonal and keeping the maximal elements suffices.
-    """
-    xs = []
-    for x in X:
-        if x not in xs:
-            xs.append(x)
-    if not xs:
-        return []
-    if isinstance(xs[0], pc.ExtPolyElement):
-        leq, compat = pc.ext_leq, pc.ext_compatible
-    else:
-        leq, compat = pc.poly_leq, pc.poly_compatible
-    for a, b in itertools.combinations(xs, 2):
-        if not compat(a, b):
-            raise ValueError("not pairwise compatible: %r, %r" % (a, b))
-    return [a for a in xs if not any(b != a and leq(a, b) for b in xs)]
 
 
 def _hom_defects(A, B, f):

@@ -328,7 +328,7 @@ class MulTable:
 
     @classmethod
     def from_text(cls, text):
-        rows, nrows, overflow = None, 0, None   # the int32 table, filled row by row
+        rows, nrows, overflow_line = None, 0, None   # the int32 table, filled row by row
         header = None
         names = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -374,16 +374,16 @@ class MulTable:
                 if nrows < len(rows):
                     try:
                         rows[nrows] = row
-                    except OverflowError:  # raised once the table is read, as before
-                        overflow = overflow or row
+                    except OverflowError:  # reported once the table is read
+                        overflow_line = overflow_line or lineno
                 nrows += 1
         if header is None:
             raise TableError("missing header line")
         if nrows != header["m"]:
             raise TableError("expected %d rows, got %d" % (header["m"], nrows))
         _check_size(header["m"])
-        if overflow:
-            np.asarray(overflow, dtype=np.int32)  # the entry int32 cannot hold
+        if overflow_line:
+            raise TableError("line %d: entries must fit in int32" % overflow_line)
         name_list = None
         if names:
             name_list = [names.get(i, "s%d" % i) for i in range(header["m"])]

@@ -208,12 +208,6 @@ def ext_dom(s):
     return ExtPolyElement(s.n, s.r, s.j, poly_dom(s.m), s.j)
 
 
-def ext_ran(s):
-    if ext_is_zero(s):
-        return s
-    return ExtPolyElement(s.n, s.r, s.i, poly_ran(s.m), s.i)
-
-
 def ext_leq(s, t):
     _check_ext(s, t)
     if ext_is_zero(s):

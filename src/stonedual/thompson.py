@@ -19,7 +19,6 @@ import re
 from collections import namedtuple
 
 from . import polycyclic as pc
-from .filtercomp import orthogonalize_poly
 from .finitesgp import InternalError
 from .words import (
     RootedWord,
@@ -65,16 +64,10 @@ def cuntz(n, r, parts):
             raise ValueError(
                 "parameter mismatch: (%d,%d) vs (%d,%d)" % (p.n, p.r, n, r)
             )
-        if pc.ext_is_zero(p):
-            continue
-        if p not in kept:
+        if not pc.ext_is_zero(p):
             kept.append(p)
-    for a, b in itertools.combinations(kept, 2):
-        if not pc.ext_compatible(a, b):
-            raise ValueError(
-                "parts are not pairwise compatible: %s, %s"
-                % (pc.format_ext(a), pc.format_ext(b))
-            )
+    kept = dict.fromkeys(kept)  # input order names the incompatible pair
+    _leaf_map(kept)
     return CuntzElement(n, r, frozenset(kept))
 
 
@@ -87,6 +80,40 @@ def cuntz_one(n, r):
     return cuntz(n, r, [pc.ext(n, r, i, one, i) for i in range(1, r + 1)])
 
 
+def _leaf_map(parts):
+    """Check the parts pairwise for compatibility, in the order given, and
+    return the leaf map of the maximal ones: domain word -> range word.
+
+    Compatible parts with comparable domain words are comparable, and the one
+    with the shorter domain word is the larger.  So in domain order a part
+    lies under another exactly when its domain word extends the domain word
+    of the last part kept.
+    """
+    for a, b in itertools.combinations(parts, 2):
+        if not pc.ext_compatible(a, b):
+            raise ValueError(
+                "parts are not pairwise compatible: %s, %s"
+                % (pc.format_ext(a), pc.format_ext(b))
+            )
+    pairs, last = {}, RootedWord(0, ())  # roots run 1..r: no part is under it
+    for d, w in sorted(
+        (RootedWord(p.j, p.m.x), RootedWord(p.i, p.m.y)) for p in parts
+    ):
+        if (d.root, d.letters[: len(last.letters)]) != last:
+            pairs[d] = w
+            last = d
+    return pairs
+
+
+def _from_leaf_map(n, r, pairs):
+    return CuntzElement(n, r, frozenset(
+        pc.ExtPolyElement(
+            n, r, w.root, pc.PolyElement(n, w.letters, d.letters), d.root
+        )
+        for d, w in pairs
+    ))
+
+
 def cuntz_normalize(x):
     """Rewrite to the normal form: discard parts under other parts, then glue
     complete sibling families until none remain.
@@ -94,44 +121,36 @@ def cuntz_normalize(x):
     The class of the join is unchanged: each original part arrows into the
     normal form and each normal-form part into the original parts.
     """
-    orig = sorted(x.parts, key=_part_key)
-    # orthogonal parts have distinct domain words, so they form a leaf map
-    # from domain words to range words, and a complete sibling family of
-    # parts is a reducible leaf family of that map
-    pairs = {
-        RootedWord(p.j, p.m.x): RootedWord(p.i, p.m.y)
-        for p in orthogonalize_poly(orig)
-    }
+    # the maximal parts are orthogonal, so they have distinct domain words
+    # and a complete sibling family of parts is a reducible leaf family
+    nonzero = [p for p in x.parts if not pc.ext_is_zero(p)]
+    pairs = _leaf_map(sorted(nonzero, key=_part_key))
     while _reduce_once(x.n, pairs):
         pass
-    kept = {
-        pc.ExtPolyElement(
-            x.n, x.r, w.root, pc.PolyElement(x.n, w.letters, d.letters), d.root
-        )
-        for d, w in pairs.items()
-    }
-    return CuntzElement(x.n, x.r, frozenset(kept))
+    return _from_leaf_map(x.n, x.r, pairs.items())
 
 
 def cuntz_mul(x, y):
     _check_pair(x, y)
-    parts = [pc.ext_mul(a, b) for a in x.parts for b in y.parts]
-    return cuntz_normalize(cuntz(x.n, x.r, parts))
+    prods = frozenset(pc.ext_mul(a, b) for a in x.parts for b in y.parts)
+    return cuntz_normalize(CuntzElement(x.n, x.r, prods))
 
 
 def cuntz_inv(x):
-    return cuntz_normalize(cuntz(x.n, x.r, [pc.ext_inv(a) for a in x.parts]))
+    invs = frozenset(map(pc.ext_inv, x.parts))
+    return cuntz_normalize(CuntzElement(x.n, x.r, invs))
 
 
 def cuntz_meet(x, y):
     _check_pair(x, y)
-    parts = [pc.ext_meet(a, b) for a in x.parts for b in y.parts]
-    return cuntz_normalize(cuntz(x.n, x.r, parts))
+    meets = frozenset(pc.ext_meet(a, b) for a in x.parts for b in y.parts)
+    return cuntz_normalize(CuntzElement(x.n, x.r, meets))
 
 
 def cuntz_join(x, y):
     _check_pair(x, y)
-    return cuntz_normalize(cuntz(x.n, x.r, list(x.parts) + list(y.parts)))
+    parts = frozenset([*x.parts, *y.parts])
+    return cuntz_normalize(CuntzElement(x.n, x.r, parts))
 
 
 def cuntz_eq(x, y):
@@ -144,23 +163,23 @@ def cuntz_eq(x, y):
     return cuntz_normalize(x).parts == cuntz_normalize(y).parts
 
 
-def _domain_code(x):
-    return [make_rooted(p.j, p.m.x, x.r, x.n) for p in x.parts]
-
-
-def _range_code(x):
-    return [make_rooted(p.i, p.m.y, x.r, x.n) for p in x.parts]
+def _unit_codes(x):
+    """The domain and range words of the normal form x, in part order, if
+    both are r-rooted maximal prefix codes; else None."""
+    parts = sorted(x.parts, key=_part_key)
+    codes = (
+        [RootedWord(p.j, p.m.x) for p in parts],
+        [RootedWord(p.i, p.m.y) for p in parts],
+    )
+    ok = all(is_rooted_maximal_prefix_code(c, x.n, x.r) for c in codes)
+    return codes if parts and ok else None
 
 
 def is_unit(x):
-    """True iff the domain words and the range words each form an r-rooted
-    maximal prefix code: the element then acts on every long enough word."""
-    x = cuntz_normalize(x)
-    if not x.parts:
-        return False
-    return is_rooted_maximal_prefix_code(
-        _domain_code(x), x.n, x.r
-    ) and is_rooted_maximal_prefix_code(_range_code(x), x.n, x.r)
+    """True iff the domain words and the range words of the normal form each
+    form an r-rooted maximal prefix code: the element then acts on every long
+    enough word."""
+    return _unit_codes(cuntz_normalize(x)) is not None
 
 
 def format_cuntz(x):
@@ -224,28 +243,23 @@ def tp_identity(n, r):
 
 
 def tp_to_unit(g):
-    """The unit with one part per leaf: the leaf's image over the leaf."""
-    parts = []
-    for p in range(len(g.domain)):
-        d = g.domain[p]
-        w = g.range[g.perm[p]]
-        parts.append(
-            pc.ext(g.n, g.r, w.root, pc.poly(g.n, w.letters, d.letters), d.root)
-        )
-    return cuntz_normalize(cuntz(g.n, g.r, parts))
+    """The unit with one part per leaf of the reduced pair: the leaf's image
+    over the leaf.  Its leaves are pairwise orthogonal and leave no family to
+    glue, so these parts are already the normal form."""
+    g = tp_reduce(g)
+    images = (g.range[q] for q in g.perm)
+    return _from_leaf_map(g.n, g.r, zip(g.domain, images))
 
 
 def tp_from_unit(x):
     """Read the codes and the pairing off the parts of a normalized unit."""
     x = cuntz_normalize(x)
-    if not x.parts or not is_unit(x):
+    codes = _unit_codes(x)
+    if codes is None:
         raise ValueError("not a unit")
-    parts = sorted(x.parts, key=_part_key)
-    domain = [RootedWord(p.j, p.m.x) for p in parts]
-    range_ = [RootedWord(p.i, p.m.y) for p in parts]
     # a contractible part family is the same thing as a reducible leaf
     # family, so the tree pair of a normal form is reduced
-    return tree_pair(x.n, x.r, domain, range_, range(len(parts)))
+    return tree_pair(x.n, x.r, *codes, range(len(x.parts)))
 
 
 def _reduce_once(n, pairs):

@@ -223,21 +223,6 @@ def parse_rooted(text, n, r):
     return RootedWord(root, parse_word(body, n).letters)
 
 
-def rooted_prefix_compare(x, y):
-    if x.root != y.root:
-        return PrefixRel(INCOMPARABLE, None)
-    a, b = x.letters, y.letters
-    if a == b:
-        return PrefixRel(EQUAL, ())
-    rem = _strip_prefix(a, b)
-    if rem is not None:
-        return PrefixRel(X_PREFIX_OF_Y, rem)
-    rem = _strip_prefix(b, a)
-    if rem is not None:
-        return PrefixRel(Y_PREFIX_OF_X, rem)
-    return PrefixRel(INCOMPARABLE, None)
-
-
 def is_rooted_maximal_prefix_code(code, n, r):
     """True iff every root 1..r appears and each root's word set is a maximal
     prefix code (the singleton empty word counts)."""

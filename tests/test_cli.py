@@ -191,6 +191,22 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     assert (rc, out, err) == (1, "", "error: duplicate vertex\n")
 
 
+@pytest.mark.parametrize(
+    "unit, message",
+    [
+        ("{(1|a,b|1), (1|a,a|1)}",
+         "parts are not pairwise compatible: (1|a,b|1), (1|a,a|1)"),
+        ("{(1|a,a|1), (1|b,a|1)}",
+         "parts are not pairwise compatible: (1|a,a|1), (1|b,a|1)"),
+        ("{}", "not a unit"),
+    ],
+)
+def test_fromunit_errors_name_the_input_pair(capsys, unit, message):
+    # the witness is the first incompatible pair in the order of the input
+    rc, out, err = run(capsys, ["thompson", "fromunit", unit])
+    assert (rc, out, err) == (1, "", "error: %s\n" % message)
+
+
 DEEP_A = "a" * 3000
 DEEP_PATH = ".".join("a" * 3000)
 
@@ -231,6 +247,10 @@ TABLE2 = "elements 2 zero 0\n0 0\n0 1\n"
         ("elements 2 zero 0 idnt 1\n0 0\n0 1\n", "line 1: bad header"),
         ("elements 2 zero 0\n0 0\n0 x\n", "line 3: entries must be integers"),
         ("# c\nelements two zero 0\n0 0\n0 1\n", "line 2: 'two' is not an integer"),
+        *[
+            ("elements 2 zero 0\n0 0\n0 %s\n" % big, "line 3: entries must fit in int32")
+            for big in ("99999999999999999999", "3000000000", "-3000000000")
+        ],
     ],
 )
 def test_table_parse_errors_name_the_line(capsys, tmp_path, text, message):

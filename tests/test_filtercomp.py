@@ -5,7 +5,6 @@ import pytest
 
 from stonedual import filtercomp as FC
 from stonedual import finitesgp as F
-from stonedual import polycyclic as pc
 import tests_support_tables as TS
 from tests_support_tables import (
     adjoined_z2,
@@ -455,39 +454,6 @@ def test_orthogonalize_preconditions():
         FC.orthogonalize(clifford_witness(), [1])
     with pytest.raises(F.TableError):
         FC.orthogonalize(i2_x_i2(), [0])
-
-
-def test_orthogonalize_poly():
-    aa = pc.parse_poly("a.a^-1", 2)
-    abab = pc.parse_poly("ab.ab^-1", 2)
-    assert FC.orthogonalize_poly([aa, abab]) == [aa]
-    trio = [aa, pc.parse_poly("ba.ba^-1", 2), pc.parse_poly("bb.bb^-1", 2)]
-    assert FC.orthogonalize_poly(trio) == trio
-    assert FC.orthogonalize_poly([]) == []
-    with pytest.raises(ValueError):
-        FC.orthogonalize_poly([pc.parse_poly("a", 2), pc.parse_poly("b", 2)])
-
-
-def test_orthogonalize_poly_rooted():
-    aa = pc.ext_of_poly(pc.parse_poly("a.a^-1", 2), r=2, i=1, j=1)
-    abab = pc.ext_of_poly(pc.parse_poly("ab.ab^-1", 2), r=2, i=1, j=1)
-    other = pc.ext_of_poly(pc.parse_poly("b.b^-1", 2), r=2, i=2, j=2)
-    assert FC.orthogonalize_poly([abab, aa, other]) == [aa, other]
-
-
-def test_orthogonalize_poly_random_downset_preserved():
-    # fuzz: random compatible families keep the same lower bounds
-    rng = random.Random(11)
-    for _ in range(200):
-        w = [rng.randrange(2) for _ in range(rng.randrange(4))]
-        fam = []
-        for cut in range(len(w) + 1):
-            e = tuple(w[:cut])
-            fam.append(pc.poly(2, e, e))
-        rng.shuffle(fam)
-        kept = FC.orthogonalize_poly(fam)
-        assert len(kept) == 1  # a chain keeps only its top
-        assert all(pc.poly_leq(x, kept[0]) for x in fam)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The library states its invariants with raises that survive python -O."""
+"""The library states its invariants with raises that survive python -O, and
+its element layers do not import the table layers built on them."""
 
 import ast
 import pathlib
@@ -20,4 +21,24 @@ def test_library_has_no_assert():
                     found.append("%s:%d raise" % (path.name, node.lineno))
             elif isinstance(node, ast.Assert):
                 found.append("%s:%d assert" % (path.name, node.lineno))
+    assert found == []
+
+
+def test_element_layers_do_not_import_table_layers():
+    # words, elements and the Cuntz layer sit below the completion and the
+    # duality of finite tables; finitesgp.InternalError is the one import
+    # the Cuntz layer takes from the table side
+    found = []
+    for name in ("words", "polycyclic", "graphisg", "thompson"):
+        path = SRC / ("%s.py" % name)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                targets = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                targets = [a.name for a in node.names]
+            else:
+                continue
+            for target in targets:
+                if target.rsplit(".", 1)[-1] in ("filtercomp", "duality"):
+                    found.append("%s:%d %s" % (path.name, node.lineno, target))
     assert found == []

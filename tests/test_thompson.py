@@ -249,6 +249,53 @@ def test_normalize_unique_across_representatives():
             assert th.cuntz_normalize(y).parts == base
 
 
+def ext1(text, r=1, root=1):
+    return pc.ext_of_poly(pc.parse_poly(text, 2), r=r, i=root, j=root)
+
+
+def normal_parts(parts, r=1):
+    return th.cuntz_normalize(th.cuntz(2, r, parts)).parts
+
+
+def test_normalize_keeps_the_maximal_parts():
+    aa, abab = ext1("a.a^-1"), ext1("ab.ab^-1")
+    assert normal_parts([aa, abab]) == {aa}
+    # orthogonal and nothing to glue: every part stays
+    trio = [aa, ext1("ba.bb^-1"), ext1("bb.ba^-1")]
+    assert normal_parts(trio) == set(trio)
+    assert normal_parts([]) == frozenset()
+    # a zero part, which products leave, adds nothing to the join
+    zero = pc.ext_zero(2, 1)
+    for parts in ([zero], [zero, aa]):
+        raw = th.CuntzElement(2, 1, frozenset(parts))
+        assert th.cuntz_normalize(raw).parts == set(parts) - {zero}
+    raw = th.CuntzElement(2, 1, frozenset([ext1("a"), ext1("b")]))
+    with pytest.raises(ValueError, match="not pairwise compatible"):
+        th.cuntz_normalize(raw)
+
+
+def test_normalize_keeps_the_maximal_parts_rooted():
+    aa, abab = ext1("a.a^-1", 2), ext1("ab.ab^-1", 2)
+    other = ext1("b.b^-1", 2, 2)
+    assert normal_parts([abab, aa, other], 2) == {aa, other}
+
+
+def test_normalize_keeps_the_top_of_a_chain():
+    # fuzz: a chain of restrictions of one part keeps only its top, and the
+    # top lies over every member
+    rng = random.Random(11)
+    for n, r in PARAMS:
+        for _ in range(50):
+            w = [rng.randrange(n) for _ in range(rng.randrange(4))]
+            root = rng.randrange(1, r + 1)
+            top = pc.ext(n, r, root, pc.poly(n, (), ()), root)
+            fam = [restricted(top, tuple(w[:cut])) for cut in range(len(w) + 1)]
+            rng.shuffle(fam)
+            kept = th.cuntz_normalize(th.cuntz(n, r, fam)).parts
+            assert kept == {top}
+            assert all(pc.ext_leq(x, top) for x in fam)
+
+
 def test_normalize_rejects_incompatible_raw_parts():
     raw = th.CuntzElement(
         2, 1, frozenset([part("a.b^-1"), part("a.a^-1")])
@@ -516,6 +563,8 @@ def test_tp_reduce_removes_aligned_expansion():
             assert blown != g
             assert th.tp_reduce(blown) == g
             assert th.tp_eq(blown, g)
+            # the unit of a pair is read off its reduced pair
+            assert th.tp_to_unit(blown).parts == th.tp_to_unit(g).parts
 
 
 def test_tp_inv_is_an_involution():
@@ -593,5 +642,31 @@ def test_operations_preserve_rooted_codes():
                 assert is_rooted_maximal_prefix_code(list(out.domain), n, r)
                 assert is_rooted_maximal_prefix_code(list(out.range), n, r)
             u = th.tp_to_unit(g)
-            assert is_rooted_maximal_prefix_code(th._domain_code(u), n, r)
-            assert is_rooted_maximal_prefix_code(th._range_code(u), n, r)
+            domain = [RootedWord(p.j, p.m.x) for p in u.parts]
+            range_ = [RootedWord(p.i, p.m.y) for p in u.parts]
+            assert is_rooted_maximal_prefix_code(domain, n, r)
+            assert is_rooted_maximal_prefix_code(range_, n, r)
+
+
+def test_each_product_is_scanned_once(monkeypatch, theorem_checks_off):
+    # the normalizer's pairwise scan is the only compatibility check of a
+    # product, and a reduced tree pair is a normal form without one
+    calls = []
+    compatible = pc.ext_compatible
+
+    def counted(a, b):
+        calls.append((a, b))
+        return compatible(a, b)
+
+    monkeypatch.setattr(pc, "ext_compatible", counted)
+    rng = random.Random(58)
+    for n, r in PARAMS:
+        for _ in range(5):
+            g = random_tree_pair(n, r, rng, rng.randrange(1, 5))
+            h = random_tree_pair(n, r, rng, rng.randrange(1, 5))
+            xg, xh = th.tp_to_unit(g), th.tp_to_unit(h)
+            assert calls == []
+            k = len(set(nonzero_products(xg, xh, pc.ext_mul)))
+            th.cuntz_mul(xg, xh)
+            assert len(calls) <= k * (k - 1) // 2
+            calls.clear()
