@@ -68,6 +68,8 @@ def cmd_mpc(args):
     records, lines = [], []
     for root in range(1, r + 1):
         ws = [wd.Word(n, w.letters) for w in code if w.root == root]
+        if not ws:
+            raise ValueError("empty code at root %d" % root)
         total = wd.kraft_sum(ws, n)
         records.append({"op": "mpc.kraft", "root": root, "sum": str(total)})
         if r == 1:

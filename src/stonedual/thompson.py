@@ -2,18 +2,21 @@
 
 An element of C_{n,r} is stored as a finite set of pairwise compatible
 nonzero extended polycyclic elements over (n, r), read as the join of its
-parts.  Normalization discards parts lying under other parts and glues every
-complete sibling family, leaving the unique orthogonal form with nothing
-left to glue; equality of elements is equality of normal forms, which agrees
-with the arrow test on generating sets.
+parts.  Units, the elements whose domain and range words form r-rooted
+maximal prefix codes, are also handled as tree pairs (two codes plus a
+pairing), the classical presentation of the Thompson-Higman groups G_{n,r}.
 
-Units are the elements whose domain and range words form r-rooted maximal
-prefix codes.  They are also handled as tree pairs (two codes plus a pairing),
-the classical presentation of the Thompson-Higman groups G_{n,r}; reduced
-tree pairs and normalized units are two views of the same data, and the
-conversion functions are mutually inverse on those.
+Both views compute on one internal form, the leaf map {domain word: range
+word}.  The leaf map of an element is that of its maximal parts, which are
+orthogonal, with every complete sibling family glued: the unique orthogonal
+form with nothing left to glue, so equality of elements is equality of leaf
+maps, which agrees with the arrow test on generating sets.  The leaf map of
+a reduced tree pair is the same data.  Products compose leaf maps, inverses
+swap them and reduction glues them, whichever view they come from; each
+tree pair is built, and its codes checked, once.
 """
 
+import bisect
 import itertools
 import re
 from collections import namedtuple
@@ -38,9 +41,71 @@ def _part_key(p):
 
 def _check_pair(x, y):
     if (x.n, x.r) != (y.n, y.r):
-        raise ValueError(
-            "parameter mismatch: (%d,%d) vs (%d,%d)" % (x.n, x.r, y.n, y.r)
-        )
+        raise ValueError("parameter mismatch: (%d,%d) vs (%d,%d)"
+                         % (x.n, x.r, y.n, y.r))
+
+
+# ---------------------------------------------------------------------------
+# leaf maps {domain word: range word} between r-rooted prefix codes
+
+
+def _glued(n, pairs):
+    """Glue, in place, every sibling family carried letter by letter onto a
+    sibling family until none is left; families never share a leaf, so one
+    sweep glues all that are present."""
+    while True:
+        fams = {}
+        for d, w in pairs.items():
+            if d.letters and w.letters and d.letters[-1] == w.letters[-1]:
+                key = (d.root, d.letters[:-1], w.root, w.letters[:-1])
+                fams.setdefault(key, set()).add(d.letters[-1])
+        full = [key for key, ks in fams.items() if len(ks) == n]
+        if not full:
+            return pairs
+        for dr, du, wr, wv in full:
+            for k in range(n):
+                del pairs[RootedWord(dr, du + (k,))]
+            pairs[RootedWord(dr, du)] = RootedWord(wr, wv)
+
+
+def _tail(w, v):
+    """The letters v adds to w if v extends w, else None."""
+    if w.root == v.root and v.letters[: len(w.letters)] == w.letters:
+        return v.letters[len(w.letters):]
+    return None
+
+
+def _compose(outer, inner):
+    """The leaf map of outer after inner, for maps between prefix codes.
+
+    An image z of inner meets either the one leaf of outer above it, which
+    sits just before z in outer's sorted domain code, or the leaves below it,
+    which follow z there.  Each meeting gives one composite leaf: the
+    nonzero products of the parts the two maps stand for.
+    """
+    keys, pairs = sorted(outer), {}
+    for d, z in inner.items():
+        i = bisect.bisect_left(keys, z)
+        tail = _tail(keys[i - 1], z) if i else None
+        if tail is not None:
+            w = outer[keys[i - 1]]
+            meets = [(d, RootedWord(w.root, w.letters + tail))]
+        else:
+            meets = []
+            while i < len(keys) and _tail(z, keys[i]) is not None:
+                tail = keys[i].letters[len(z.letters):]
+                meets.append((RootedWord(d.root, d.letters + tail), outer[keys[i]]))
+                i += 1
+        for c, w in meets:
+            # both codes are prefix codes, so each composite leaf arises once
+            if c in pairs:
+                raise InternalError("composite leaf %r arises twice" % (c,))
+            pairs[c] = w
+    return pairs
+
+
+def _swap(pairs):
+    return {w: d for d, w in pairs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +125,7 @@ def cuntz(n, r, parts):
     for p in parts:
         if not isinstance(p, pc.ExtPolyElement):
             raise TypeError("parts must be extended polycyclic elements")
-        if (p.n, p.r) != (n, r):
-            raise ValueError(
-                "parameter mismatch: (%d,%d) vs (%d,%d)" % (p.n, p.r, n, r)
-            )
+        _check_pair(p, CuntzElement(n, r, ()))
         if not pc.ext_is_zero(p):
             kept.append(p)
     kept = dict.fromkeys(kept)  # input order names the incompatible pair
@@ -91,10 +153,8 @@ def _leaf_map(parts):
     """
     for a, b in itertools.combinations(parts, 2):
         if not pc.ext_compatible(a, b):
-            raise ValueError(
-                "parts are not pairwise compatible: %s, %s"
-                % (pc.format_ext(a), pc.format_ext(b))
-            )
+            raise ValueError("parts are not pairwise compatible: %s, %s"
+                             % (pc.format_ext(a), pc.format_ext(b)))
     pairs, last = {}, RootedWord(0, ())  # roots run 1..r: no part is under it
     for d, w in sorted(
         (RootedWord(p.j, p.m.x), RootedWord(p.i, p.m.y)) for p in parts
@@ -105,13 +165,18 @@ def _leaf_map(parts):
     return pairs
 
 
+def _normal(x):
+    """The leaf map of the normal form of x: its maximal parts, which are
+    orthogonal, so that a complete sibling family of parts is a reducible
+    leaf family, glued until none remain."""
+    nonzero = [p for p in x.parts if not pc.ext_is_zero(p)]
+    return _glued(x.n, _leaf_map(sorted(nonzero, key=_part_key)))
+
+
 def _from_leaf_map(n, r, pairs):
     return CuntzElement(n, r, frozenset(
-        pc.ExtPolyElement(
-            n, r, w.root, pc.PolyElement(n, w.letters, d.letters), d.root
-        )
-        for d, w in pairs
-    ))
+        pc.ExtPolyElement(n, r, w.root, pc.PolyElement(n, w.letters, d.letters), d.root)
+        for d, w in pairs.items()))
 
 
 def cuntz_normalize(x):
@@ -121,24 +186,20 @@ def cuntz_normalize(x):
     The class of the join is unchanged: each original part arrows into the
     normal form and each normal-form part into the original parts.
     """
-    # the maximal parts are orthogonal, so they have distinct domain words
-    # and a complete sibling family of parts is a reducible leaf family
-    nonzero = [p for p in x.parts if not pc.ext_is_zero(p)]
-    pairs = _leaf_map(sorted(nonzero, key=_part_key))
-    while _reduce_once(x.n, pairs):
-        pass
-    return _from_leaf_map(x.n, x.r, pairs.items())
+    return _from_leaf_map(x.n, x.r, _normal(x))
 
 
 def cuntz_mul(x, y):
+    # the composite leaves of the normal forms are orthogonal, so gluing
+    # leaves the normal form of the product
     _check_pair(x, y)
-    prods = frozenset(pc.ext_mul(a, b) for a in x.parts for b in y.parts)
-    return cuntz_normalize(CuntzElement(x.n, x.r, prods))
+    pairs = _compose(_normal(x), _normal(y))
+    return _from_leaf_map(x.n, x.r, _glued(x.n, pairs))
 
 
 def cuntz_inv(x):
-    invs = frozenset(map(pc.ext_inv, x.parts))
-    return cuntz_normalize(CuntzElement(x.n, x.r, invs))
+    # the swapped map of a normal form has nothing to glue either
+    return _from_leaf_map(x.n, x.r, _swap(_normal(x)))
 
 
 def cuntz_meet(x, y):
@@ -160,26 +221,18 @@ def cuntz_eq(x, y):
     test in both directions.
     """
     _check_pair(x, y)
-    return cuntz_normalize(x).parts == cuntz_normalize(y).parts
-
-
-def _unit_codes(x):
-    """The domain and range words of the normal form x, in part order, if
-    both are r-rooted maximal prefix codes; else None."""
-    parts = sorted(x.parts, key=_part_key)
-    codes = (
-        [RootedWord(p.j, p.m.x) for p in parts],
-        [RootedWord(p.i, p.m.y) for p in parts],
-    )
-    ok = all(is_rooted_maximal_prefix_code(c, x.n, x.r) for c in codes)
-    return codes if parts and ok else None
+    return _normal(x) == _normal(y)
 
 
 def is_unit(x):
-    """True iff the domain words and the range words of the normal form each
-    form an r-rooted maximal prefix code: the element then acts on every long
-    enough word."""
-    return _unit_codes(cuntz_normalize(x)) is not None
+    """True iff x^-1 x = 1 = x x^-1.  These are the identities on the domain
+    words and on the range words of the normal form, so x is a unit iff each
+    set of words glues down to the r roots, that is, iff each is an r-rooted
+    maximal prefix code: x then acts on every long enough word."""
+    pairs = _normal(x)
+    one = {RootedWord(i, ()): RootedWord(i, ()) for i in range(1, x.r + 1)}
+    codes = (list(pairs), list(pairs.values()))
+    return all(_glued(x.n, dict(zip(ws, ws))) == one for ws in codes)
 
 
 def format_cuntz(x):
@@ -208,8 +261,7 @@ def tree_pair(n, r, domain, range_, perm):
     rewired to match.  Construction does not reduce; tp_reduce does."""
     if n < 2:
         raise ValueError("alphabet size must be >= 2")
-    domain = list(domain)
-    range_ = list(range_)
+    domain, range_ = list(domain), list(range_)
     for w in domain + range_:
         if not isinstance(w, RootedWord):
             raise TypeError("codes must consist of rooted words")
@@ -225,16 +277,19 @@ def tree_pair(n, r, domain, range_, perm):
         raise ValueError("domain code is not an r-rooted maximal prefix code")
     if not is_rooted_maximal_prefix_code(range_, n, r):
         raise ValueError("range code is not an r-rooted maximal prefix code")
-    dorder = sorted(range(k), key=lambda p: domain[p])
-    rorder = sorted(range(k), key=lambda q: range_[q])
-    rpos = {old: new for new, old in enumerate(rorder)}
-    return TreePair(
-        n,
-        r,
-        tuple(domain[p] for p in dorder),
-        tuple(range_[q] for q in rorder),
-        tuple(rpos[perm[p]] for p in dorder),
-    )
+    pairs = {d: range_[q] for d, q in zip(domain, perm)}
+    domain, range_ = sorted(domain), sorted(range_)
+    pos = {w: q for q, w in enumerate(range_)}
+    return TreePair(n, r, tuple(domain), tuple(range_),
+                    tuple(pos[pairs[d]] for d in domain))
+
+
+def _tree_pair_of(n, r, pairs):
+    return tree_pair(n, r, pairs, pairs.values(), range(len(pairs)))
+
+
+def _pairs(g):
+    return {d: g.range[q] for d, q in zip(g.domain, g.perm)}
 
 
 def tp_identity(n, r):
@@ -246,99 +301,36 @@ def tp_to_unit(g):
     """The unit with one part per leaf of the reduced pair: the leaf's image
     over the leaf.  Its leaves are pairwise orthogonal and leave no family to
     glue, so these parts are already the normal form."""
-    g = tp_reduce(g)
-    images = (g.range[q] for q in g.perm)
-    return _from_leaf_map(g.n, g.r, zip(g.domain, images))
+    return _from_leaf_map(g.n, g.r, _glued(g.n, _pairs(g)))
 
 
 def tp_from_unit(x):
-    """Read the codes and the pairing off the parts of a normalized unit."""
-    x = cuntz_normalize(x)
-    codes = _unit_codes(x)
-    if codes is None:
-        raise ValueError("not a unit")
-    # a contractible part family is the same thing as a reducible leaf
-    # family, so the tree pair of a normal form is reduced
-    return tree_pair(x.n, x.r, *codes, range(len(x.parts)))
-
-
-def _reduce_once(n, pairs):
-    """Collapse every sibling family carried letter by letter onto a sibling
-    family; families never share a leaf, so one sweep applies them all."""
-    fams = {}
-    for d, w in pairs.items():
-        if d.letters and w.letters and d.letters[-1] == w.letters[-1]:
-            key = (d.root, d.letters[:-1], w.root, w.letters[:-1])
-            fams.setdefault(key, set()).add(d.letters[-1])
-    changed = False
-    for (dr, du, wr, wv), ks in fams.items():
-        if len(ks) < n:
-            continue
-        for k in range(n):
-            del pairs[RootedWord(dr, du + (k,))]
-        pairs[RootedWord(dr, du)] = RootedWord(wr, wv)
-        changed = True
-    return changed
+    """Read the codes and the pairing off the normal form of a unit.  A
+    contractible part family is the same thing as a reducible leaf family,
+    so the tree pair of a normal form is reduced."""
+    try:
+        return _tree_pair_of(x.n, x.r, _normal(x))
+    except ValueError:
+        raise ValueError("not a unit") from None
 
 
 def tp_reduce(g):
-    pairs = {g.domain[p]: g.range[g.perm[p]] for p in range(len(g.perm))}
-    while _reduce_once(g.n, pairs):
-        pass
-    domain = sorted(pairs)
-    return tree_pair(
-        g.n, g.r, domain, [pairs[d] for d in domain], range(len(domain))
-    )
+    return _tree_pair_of(g.n, g.r, _glued(g.n, _pairs(g)))
 
 
 def tp_inv(g):
-    k = len(g.perm)
-    inv = [0] * k
-    for p in range(k):
-        inv[g.perm[p]] = p
-    return tree_pair(g.n, g.r, g.range, g.domain, inv)
+    return _tree_pair_of(g.n, g.r, _swap(_pairs(g)))
 
 
 def tp_mul(g, h):
-    """Compose, right factor first: the product sends w through h, then g.
-
-    The two middle codes are refined only where they disagree: each h-image
-    comparable with a g-leaf contributes one composite leaf.
-    """
+    """Compose, right factor first: the product sends w through h, then g."""
     _check_pair(g, h)
-    pairs = {}
-    for p in range(len(h.domain)):
-        z = h.range[h.perm[p]]
-        for q in range(len(g.domain)):
-            w = g.domain[q]
-            if z.root != w.root:
-                continue
-            if w.letters[: len(z.letters)] == z.letters:
-                tail = w.letters[len(z.letters):]
-                d = RootedWord(h.domain[p].root, h.domain[p].letters + tail)
-                img = g.range[g.perm[q]]
-            elif z.letters[: len(w.letters)] == w.letters:
-                tail = z.letters[len(w.letters):]
-                d = h.domain[p]
-                img = RootedWord(
-                    g.range[g.perm[q]].root, g.range[g.perm[q]].letters + tail
-                )
-            else:
-                continue
-            # both codes are prefix codes, so each composite leaf arises once
-            if d in pairs:
-                raise InternalError("composite leaf %r arises twice" % (d,))
-            pairs[d] = img
-    domain = sorted(pairs)
-    out = tree_pair(
-        g.n, g.r, domain, [pairs[d] for d in domain], range(len(domain))
-    )
-    return tp_reduce(out)
+    return _tree_pair_of(g.n, g.r, _glued(g.n, _compose(_pairs(g), _pairs(h))))
 
 
 def tp_eq(g, h):
     _check_pair(g, h)
-    return tp_reduce(g) == tp_reduce(h)
+    return _glued(g.n, _pairs(g)) == _glued(h.n, _pairs(h))
 
 
 def format_tree_pair(g):
@@ -354,8 +346,5 @@ def parse_tree_pair(text, n, r):
         raise ValueError("cannot parse tree pair %r" % (text,))
     domain = [parse_rooted(t, n, r) for t in m.group(1).split(",")]
     range_ = [parse_rooted(t, n, r) for t in m.group(2).split(",")]
-    if m.group(3).strip():
-        perm = [int(t) for t in m.group(3).split(",")]
-    else:
-        perm = []
+    perm = [int(t) for t in m.group(3).split(",")] if m.group(3).strip() else []
     return tree_pair(n, r, domain, range_, perm)

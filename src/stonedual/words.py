@@ -53,9 +53,11 @@ def format_word(w, n=None):
 
 
 def parse_word(text, n):
-    """Inverse of format_word. '1' is the empty word."""
+    """Inverse of format_word. '1' is the empty word, and its only spelling."""
     text = text.strip()
-    if text == "1" or text == "":
+    if not text:
+        raise ValueError("empty word literal %r: write the empty word as 1" % (text,))
+    if text == "1":
         return make_word(n, ())
     if n <= 26:
         pat = re.compile(r"[a-z]")
@@ -220,6 +222,8 @@ def parse_rooted(text, n, r):
         body = text
     if not 1 <= root <= r:
         raise ValueError("root %d out of range 1..%d" % (root, r))
+    if not body.strip():
+        raise ValueError("empty word literal %r: write the empty word as 1" % (text,))
     return RootedWord(root, parse_word(body, n).letters)
 
 

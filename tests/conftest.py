@@ -22,6 +22,7 @@ from stonedual import filtercomp as FC
 from stonedual import finitesgp as F
 from stonedual import polycyclic as pc
 from stonedual import thompson as TH
+from stonedual import words as wd
 import tests_support_tables as TS
 from tests_support_tables import principal_congruence
 
@@ -366,6 +367,37 @@ def check_cuntz_normalize(x, nf):
     assert all(pc.ext_lenz_arrow(b, x.parts) for b in nf.parts)
 
 
+def _check_against_parts(x, parts, result):
+    # the reference route: normalize the nonzero part set
+    nonzero = [a for a in parts if not pc.ext_is_zero(a)]
+    raw = TH.CuntzElement(x.n, x.r, frozenset(nonzero))
+    check_cuntz_normalize(raw, result)
+    with RECHECKER.unchecked():
+        assert TH.cuntz_normalize(raw).parts == result.parts
+
+
+def check_cuntz_mul(x, y, xy):
+    # the product of two joins is the join of the products of their parts
+    _check_against_parts(x, [pc.ext_mul(a, b) for a in x.parts for b in y.parts], xy)
+
+
+def check_cuntz_inv(x, inv):
+    _check_against_parts(x, [pc.ext_inv(a) for a in x.parts], inv)
+
+
+def check_is_unit(x, unit):
+    # a set of words glues down to the roots iff it is an r-rooted maximal
+    # prefix code; the codes are read off the parts of the normal form
+    with RECHECKER.unchecked():
+        parts = TH.cuntz_normalize(x).parts
+    codes = (
+        [wd.RootedWord(p.j, p.m.x) for p in parts],
+        [wd.RootedWord(p.i, p.m.y) for p in parts],
+    )
+    full = all(wd.is_rooted_maximal_prefix_code(c, x.n, x.r) for c in codes)
+    assert unit == (bool(parts) and full)
+
+
 def check_cuntz_eq(x, y, same):
     with RECHECKER.unchecked():
         nx, ny = TH.cuntz_normalize(x), TH.cuntz_normalize(y)
@@ -412,7 +444,10 @@ RECHECKS = [
     (D, "classify_symmetric", check_classify_symmetric),
     (D, "principal_criterion", check_principal_criterion),
     (TH, "cuntz_normalize", check_cuntz_normalize),
+    (TH, "cuntz_mul", check_cuntz_mul),
+    (TH, "cuntz_inv", check_cuntz_inv),
     (TH, "cuntz_eq", check_cuntz_eq),
+    (TH, "is_unit", check_is_unit),
     (TH, "tp_to_unit", check_tp_to_unit),
     (TH, "tp_from_unit", check_tp_from_unit),
 ]

@@ -207,6 +207,33 @@ def test_fromunit_errors_name_the_input_pair(capsys, unit, message):
     assert (rc, out, err) == (1, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize(
+    "argv, literal",
+    [
+        (["poly", "mul", "-n", "2", "", "a"], "''"),
+        (["poly", "leq", "-n", "2", "a", "  "], "''"),
+        (["mpc", "check", "-n", "2", "a,,b"], "''"),
+        (["mpc", "kraft", "-n", "2", "-r", "2", "r1:a,r1:b,r2:"], "'r2:'"),
+        (["thompson", "reduce", "-n", "2", "{a,}->{a,b}:perm=[0,1]"], "''"),
+        (["thompson", "inv", "-n", "2", "-r", "2",
+          "{r1:,r2:}->{r1:,r2:}:perm=[0,1]"], "'r1:'"),
+    ],
+    ids=["poly", "poly-blank", "mpc", "mpc-root", "tree-pair", "tree-pair-root"],
+)
+def test_empty_word_has_one_spelling(capsys, argv, literal):
+    # 1 is the only spelling of the empty word: a blank one is named
+    rc, out, err = run(capsys, argv)
+    message = "error: empty word literal %s: write the empty word as 1\n" % literal
+    assert (rc, out, err) == (1, "", message)
+
+
+def test_kraft_names_the_empty_root(capsys):
+    rc, out, err = run(capsys, ["mpc", "kraft", "-n", "2", "-r", "2", "r1:a,r1:b"])
+    assert (rc, out, err) == (1, "", "error: empty code at root 2\n")
+    rc, out, err = run(capsys, ["mpc", "kraft", "-n", "2", "-r", "2", "r2:a,r2:b"])
+    assert (rc, out, err) == (1, "", "error: empty code at root 1\n")
+
+
 DEEP_A = "a" * 3000
 DEEP_PATH = ".".join("a" * 3000)
 

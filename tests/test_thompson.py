@@ -13,6 +13,7 @@ Independent oracles, defined before use:
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -648,9 +649,10 @@ def test_operations_preserve_rooted_codes():
             assert is_rooted_maximal_prefix_code(range_, n, r)
 
 
-def test_each_product_is_scanned_once(monkeypatch, theorem_checks_off):
-    # the normalizer's pairwise scan is the only compatibility check of a
-    # product, and a reduced tree pair is a normal form without one
+def test_each_factor_is_scanned_once(monkeypatch, theorem_checks_off):
+    # the product composes the leaf maps of the factors, so the pairwise
+    # compatibility scan runs once on each factor and never on a product,
+    # and a reduced tree pair is a normal form without one
     calls = []
     compatible = pc.ext_compatible
 
@@ -666,7 +668,43 @@ def test_each_product_is_scanned_once(monkeypatch, theorem_checks_off):
             h = random_tree_pair(n, r, rng, rng.randrange(1, 5))
             xg, xh = th.tp_to_unit(g), th.tp_to_unit(h)
             assert calls == []
-            k = len(set(nonzero_products(xg, xh, pc.ext_mul)))
-            th.cuntz_mul(xg, xh)
-            assert len(calls) <= k * (k - 1) // 2
+            for x, y in ((xg, xh), (random_element(n, r, rng), xh)):
+                calls.clear()
+                th.cuntz_mul(x, y)
+                scans = [pair for z in (x, y)
+                         for pair in itertools.combinations(z.parts, 2)]
+                assert Counter(map(frozenset, calls)) == Counter(
+                    map(frozenset, scans))
             calls.clear()
+
+
+def test_each_tree_pair_is_checked_once(monkeypatch, theorem_checks_off):
+    # tree_pair checks both codes of the one pair an operation builds; a
+    # unit and an equality of units need no pair at all
+    calls = []
+    is_code = th.is_rooted_maximal_prefix_code
+
+    def counted(code, n, r):
+        calls.append(code)
+        return is_code(code, n, r)
+
+    rng = random.Random(59)
+    for n, r in PARAMS:
+        for _ in range(5):
+            g = random_tree_pair(n, r, rng, rng.randrange(0, 5))
+            h = random_tree_pair(n, r, rng, rng.randrange(0, 5))
+            x = th.tp_to_unit(g)
+            y = th.cuntz_mul(x, th.tp_to_unit(h))
+            monkeypatch.setattr(th, "is_rooted_maximal_prefix_code", counted)
+            for op, args, count in [
+                (th.tp_mul, (g, h), 2),
+                (th.tp_inv, (g,), 2),
+                (th.tp_reduce, (g,), 2),
+                (th.tp_from_unit, (y,), 2),
+                (th.tp_to_unit, (g,), 0),
+                (th.cuntz_eq, (x, y), 0),
+            ]:
+                calls.clear()
+                op(*args)
+                assert len(calls) == count, op.__name__
+            monkeypatch.undo()
