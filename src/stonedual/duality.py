@@ -13,7 +13,7 @@ exactly when it is a fundamental 0-simplifying Boolean inverse meet-monoid.
 import numpy as np
 
 from . import finitesgp as F
-from .finitesgp import InternalError, TableError, _check_size, _first_failure
+from .finitesgp import InternalError, TableError, _check_size, _first_failure, _hom_defects
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +398,7 @@ def duality_roundtrip(S):
     table, or (False, witness) naming the first failure.  The round trip
     succeeds exactly on Boolean inverse meet-semigroups."""
     B, _, phi = _minimal_bisections(S)
-    arr = np.array(phi)
-    fail = _first_failure(B.T[arr[:, None], arr] != arr[S.T])
+    fail = _first_failure(_hom_defects(S, B, phi))
     if fail is not None:
         s, t = fail[1]
         return False, "V_%s V_%s != V_%s" % (

@@ -23,6 +23,7 @@ from .finitesgp import (
     _distributive,
     _e_star_unitary,
     _first_failure,
+    _hom_defects,
     _join_table,
     _meet_semigroup,
     _meet_table,
@@ -240,12 +241,6 @@ def orthogonalize(S, X):
                 "not pairwise compatible: %s, %s" % (S.name(a), S.name(b))
             )
     return [a for a in xs if not any(b != a and S.leq(a, b) for b in xs)]
-
-
-def _hom_defects(A, B, f):
-    """defects[a, b]: f(a b) != f(a) f(b), for f listing a B index per A element."""
-    f = np.asarray(f)
-    return f[A.T] != B.T[f[:, None], f]
 
 
 def check_universal_property(S, T, theta):

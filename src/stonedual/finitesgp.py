@@ -62,6 +62,12 @@ def _first_failure(*masks):
     return next(k for k, mask in enumerate(masks) if mask[at]), at
 
 
+def _hom_defects(A, B, f):
+    """defects[a, b]: f(a b) != f(a) f(b), for f listing a B index per A element."""
+    f = np.asarray(f)
+    return f[A.T] != B.T[f[:, None], f]
+
+
 def _semigroup_generators(arr, widest=True):
     """Greedy generating set: closure is computed with the table's own product,
     so every member of the closure is some bracketed product of generators.

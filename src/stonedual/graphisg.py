@@ -2,26 +2,22 @@
 vertex, multiplied by the prefix three-case rule.
 
 A nonzero element (u, v) stands for u v^-1, the partial map sending paths that
-extend v to the corresponding extension of u. This module holds the
-primitives; meet, compatibility, orthogonality and the arrow decision are the
-shared ones of `words.element_ops`. The underlying graph may have sources
-(in-degree 0 vertices), and the extension tree of the arrow decision then has
-dead branches.
+extend v to the corresponding extension of u. On the rose, one vertex with n
+loops, this is P_n, and the primitives run P_n's rule on edge tuples. Meet,
+compatibility, orthogonality and the arrow decision are the shared ones of
+`words.element_ops`. The underlying graph may have sources (in-degree 0
+vertices), and the extension tree of the arrow decision then has dead branches.
 """
 
 from collections import namedtuple
 
 from .words import (
-    EQUAL,
-    INCOMPARABLE,
-    X_PREFIX_OF_Y,
+    _strip_prefix,
     element_ops,
     format_path,
     make_path,
     parse_path,
-    path_compose,
     path_dom,
-    path_prefix_compare,
 )
 
 GraphISGElement = namedtuple("GraphISGElement", ["graph", "u", "v"])
@@ -57,16 +53,17 @@ def _check_graph(s, t):
 
 def gisg_mul(s, t):
     _check_graph(s, t)
-    if gisg_is_zero(s) or gisg_is_zero(t):
+    if gisg_is_zero(s) or gisg_is_zero(t) or s.v.anchor != t.u.anchor:
         return gisg_zero(s.graph)
-    rel = path_prefix_compare(s.v, t.u)
-    if rel.kind == INCOMPARABLE:
-        return gisg_zero(s.graph)
-    if rel.kind in (EQUAL, X_PREFIX_OF_Y):
-        # t.u = s.v . z : slide z over to the range side
-        return GraphISGElement(s.graph, path_compose(s.u, rel.remainder), t.v)
-    # s.v = t.u . z : slide z onto the domain side
-    return GraphISGElement(s.graph, s.u, path_compose(t.v, rel.remainder))
+    z = _strip_prefix(s.v.edges, t.u.edges)
+    if z is not None:
+        # t.u = s.v z: slide z over to the range side
+        return GraphISGElement(s.graph, s.u._replace(edges=s.u.edges + z), t.v)
+    z = _strip_prefix(t.u.edges, s.v.edges)
+    if z is not None:
+        # s.v = t.u z: slide z onto the domain side
+        return GraphISGElement(s.graph, s.u, t.v._replace(edges=t.v.edges + z))
+    return gisg_zero(s.graph)
 
 
 def gisg_inv(s):
@@ -97,13 +94,10 @@ def gisg_leq(s, t):
         return True
     if gisg_is_zero(t):
         return False
-    rel_u = path_prefix_compare(t.u, s.u)
-    if rel_u.kind not in (EQUAL, X_PREFIX_OF_Y):
+    if s.u.anchor != t.u.anchor or s.v.anchor != t.v.anchor:
         return False
-    rel_v = path_prefix_compare(t.v, s.v)
-    if rel_v.kind not in (EQUAL, X_PREFIX_OF_Y):
-        return False
-    return rel_u.remainder.edges == rel_v.remainder.edges
+    z = _strip_prefix(t.u.edges, s.u.edges)
+    return z is not None and s.v.edges == t.v.edges + z
 
 
 def gisg_act(s, p):
@@ -112,10 +106,8 @@ def gisg_act(s, p):
         return None
     if s.graph is not p.graph:
         raise ValueError("path from a different graph")
-    rel = path_prefix_compare(s.v, p)
-    if rel.kind in (EQUAL, X_PREFIX_OF_Y):
-        return path_compose(s.u, rel.remainder)
-    return None
+    z = _strip_prefix(s.v.edges, p.edges) if s.v.anchor == p.anchor else None
+    return None if z is None else s.u._replace(edges=s.u.edges + z)
 
 
 gisg_compatible, gisg_orthogonal, gisg_meet, gisg_lenz_arrow = element_ops(

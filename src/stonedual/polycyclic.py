@@ -21,6 +21,7 @@ from .words import (
     format_word,
     letter_branches,
     parse_word,
+    _check_same_alphabet,
     _strip_prefix,
 )
 
@@ -49,13 +50,8 @@ def poly_is_zero(s):
     return s.y is None
 
 
-def _check_n(s, t):
-    if s.n != t.n:
-        raise ValueError("alphabet mismatch: %d vs %d" % (s.n, t.n))
-
-
 def poly_mul(s, t):
-    _check_n(s, t)
+    _check_same_alphabet(s, t)
     if poly_is_zero(s) or poly_is_zero(t):
         return poly_zero(s.n)
     z = _strip_prefix(s.x, t.y)
@@ -93,7 +89,7 @@ def poly_ran(s):
 def poly_leq(s, t):
     """Natural order: s <= t iff s = t (s^-1 s), i.e. both coordinates of s
     extend those of t by one common word."""
-    _check_n(s, t)
+    _check_same_alphabet(s, t)
     if poly_is_zero(s):
         return True
     if poly_is_zero(t):

@@ -29,6 +29,7 @@ from .words import (
     is_rooted_maximal_prefix_code,
     make_rooted,
     parse_rooted,
+    _strip_prefix,
 )
 
 CuntzElement = namedtuple("CuntzElement", ["n", "r", "parts"])
@@ -70,9 +71,7 @@ def _glued(n, pairs):
 
 def _tail(w, v):
     """The letters v adds to w if v extends w, else None."""
-    if w.root == v.root and v.letters[: len(w.letters)] == w.letters:
-        return v.letters[len(w.letters):]
-    return None
+    return _strip_prefix(w.letters, v.letters) if w.root == v.root else None
 
 
 def _compose(outer, inner):
@@ -261,6 +260,8 @@ def tree_pair(n, r, domain, range_, perm):
     rewired to match.  Construction does not reduce; tp_reduce does."""
     if n < 2:
         raise ValueError("alphabet size must be >= 2")
+    if r < 1:
+        raise ValueError("root count must be >= 1")
     domain, range_ = list(domain), list(range_)
     for w in domain + range_:
         if not isinstance(w, RootedWord):
@@ -346,5 +347,10 @@ def parse_tree_pair(text, n, r):
         raise ValueError("cannot parse tree pair %r" % (text,))
     domain = [parse_rooted(t, n, r) for t in m.group(1).split(",")]
     range_ = [parse_rooted(t, n, r) for t in m.group(2).split(",")]
-    perm = [int(t) for t in m.group(3).split(",")] if m.group(3).strip() else []
+    perm = []
+    for t in m.group(3).split(",") if m.group(3).strip() else []:
+        try:
+            perm.append(int(t))
+        except ValueError:
+            raise ValueError("bad pairing entry %r in tree pair %r" % (t.strip(), text)) from None
     return tree_pair(n, r, domain, range_, perm)

@@ -96,19 +96,8 @@ def prefix_compare(x, y):
     return PrefixRel(INCOMPARABLE, None)
 
 
-def word_meet(x, y):
-    """Meet in the extension order (u below v iff v is a prefix of u): the longer
-    word when comparable, None otherwise."""
-    rel = prefix_compare(x, y)
-    if rel.kind == INCOMPARABLE:
-        return None
-    if rel.kind == X_PREFIX_OF_Y:
-        return y
-    return x
-
-
 def _strip_prefix(short, long):
-    # letter-tuple helper: remainder if short is a prefix of long, else None
+    # letter- or edge-tuple helper: remainder if short is a prefix of long, else None
     if len(short) <= len(long) and long[: len(short)] == short:
         return long[len(short):]
     return None
@@ -212,6 +201,8 @@ def format_rooted(rw, n, r):
 
 
 def parse_rooted(text, n, r):
+    if r < 1:
+        raise ValueError("root count must be >= 1")
     text = text.strip()
     m = re.match(r"r(\d+):(.*)$", text)
     if m:
@@ -352,23 +343,6 @@ def path_compose(p, q):
     if path_dom(p) != path_range(q):
         return None
     return Path(p.graph, p.anchor, p.edges + q.edges)
-
-
-def path_prefix_compare(p, q):
-    if p.graph is not q.graph:
-        raise ValueError("paths from different graphs")
-    if p.anchor != q.anchor:
-        return PrefixRel(INCOMPARABLE, None)
-    a, b = p.edges, q.edges
-    if a == b:
-        return PrefixRel(EQUAL, make_path(p.graph, path_dom(p), ()))
-    rem = _strip_prefix(a, b)
-    if rem is not None:
-        return PrefixRel(X_PREFIX_OF_Y, make_path(p.graph, path_dom(p), rem))
-    rem = _strip_prefix(b, a)
-    if rem is not None:
-        return PrefixRel(Y_PREFIX_OF_X, make_path(p.graph, path_dom(q), rem))
-    return PrefixRel(INCOMPARABLE, None)
 
 
 def format_path(p):

@@ -20,6 +20,7 @@ import pytest
 from stonedual import duality as D
 from stonedual import filtercomp as FC
 from stonedual import finitesgp as F
+from stonedual import graphisg as gi
 from stonedual import polycyclic as pc
 from stonedual import thompson as TH
 from stonedual import words as wd
@@ -353,6 +354,28 @@ def check_principal_criterion(S, ok):
 
 
 # ---------------------------------------------------------------------------
+# graphisg
+
+
+def _check_rebuilds(p):
+    # a computed path extends a validated one, and make_path still accepts it
+    assert wd.make_path(p.graph, p.anchor, p.edges) == p, "not a path of the graph"
+
+
+def check_gisg_mul(s, t, st):
+    if gi.gisg_is_zero(st):
+        return
+    _check_rebuilds(st.u)
+    _check_rebuilds(st.v)
+    assert wd.path_dom(st.u) == wd.path_dom(st.v), "paths end at different vertices"
+
+
+def check_gisg_act(s, p, image):
+    if image is not None:
+        _check_rebuilds(image)
+
+
+# ---------------------------------------------------------------------------
 # thompson
 
 
@@ -443,6 +466,8 @@ RECHECKS = [
     (D, "ideal_correspondence", check_ideal_correspondence),
     (D, "classify_symmetric", check_classify_symmetric),
     (D, "principal_criterion", check_principal_criterion),
+    (gi, "gisg_mul", check_gisg_mul),
+    (gi, "gisg_act", check_gisg_act),
     (TH, "cuntz_normalize", check_cuntz_normalize),
     (TH, "cuntz_mul", check_cuntz_mul),
     (TH, "cuntz_inv", check_cuntz_inv),

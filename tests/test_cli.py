@@ -189,6 +189,12 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     twice.write_text("vertex v\nvertex v\nedge a v v\n")
     rc, out, err = run(capsys, ["graph", "analyze", str(twice)])
     assert (rc, out, err) == (1, "", "error: duplicate vertex\n")
+    # a root count below 1 is named as such, by every command that takes -r
+    for argv in (["mpc", "check", "-n", "2", "-r", "0", "a"],
+                 ["thompson", "mul", "-n", "2", "-r", "0", one, one],
+                 ["thompson", "fromunit", "-n", "2", "-r", "0", "{}"]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out, err) == (1, "", "error: root count must be >= 1\n")
 
 
 @pytest.mark.parametrize(
@@ -224,6 +230,14 @@ def test_empty_word_has_one_spelling(capsys, argv, literal):
     # 1 is the only spelling of the empty word: a blank one is named
     rc, out, err = run(capsys, argv)
     message = "error: empty word literal %s: write the empty word as 1\n" % literal
+    assert (rc, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize("pairing, entry", [("x", "x"), ("0,1,", "")])
+def test_bad_pairing_entry_names_the_literal(capsys, pairing, entry):
+    pair = "{a,b}->{a,b}:perm=[%s]" % pairing
+    rc, out, err = run(capsys, ["thompson", "tounit", "-n", "2", pair])
+    message = "error: bad pairing entry %r in tree pair %r\n" % (entry, pair)
     assert (rc, out, err) == (1, "", message)
 
 

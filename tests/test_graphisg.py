@@ -137,7 +137,7 @@ def test_one_vertex_graph_is_polycyclic():
     lifted = [lift(s) for s in elts]
     # bijective up to the encoding, multiplicative, order preserving
     assert len(set(lifted)) == len(elts)
-    rng = random.Random(33)
+    rng, act_rng = random.Random(33), random.Random(36)
     for trial in range(4000):
         i, j = rng.randrange(len(elts)), rng.randrange(len(elts))
         s, t = elts[i], elts[j]
@@ -146,6 +146,11 @@ def test_one_vertex_graph_is_polycyclic():
         assert lift(P.poly_meet(s, t)) == G.gisg_meet(lifted[i], lifted[j])
         assert P.poly_compatible(s, t) == G.gisg_compatible(lifted[i], lifted[j])
         assert P.poly_orthogonal(s, t) == G.gisg_orthogonal(lifted[i], lifted[j])
+        # the action on an extension of s's domain word and on any word
+        for w in ((s.x or ()) + act_rng.choice(pieces), act_rng.choice(pieces)):
+            image = P.poly_act(s, W.Word(n, w))
+            got = G.gisg_act(lifted[i], W.word_to_path(w, n, g))
+            assert got == (None if image is None else W.word_to_path(image.letters, n, g))
         if not P.poly_is_zero(s):
             # targets: t and some restrictions of s, so both answers occur
             ks = [rng.randrange(len(pieces)) for _ in range(rng.randrange(4))]

@@ -42,3 +42,22 @@ def test_element_layers_do_not_import_table_layers():
                 if target.rsplit(".", 1)[-1] in ("filtercomp", "duality"):
                     found.append("%s:%d %s" % (path.name, node.lineno, target))
     assert found == []
+
+
+def test_element_arithmetic_runs_on_the_tuple_rule():
+    # products, orders and actions strip letter- or edge-tuple prefixes with
+    # words._strip_prefix; the PrefixRel vocabulary stays with prefix codes
+    banned = {"PrefixRel", "EQUAL", "X_PREFIX_OF_Y", "Y_PREFIX_OF_X",
+              "INCOMPARABLE", "prefix_compare"}
+    found = []
+    for name in ("graphisg", "polycyclic", "thompson"):
+        path = SRC / ("%s.py" % name)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                used = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                used = [node.attr]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, u) for u in used if u in banned]
+    assert found == []

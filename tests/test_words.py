@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stonedual import graphisg as G
 from stonedual import words as W
 
 
@@ -58,19 +59,6 @@ def test_prefix_compare_is_partial_order(data):
         assert x.letters + rel.remainder.letters == y.letters
     if rel.kind == W.Y_PREFIX_OF_X:
         assert y.letters + rel.remainder.letters == x.letters
-
-
-@given(words_st)
-def test_word_meet_agrees_with_order(data):
-    n, xs, ys, _ = data
-    x, y = W.make_word(n, xs), W.make_word(n, ys)
-    m = W.word_meet(x, y)
-    assert m == W.word_meet(y, x)
-    if m is None:
-        assert W.prefix_compare(x, y).kind == W.INCOMPARABLE
-    else:
-        assert m in (x, y)
-        assert len(m.letters) == max(len(x.letters), len(y.letters))
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +257,6 @@ def test_path_compose_associative_fuzz():
             assert lhs is None or rhs is None
 
 
-def test_path_prefix_compare():
-    g = sample_graph()
-    p = W.parse_path("x", g)
-    q = W.parse_path("x.z", g)
-    rel = W.path_prefix_compare(p, q)
-    assert rel.kind == W.X_PREFIX_OF_Y
-    assert rel.remainder.edges == ("z",)
-    assert W.path_range(rel.remainder) == "q"
-    assert W.path_prefix_compare(p, W.parse_path("y", g)).kind == W.INCOMPARABLE
-    # identity paths at distinct vertices are incomparable
-    assert W.path_prefix_compare(W.parse_path("@p", g), W.parse_path("@q", g)).kind == W.INCOMPARABLE
-
-
 def test_one_vertex_graph_mirrors_words():
     g = W.one_vertex_graph(2)
     for ls in W.all_letter_tuples(2, 3):
@@ -289,4 +264,7 @@ def test_one_vertex_graph_mirrors_words():
         assert W.path_dom(p) == W.path_range(p) == "*"
     p = W.word_to_path((0, 1), 2, g)
     q = W.word_to_path((0,), 2, g)
-    assert W.path_prefix_compare(q, p).kind == W.X_PREFIX_OF_Y
+    # q is a prefix of p, as the word a is of ab: the idempotent at p lies
+    # below the one at q, and not the other way round
+    assert G.gisg_leq(G.gisg(p, p), G.gisg(q, q))
+    assert not G.gisg_leq(G.gisg(q, q), G.gisg(p, p))
