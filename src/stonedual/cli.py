@@ -9,20 +9,14 @@ codes: 0 success, 1 domain error with a diagnostic on stderr, 2 usage error,
 3 internal error (a result that breaks a proven invariant).
 Table sizes are capped by the STONEDUAL_MAX_ELEMENTS environment variable
 (default 2000).
+Each handler imports the layers it uses, so a run loads only its own: the
+element subcommands run without numpy.
 """
 
 import argparse
-import json
-import random
 import sys
 
-import numpy as np
-
-from . import duality, filtercomp, finitesgp, graphisg
-from . import polycyclic as pc
-from . import thompson as th
-from . import words as wd
-from .finitesgp import InternalError, MulTable, _boolean
+from .words import InternalError
 
 
 def _b(v):
@@ -39,6 +33,8 @@ def _read(path):
 
 
 def cmd_poly(args):
+    from . import polycyclic as pc
+
     n = args.n
     a = pc.parse_poly(args.a, n)
     if args.sub == "arrow":
@@ -57,6 +53,8 @@ def cmd_poly(args):
 
 
 def cmd_mpc(args):
+    from . import words as wd
+
     n, r = args.n, args.r
     code = [wd.parse_rooted(t, n, r) for t in args.code.split(",")]
     if args.sub == "check":
@@ -80,6 +78,9 @@ def cmd_mpc(args):
 
 
 def cmd_graph(args):
+    from . import graphisg
+    from . import words as wd
+
     graph = wd.DirectedGraph.from_text(_read(args.graph))
     if args.sub == "analyze":
         rep = graphisg.semilattice_predicates(graph)
@@ -104,7 +105,9 @@ def cmd_graph(args):
 
 
 def cmd_finite(args):
-    S = MulTable.from_text(_read(args.table))
+    from . import finitesgp
+
+    S = finitesgp.MulTable.from_text(_read(args.table))
     sub = args.sub
     if sub == "validate":
         ident = S.find_identity()
@@ -132,12 +135,14 @@ def cmd_finite(args):
             "0-simplifying: %s" % _b(val)
         ]
     if sub == "complete":
+        from . import filtercomp
+
         comp = filtercomp.distributive_completion(S)
         rep = filtercomp.booleanization_report(S, comp)
         head = {
             "op": "finite.complete",
             "size": comp.D.m,
-            "boolean": _boolean(comp.D),
+            "boolean": finitesgp._boolean(comp.D),
         }
         head.update(rep)
         lines = [
@@ -153,6 +158,8 @@ def cmd_finite(args):
             lines.extend(comp.D.to_text().splitlines())
         return records, lines
     if sub == "dualize":
+        from . import duality
+
         G = duality.ultrafilter_groupoid(S)
         ok, _ = duality.duality_roundtrip(S)
         rec = {
@@ -171,6 +178,8 @@ def cmd_finite(args):
             lines.extend(G.to_text().splitlines())
         return [rec], lines
     if sub == "classify":
+        from . import duality
+
         k, extra = duality.classify_symmetric(S)
         if k is None:
             return (
@@ -191,6 +200,8 @@ def cmd_finite(args):
 
 
 def cmd_thompson(args):
+    from . import thompson as th
+
     n, r = args.n, args.r
     if args.sub == "fromunit":
         x = th.parse_cuntz(args.a, n, r)
@@ -225,6 +236,8 @@ def _check(ok, what, *args):
 
 
 def _selftest_words(rng):
+    from . import words as wd
+
     checks = 0
     for _ in range(50):
         n = rng.randrange(2, 4)
@@ -247,12 +260,16 @@ def _selftest_words(rng):
 
 
 def _random_poly(n, rng):
+    from . import polycyclic as pc
+
     y = tuple(rng.randrange(n) for _ in range(rng.randrange(0, 3)))
     x = tuple(rng.randrange(n) for _ in range(rng.randrange(0, 3)))
     return pc.poly(n, y, x)
 
 
 def _selftest_poly(rng):
+    from . import polycyclic as pc
+
     checks = 0
     for _ in range(100):
         n = rng.randrange(2, 4)
@@ -275,6 +292,10 @@ def _selftest_poly(rng):
 
 def _selftest_graph(rng):
     # on the one-vertex graph with n loops, path pairs are polycyclic elements
+    from . import graphisg
+    from . import polycyclic as pc
+    from . import words as wd
+
     checks = 0
     for _ in range(80):
         n = rng.randrange(2, 4)
@@ -299,6 +320,10 @@ def _selftest_graph(rng):
 
 
 def _relabeled(S, rng):
+    import numpy as np
+
+    from .finitesgp import MulTable
+
     perm = list(range(S.m))
     rng.shuffle(perm)
     p = np.array(perm)
@@ -312,6 +337,8 @@ def _relabeled(S, rng):
 
 
 def _selftest_finite(rng):
+    from . import duality, finitesgp
+
     checks = 0
     for k in (2, 3):
         S = finitesgp.symmetric_inverse_monoid(k)
@@ -333,6 +360,9 @@ def _selftest_finite(rng):
 
 
 def _random_tree_pair(n, r, rng, splits):
+    from . import thompson as th
+    from . import words as wd
+
     dom = [wd.RootedWord(i, ()) for i in range(1, r + 1)]
     ran = [wd.RootedWord(i, ()) for i in range(1, r + 1)]
     for code in (dom, ran):
@@ -346,6 +376,8 @@ def _random_tree_pair(n, r, rng, splits):
 
 
 def _selftest_thompson(rng):
+    from . import thompson as th
+
     checks = 0
     for n, r in ((2, 1), (2, 2), (3, 1)):
         ident = th.tp_identity(n, r)
@@ -371,6 +403,8 @@ SELFTESTS = {
 
 
 def cmd_selftest(args):
+    import random
+
     names = list(SELFTESTS) if args.suite == "all" else [args.suite]
     records, lines = [], []
     for name in names:
@@ -504,6 +538,8 @@ def main(argv=None):
         print("internal error: %s" % exc, file=sys.stderr)
         return 3
     if args.json:
+        import json
+
         for rec in records:
             print(json.dumps(rec, sort_keys=True))
     else:

@@ -19,6 +19,10 @@ from collections import namedtuple
 
 import numpy as np
 
+from .words import InternalError  # noqa: F401  (re-exported for the table layers)
+
+INT32_MAX = np.iinfo(np.int32).max
+
 
 class TableError(ValueError):
     """Raised when a table fails validation or a precondition."""
@@ -26,11 +30,6 @@ class TableError(ValueError):
 
 class SizeLimitError(ValueError):
     """Raised when an input exceeds the configured element limit."""
-
-
-class InternalError(Exception):
-    """Raised when a computed result breaks an invariant that the theory
-    guarantees: a defect in the library, not in the input."""
 
 
 def max_elements():
@@ -65,7 +64,7 @@ def _first_failure(*masks):
 def _hom_defects(A, B, f):
     """defects[a, b]: f(a b) != f(a) f(b), for f listing a B index per A element."""
     f = np.asarray(f)
-    return f[A.T] != B.T[f[:, None], f]
+    return np.take(f, A.T) != np.take(np.take(B.T, f, axis=0), f, axis=1)
 
 
 def _semigroup_generators(arr, widest=True):
@@ -92,8 +91,10 @@ def _semigroup_generators(arr, widest=True):
         while new.size:
             # each new member times everything in the closure so far, both ways
             members = np.flatnonzero(in_cl)
-            prods = np.append(arr[np.ix_(new, members)], arr[np.ix_(members, new)])
-            new = np.unique(prods[~in_cl[prods]])
+            hit = np.zeros(m, dtype=bool)
+            hit[arr[np.ix_(new, members)]] = True
+            hit[arr[np.ix_(members, new)]] = True
+            new = np.flatnonzero(hit & ~in_cl)
             in_cl[new] = True
     return gens
 
@@ -101,8 +102,8 @@ def _semigroup_generators(arr, widest=True):
 def _associativity_witness(arr, gens):
     """The first (x, g, y) with (x g) y != x (g y), g running over gens."""
     for g in gens:
-        left = arr[arr[:, g], :]              # (x g) y
-        right = arr[:, arr[g, :]]             # x (g y)
+        left = np.take(arr, arr[:, g], axis=0)    # (x g) y
+        right = np.take(arr, arr[g, :], axis=1)   # x (g y)
         if not (left == right).all():
             x, y = np.argwhere(left != right)[0]
             return x, g, y
@@ -341,29 +342,31 @@ class MulTable:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if parts[0] == "elements":
-                if header is not None:
-                    raise TableError("line %d: duplicate header" % lineno)
-                if len(parts) not in (4, 6) or parts[2] != "zero" or (
-                    len(parts) == 6 and parts[4] != "identity"
-                ):
-                    raise TableError("line %d: bad header" % lineno)
-                header = {
-                    "m": _index(parts[1], lineno),
-                    "zero": _index(parts[3], lineno),
-                    "identity": _index(parts[5], lineno) if len(parts) == 6 else None,
-                }
-            elif header is None:
-                raise TableError("line %d: %r before the header" % (lineno, line))
-            elif parts[0] == "name":
-                i = _index(parts[1], lineno) if len(parts) > 1 else -1
-                if not 0 <= i < header["m"] or i in names:
-                    msg = "line %d: name needs a new index in 0..%d"
-                    raise TableError(msg % (lineno, header["m"] - 1))
-                names[i] = " ".join(parts[2:])
-            else:
-                m = header["m"]
+            row = _digit_row(line) if header is not None else None
+            if row is None:
+                parts = line.split()
+                if parts[0] == "elements":
+                    if header is not None:
+                        raise TableError("line %d: duplicate header" % lineno)
+                    if len(parts) not in (4, 6) or parts[2] != "zero" or (
+                        len(parts) == 6 and parts[4] != "identity"
+                    ):
+                        raise TableError("line %d: bad header" % lineno)
+                    header = {
+                        "m": _index(parts[1], lineno),
+                        "zero": _index(parts[3], lineno),
+                        "identity": _index(parts[5], lineno) if len(parts) == 6 else None,
+                    }
+                    continue
+                if header is None:
+                    raise TableError("line %d: %r before the header" % (lineno, line))
+                if parts[0] == "name":
+                    i = _index(parts[1], lineno) if len(parts) > 1 else -1
+                    if not 0 <= i < header["m"] or i in names:
+                        msg = "line %d: name needs a new index in 0..%d"
+                        raise TableError(msg % (lineno, header["m"] - 1))
+                    names[i] = " ".join(parts[2:])
+                    continue
                 try:
                     row = np.array(parts, dtype=np.int32)
                 except (ValueError, OverflowError):  # then int() has the say
@@ -372,17 +375,18 @@ class MulTable:
                     except ValueError:
                         msg = "line %d: entries must be integers" % lineno
                         raise TableError(msg) from None
-                if len(row) != m:
-                    raise TableError("line %d: expected %d entries" % (lineno, m))
-                if rows is None:  # rows are only counted when the checks below refuse
-                    keep = m <= max_elements() and m * m <= len(text)  # m rows fit
-                    rows = np.empty((m if keep else 0, m), np.int32)
-                if nrows < len(rows):
-                    try:
-                        rows[nrows] = row
-                    except OverflowError:  # reported once the table is read
-                        overflow_line = overflow_line or lineno
-                nrows += 1
+            m = header["m"]
+            if len(row) != m:
+                raise TableError("line %d: expected %d entries" % (lineno, m))
+            if rows is None:  # rows are only counted when the checks below refuse
+                keep = m <= max_elements() and m * m <= len(text)  # m rows fit
+                rows = np.empty((m if keep else 0, m), np.int32)
+            if nrows < len(rows):
+                try:
+                    rows[nrows] = row
+                except OverflowError:  # reported once the table is read
+                    overflow_line = overflow_line or lineno
+            nrows += 1
         if header is None:
             raise TableError("missing header line")
         if nrows != header["m"]:
@@ -395,6 +399,18 @@ class MulTable:
             name_list = [names.get(i, "s%d" % i) for i in range(header["m"])]
         rows = [] if rows is None else rows
         return cls(rows, header["zero"], header["identity"], name_list)
+
+
+def _digit_row(line):
+    """The entries of a row of ASCII digits and spaces, read by numpy's C
+    parser, or None.  Any other row, and one with an entry past int32, takes
+    the token path of from_text, which words the errors.  The C parser would
+    read a lone "-" as 0 and "- 2" as -2, so signs are left out; it reads to
+    int64, which saturates where int32 would wrap."""
+    if not line.isascii() or line.encode().translate(None, b"0123456789 "):
+        return None
+    row = np.fromstring(line, dtype=np.int64, sep=" ")
+    return row if row.max() <= INT32_MAX else None
 
 
 def _index(token, lineno):

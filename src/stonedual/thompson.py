@@ -22,8 +22,8 @@ import re
 from collections import namedtuple
 
 from . import polycyclic as pc
-from .finitesgp import InternalError
 from .words import (
+    InternalError,
     RootedWord,
     format_rooted,
     is_rooted_maximal_prefix_code,

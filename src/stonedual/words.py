@@ -13,6 +13,12 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
+
+class InternalError(Exception):
+    """Raised when a computed result breaks an invariant that the theory
+    guarantees: a defect in the library, not in the input."""
+
+
 Word = namedtuple("Word", ["n", "letters"])
 RootedWord = namedtuple("RootedWord", ["root", "letters"])
 PrefixRel = namedtuple("PrefixRel", ["kind", "remainder"])
@@ -334,15 +340,6 @@ def path_dom(p):
     if p.edges:
         return p.graph.edges[p.edges[-1]][0]
     return p.anchor
-
-
-def path_compose(p, q):
-    """Concatenation p then q (q hangs off the domain end of p); None on mismatch."""
-    if p.graph is not q.graph:
-        raise ValueError("paths from different graphs")
-    if path_dom(p) != path_range(q):
-        return None
-    return Path(p.graph, p.anchor, p.edges + q.edges)
 
 
 def format_path(p):

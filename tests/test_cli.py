@@ -429,6 +429,36 @@ def test_module_entry_point():
     assert proc.stdout == "1\n"
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+ELEMENT_LAYERS = ["stonedual.graphisg", "stonedual.polycyclic", "stonedual.thompson"]
+SWAP = "{a,b}->{a,b}:perm=[1,0]"
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["poly", "mul", "ab.b^-1", "b"], ["numpy"]),
+        (["mpc", "check", "a,b"], ["numpy"]),
+        (["graph", "mul", str(ROOT / "graphs" / "rose2.graph"), "a.b/a", "a/b"], ["numpy"]),
+        (["thompson", "mul", SWAP, SWAP], ["numpy"]),
+        (["finite", "validate", str(ROOT / "tables" / "i2.tbl")], ELEMENT_LAYERS),
+    ],
+    ids=["poly", "mpc", "graph", "thompson", "finite"],
+)
+def test_run_loads_only_its_layers(argv, absent):
+    # each CLI run pays start-up for its own layers only: the element
+    # subcommands run without numpy, a table run without the element layers
+    code = (
+        "import sys; from stonedual import cli; rc = cli.main(sys.argv[1:]); "
+        "print(sorted(set(%r) & set(sys.modules))); sys.exit(rc)" % absent
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code] + argv, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_internal_error_exits_3(capsys, monkeypatch, i2_file):
     def broken(S):
         raise finitesgp.InternalError("invariant broken")

@@ -178,6 +178,60 @@ def test_from_text_errors():
             F.MulTable.from_text(text)
 
 
+# spellings of an entry v, and tokens that are not one entry of int32
+SPELLINGS = ["%d", "+%d", "0%d", "00%d", "%d "]
+ODD_TOKENS = ["-0", "1_0", "\u0663", "2147483647", "2147483648", "-2147483649",
+              str(2 ** 63), str(2 ** 64), "-" + str(2 ** 64), "1-2", "-", "+", "x", "1e3"]
+SEPARATORS = [" ", "  ", "\t", " \t ", "\v", "\xa0", "\x1c"]
+TRAILERS = ["", "", "", " x", ",", " -", " +", " 1", "  # 1 2", "# x"]
+
+
+def fuzzed_row(row, rng):
+    tokens = []
+    for v in row:
+        if rng.random() < 0.04:
+            tokens.append(rng.choice(ODD_TOKENS))
+        elif rng.random() < 0.3:
+            tokens.append(rng.choice(SPELLINGS) % v)
+        else:
+            tokens.append(str(v))
+    return rng.choice(SEPARATORS).join(tokens) + rng.choice(TRAILERS)
+
+
+def from_text_outcome(text):
+    try:
+        S = F.MulTable.from_text(text)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", S.T.tolist(), S.zero, S.identity, S.names
+
+
+def test_row_fast_path_matches_token_path(monkeypatch):
+    # from_text reads a row of ASCII digits and spaces with numpy's C parser
+    # and any other row token by token; both must give the same table, or the
+    # same error, on every spelling of a row
+    rng = random.Random(23)
+    base = F.symmetric_inverse_monoid(2).to_text().splitlines()
+    head, rows, names = base[0], base[1:8], base[8:]
+    texts = []
+    for _ in range(1500):
+        odd = [fuzzed_row(map(int, r.split()), rng) if rng.random() < 0.4 else r
+               for r in rows]
+        texts.append("\n".join([head] + odd + names) + "\n")
+    fast = [from_text_outcome(t) for t in texts]
+    taken = []
+    digit_row = F._digit_row
+    monkeypatch.setattr(F, "_digit_row", lambda line: taken.append(line) or None)
+    assert [from_text_outcome(t) for t in texts] == fast
+    # the fuzz reaches both paths, and tables as well as errors
+    assert sum(digit_row(line) is not None for line in taken) > 1000
+    assert sum(digit_row(line) is None for line in taken) > 1000
+    assert any(o[0] == "ok" for o in fast)
+    messages = {o[1].split(": ", 1)[-1] for o in fast if o[0] == "TableError"}
+    assert {"entries must be integers", "entries must fit in int32",
+            "expected 7 entries"} <= messages
+
+
 # ---------------------------------------------------------------------------
 # order, meets, joins against the partial-injection oracle
 
