@@ -13,3 +13,8 @@ Subpackages by topic:
 """
 
 __version__ = "0.1.0"
+
+
+class InternalError(Exception):
+    """Raised when a computed result breaks an invariant that the theory
+    guarantees: a defect in the library, not in the input."""

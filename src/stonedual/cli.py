@@ -14,9 +14,10 @@ element subcommands run without numpy.
 """
 
 import argparse
+import os
 import sys
 
-from .words import InternalError
+from . import InternalError
 
 
 def _b(v):
@@ -548,5 +549,25 @@ def main(argv=None):
     return 0
 
 
+def run():
+    """Console entry point: main() on sys.argv, then a hard exit.  A closed
+    stdout is one error: line (stderr is line buffered), not a traceback."""
+    # the library's matmuls are integer ones, which never call BLAS, so OpenBLAS
+    # need not start its thread pool; set here, not on import, to leave importers alone
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        rc = main()
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError as exc:
+        rc = 1
+        try:
+            print("error: %s" % exc, file=sys.stderr)
+        except OSError:
+            pass
+    # module teardown and the final GC have no observable effect once the answer is flushed
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

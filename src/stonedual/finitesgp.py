@@ -19,7 +19,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .words import InternalError  # noqa: F401  (re-exported for the table layers)
+from . import InternalError  # noqa: F401  (re-exported for the table layers)
 
 INT32_MAX = np.iinfo(np.int32).max
 
@@ -612,7 +612,14 @@ def mu_classes(S):
     """Partition by the maximum idempotent-separating congruence: s and t
     share a class when they conjugate every idempotent alike, s e s^-1."""
     sig = S.T[S.T[:, S.E], S.inv[:, None]]
-    return np.unique(sig, axis=0, return_inverse=True)[1].ravel().tolist()
+    # np.unique(sig, axis=0, return_inverse=True)'s labels, the ranks of the
+    # distinct rows, without the numpy.ma import that np.unique makes on numpy 2.4
+    order = np.lexsort(sig.T[::-1])
+    ranked = sig[order]
+    starts = np.concatenate(([False], (ranked[1:] != ranked[:-1]).any(axis=1)))
+    labels = np.empty(S.m, dtype=np.int64)
+    labels[order] = np.cumsum(starts)
+    return labels.tolist()
 
 
 def _zero_simple(S):
@@ -735,8 +742,10 @@ def is_congruence_free(S):
 # tightly closed ideals and the 0-simplifying property
 
 def principal_ideal(S, s):
+    left = np.zeros(S.m, dtype=bool)
+    left[S.T[:, s]] = True  # S s
     mask = np.zeros(S.m, dtype=bool)
-    mask[S.T[np.unique(S.T[:, s])]] = True  # (S s) S
+    mask[S.T[left]] = True  # (S s) S
     return frozenset(np.flatnonzero(mask).tolist())
 
 

@@ -21,9 +21,9 @@ import itertools
 import re
 from collections import namedtuple
 
+from . import InternalError
 from . import polycyclic as pc
 from .words import (
-    InternalError,
     RootedWord,
     format_rooted,
     is_rooted_maximal_prefix_code,

@@ -13,10 +13,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-
-class InternalError(Exception):
-    """Raised when a computed result breaks an invariant that the theory
-    guarantees: a defect in the library, not in the input."""
+from . import InternalError  # noqa: F401  (re-exported: one class for every layer)
 
 
 Word = namedtuple("Word", ["n", "letters"])

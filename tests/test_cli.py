@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -419,19 +420,76 @@ def test_selftest_failure_survives_optimize():
     assert len(lines) == 1 and lines[0].startswith("error: selftest words: ")
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "stonedual.cli", "poly", "mul", "-n", "2", "a^-1", "a"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "1\n"
-
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ELEMENT_LAYERS = ["stonedual.graphisg", "stonedual.polycyclic", "stonedual.thompson"]
 SWAP = "{a,b}->{a,b}:perm=[1,0]"
+NOT_IN_TABLE_RUNS = ELEMENT_LAYERS + ["fractions", "numpy.ma", "stonedual.words"]
+I3_TBL = str(ROOT / "tables" / "i3.tbl")
+# stdout block buffered, as from a plain shell, so that the entry point's own
+# flush is what writes the answer
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", "mul", "-n", "2", "a^-1", "a"],
+        ["finite", "complete", "--dump", I3_TBL],
+        ["finite", "complete", "--dump", "--json", I3_TBL],
+        ["finite", "dualize", str(ROOT / "tables" / "chain2.tbl")],
+        ["finite", "transpose", I3_TBL],
+    ],
+    ids=["poly", "complete", "complete-json", "dualize-error", "usage"],
+)
+def test_module_entry_point(argv):
+    # python -m stonedual.cli leaves through cli.run, which flushes and skips
+    # teardown; what it prints and returns is what cli.main gives in process
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as stop:
+            rc = stop.code
+    proc = subprocess.run(
+        [sys.executable, "-m", "stonedual.cli"] + argv, capture_output=True, text=True, env=BUFFERED
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out.getvalue(), err.getvalue())
+    assert rc == {"dualize": 1, "transpose": 2}.get(argv[1], 0)
+
+
+@pytest.mark.parametrize("read_first", [True, False], ids=["print", "flush"])
+def test_closed_stdout_is_one_error_line(tmp_path, read_first):
+    # the reader goes after the first line of a 170 kB dump, so a print
+    # fails; or before a one-line answer, so the final flush fails
+    table = tmp_path / "i4.tbl"
+    table.write_text(symmetric_inverse_monoid(4).to_text())
+    argv = ["finite", "complete", "--dump"] if read_first else ["finite", "validate"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stonedual.cli"] + argv + [str(table)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=BUFFERED,
+    )
+    if read_first:
+        assert proc.stdout.readline() == "completion size: 209\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, "error: [Errno 32] Broken pipe\n")
+
+
+def test_run_without_stdout_answers_quietly():
+    # with file descriptor 1 closed at start-up sys.stdout is None, and print
+    # writes nothing; the entry point's flush must not turn that into a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "stonedual.cli", "poly", "mul", "a", "b"],
+        stderr=subprocess.PIPE,
+        text=True,
+        env=BUFFERED,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize(
@@ -441,13 +499,16 @@ SWAP = "{a,b}->{a,b}:perm=[1,0]"
         (["mpc", "check", "a,b"], ["numpy"]),
         (["graph", "mul", str(ROOT / "graphs" / "rose2.graph"), "a.b/a", "a/b"], ["numpy"]),
         (["thompson", "mul", SWAP, SWAP], ["numpy"]),
-        (["finite", "validate", str(ROOT / "tables" / "i2.tbl")], ELEMENT_LAYERS),
+        (["finite", "validate", str(ROOT / "tables" / "i2.tbl")], NOT_IN_TABLE_RUNS),
+        (["finite", "predicates", str(ROOT / "tables" / "i2.tbl")], NOT_IN_TABLE_RUNS),
+        (["finite", "ideals", str(ROOT / "tables" / "i2.tbl")], NOT_IN_TABLE_RUNS),
     ],
-    ids=["poly", "mpc", "graph", "thompson", "finite"],
+    ids=["poly", "mpc", "graph", "thompson", "finite", "finite-predicates", "finite-ideals"],
 )
 def test_run_loads_only_its_layers(argv, absent):
     # each CLI run pays start-up for its own layers only: the element
-    # subcommands run without numpy, a table run without the element layers
+    # subcommands run without numpy, a table run without the element layers,
+    # words (InternalError lives in the package) or np.unique's numpy.ma
     code = (
         "import sys; from stonedual import cli; rc = cli.main(sys.argv[1:]); "
         "print(sorted(set(%r) & set(sys.modules))); sys.exit(rc)" % absent

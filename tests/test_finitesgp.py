@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import numpy as np
@@ -22,6 +23,8 @@ from tests_support_tables import (
     relabel,
     union_of_chains,
 )
+
+TABLES = pathlib.Path(__file__).resolve().parent.parent / "tables"
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +733,29 @@ def test_mu_classes_b2_z2():
         nm = S.name(s)
         if "|1|" in nm:
             assert mu[s] == mu[S.names.index(nm.replace("|1|", "|g|"))]
+
+
+def fixture_tables():
+    tables = dict(meet_corpus())
+    tables.update(TS.boolean_corpus())
+    tables["I(3)"], tables["I(4)"] = i_k(3), i_k(4)
+    tables["relabelled I(4)"] = relabel(i_k(4), random.Random(3))
+    for path in sorted(TABLES.glob("*.tbl")):
+        tables[path.name] = F.MulTable.from_text(path.read_text())
+    return tables
+
+
+def test_mu_classes_and_principal_ideals_match_np_unique():
+    # the library labels rows and marks S s without np.unique, which imports
+    # numpy.ma on numpy 2.4; np.unique stays here as the reference
+    for name, S in fixture_tables().items():
+        sig = S.T[S.T[:, S.E], S.inv[:, None]]
+        labels = np.unique(sig, axis=0, return_inverse=True)[1].ravel().tolist()
+        assert F.mu_classes(S) == labels, name
+        for s in range(S.m):
+            mask = np.zeros(S.m, dtype=bool)
+            mask[S.T[np.unique(S.T[:, s])]] = True
+            assert F.principal_ideal(S, s) == frozenset(np.flatnonzero(mask).tolist()), (name, s)
 
 
 def test_fundamental_iff_mu_trivial():

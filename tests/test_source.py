@@ -27,7 +27,7 @@ def test_library_has_no_assert():
 def test_element_layers_do_not_import_table_layers():
     # words, elements and the Cuntz layer sit below the tables, their
     # completion and their duality, and need no numpy; InternalError lives
-    # in words, and finitesgp re-exports it for the table layers
+    # in the package itself, and words and finitesgp re-export it
     found = []
     for name in ("words", "polycyclic", "graphisg", "thompson"):
         path = SRC / ("%s.py" % name)
