@@ -430,7 +430,9 @@ def cmd_selftest(args):
 # argument parsing and dispatch
 
 
-def build_parser():
+def build_parser(argv=None):
+    """The whole parser, or for argv only the families named in it: the
+    others stay stubs, which are all the top level's help and errors read."""
     ap = argparse.ArgumentParser(
         prog="stonedual",
         description="exact computation in inverse semigroups and their duals",
@@ -441,79 +443,89 @@ def build_parser():
         "--json", action="store_true", help="emit JSON lines instead of text"
     )
 
-    poly = sub.add_parser("poly", help="polycyclic monoid elements")
-    psub = poly.add_subparsers(dest="sub", required=True)
-    for name, bhelp in (
-        ("mul", "second factor"),
-        ("meet", "second element"),
-        ("leq", "upper element"),
-        ("arrow", "comma separated target set"),
-    ):
-        p = psub.add_parser(name, parents=[common])
-        p.add_argument("-n", type=int, default=2, help="alphabet size")
-        p.add_argument("a", help="element literal like ab.b^-1")
-        p.add_argument("b", help=bhelp)
+    def family(name, text, parents=()):
+        p = sub.add_parser(name, parents=list(parents), help=text)
+        return p if argv is None or name in argv else None
 
-    mpc = sub.add_parser("mpc", help="maximal prefix codes")
-    msub = mpc.add_subparsers(dest="sub", required=True)
-    for name in ("check", "kraft"):
-        p = msub.add_parser(name, parents=[common])
-        p.add_argument("-n", type=int, default=2, help="alphabet size")
-        p.add_argument("-r", type=int, default=1, help="number of roots")
-        p.add_argument("code", help="comma separated words, r2:ab style roots")
+    poly = family("poly", "polycyclic monoid elements")
+    if poly is not None:
+        psub = poly.add_subparsers(dest="sub", required=True)
+        for name, bhelp in (
+            ("mul", "second factor"),
+            ("meet", "second element"),
+            ("leq", "upper element"),
+            ("arrow", "comma separated target set"),
+        ):
+            p = psub.add_parser(name, parents=[common])
+            p.add_argument("-n", type=int, default=2, help="alphabet size")
+            p.add_argument("a", help="element literal like ab.b^-1")
+            p.add_argument("b", help=bhelp)
 
-    graph = sub.add_parser("graph", help="graph inverse semigroup elements")
-    gsub = graph.add_subparsers(dest="sub", required=True)
-    p = gsub.add_parser("analyze", parents=[common])
-    p.add_argument("graph", help="graph file (vertex/edge lines)")
-    for name, bhelp in (
-        ("mul", "second factor"),
-        ("arrow", "comma separated target set"),
-    ):
-        p = gsub.add_parser(name, parents=[common])
+    mpc = family("mpc", "maximal prefix codes")
+    if mpc is not None:
+        msub = mpc.add_subparsers(dest="sub", required=True)
+        for name in ("check", "kraft"):
+            p = msub.add_parser(name, parents=[common])
+            p.add_argument("-n", type=int, default=2, help="alphabet size")
+            p.add_argument("-r", type=int, default=1, help="number of roots")
+            p.add_argument("code", help="comma separated words, r2:ab style roots")
+
+    graph = family("graph", "graph inverse semigroup elements")
+    if graph is not None:
+        gsub = graph.add_subparsers(dest="sub", required=True)
+        p = gsub.add_parser("analyze", parents=[common])
         p.add_argument("graph", help="graph file (vertex/edge lines)")
-        p.add_argument("a", help="element literal like e.f/@v")
-        p.add_argument("b", help=bhelp)
+        for name, bhelp in (
+            ("mul", "second factor"),
+            ("arrow", "comma separated target set"),
+        ):
+            p = gsub.add_parser(name, parents=[common])
+            p.add_argument("graph", help="graph file (vertex/edge lines)")
+            p.add_argument("a", help="element literal like e.f/@v")
+            p.add_argument("b", help=bhelp)
 
-    finite = sub.add_parser("finite", help="finite inverse semigroup tables")
-    fsub = finite.add_subparsers(dest="sub", required=True)
-    for name in (
-        "validate",
-        "predicates",
-        "congfree",
-        "simplifying",
-        "complete",
-        "dualize",
-        "classify",
-        "ideals",
-    ):
-        p = fsub.add_parser(name, parents=[common])
-        p.add_argument("table", help="table file (elements/zero header)")
-        if name in ("complete", "dualize"):
-            p.add_argument(
-                "--dump", action="store_true", help="also print the full table"
-            )
+    finite = family("finite", "finite inverse semigroup tables")
+    if finite is not None:
+        fsub = finite.add_subparsers(dest="sub", required=True)
+        for name in (
+            "validate",
+            "predicates",
+            "congfree",
+            "simplifying",
+            "complete",
+            "dualize",
+            "classify",
+            "ideals",
+        ):
+            p = fsub.add_parser(name, parents=[common])
+            p.add_argument("table", help="table file (elements/zero header)")
+            if name in ("complete", "dualize"):
+                p.add_argument(
+                    "--dump", action="store_true", help="also print the full table"
+                )
 
-    tp = sub.add_parser("thompson", help="Cuntz monoid units as tree pairs")
-    tsub = tp.add_subparsers(dest="sub", required=True)
-    for name, two in (
-        ("mul", True),
-        ("eq", True),
-        ("inv", False),
-        ("reduce", False),
-        ("fromunit", False),
-        ("tounit", False),
-    ):
-        p = tsub.add_parser(name, parents=[common])
-        p.add_argument("-n", type=int, default=2, help="alphabet size")
-        p.add_argument("-r", type=int, default=1, help="number of roots")
-        p.add_argument("a", help="tree pair literal, or part set for fromunit")
-        if two:
-            p.add_argument("b", help="second tree pair")
+    tp = family("thompson", "Cuntz monoid units as tree pairs")
+    if tp is not None:
+        tsub = tp.add_subparsers(dest="sub", required=True)
+        for name, two in (
+            ("mul", True),
+            ("eq", True),
+            ("inv", False),
+            ("reduce", False),
+            ("fromunit", False),
+            ("tounit", False),
+        ):
+            p = tsub.add_parser(name, parents=[common])
+            p.add_argument("-n", type=int, default=2, help="alphabet size")
+            p.add_argument("-r", type=int, default=1, help="number of roots")
+            p.add_argument("a", help="tree pair literal, or part set for fromunit")
+            if two:
+                p.add_argument("b", help="second tree pair")
 
-    st = sub.add_parser("selftest", parents=[common], help="seeded cross-checks")
-    st.add_argument("suite", choices=sorted(SELFTESTS) + ["all"])
-    st.add_argument("--seed", type=int, default=0, help="random seed")
+    st = family("selftest", "seeded cross-checks", [common])
+    if st is not None:
+        st.add_argument("suite", choices=sorted(SELFTESTS) + ["all"])
+        st.add_argument("--seed", type=int, default=0, help="random seed")
 
     return ap
 
@@ -529,7 +541,8 @@ DISPATCH = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         records, lines = DISPATCH[args.cmd](args)
     except (ValueError, OSError) as exc:

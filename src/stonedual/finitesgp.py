@@ -1,7 +1,7 @@
 """Finite inverse semigroups with zero as multiplication tables.
 
 Elements are indices 0..m-1. Construction validates the full axiom set
-(associativity, unique inverses, commuting idempotents, absorbing zero) and
+(associativity, unique inverses, absorbing zero; idempotents then commute) and
 reports the first failing axiom with a witness. Order, meets, joins and the
 standard predicates are derived on demand.
 
@@ -11,6 +11,10 @@ Table text format:
     name <i> <label>     (optional, after the header, one per element)
 Lines may carry '#' comments. A line that does not fit raises TableError
 naming the line.
+
+The m x m kernels of construction step through BLOCK rows at a time, so
+their scratch is O(BLOCK m) beside the table; the reader takes the text one
+slice of about SLICE characters at a time.
 """
 
 import itertools
@@ -22,6 +26,8 @@ import numpy as np
 from . import InternalError  # noqa: F401  (re-exported for the table layers)
 
 INT32_MAX = np.iinfo(np.int32).max
+BLOCK = 64          # rows per step of an m x m kernel
+SLICE = 1 << 20     # characters per step of the table reader
 
 
 class TableError(ValueError):
@@ -77,8 +83,10 @@ def _semigroup_generators(arr, widest=True):
     m = len(arr)
     order = range(m)
     if widest:
-        srt = np.sort(arr, axis=1)
-        width = (srt[:, 1:] != srt[:, :-1]).sum(axis=1)
+        width = np.empty(m, dtype=np.int64)
+        for lo in range(0, m, BLOCK):
+            srt = np.sort(arr[lo:lo + BLOCK], axis=1)
+            width[lo:lo + BLOCK] = (srt[:, 1:] != srt[:, :-1]).sum(axis=1)
         order = np.argsort(-width, kind="stable").tolist()
     in_cl = np.zeros(m, dtype=bool)
     gens = []
@@ -92,29 +100,39 @@ def _semigroup_generators(arr, widest=True):
             # each new member times everything in the closure so far, both ways
             members = np.flatnonzero(in_cl)
             hit = np.zeros(m, dtype=bool)
-            hit[arr[np.ix_(new, members)]] = True
-            hit[arr[np.ix_(members, new)]] = True
+            for lo in range(0, len(new), BLOCK):
+                part = new[lo:lo + BLOCK]
+                hit[arr[np.ix_(part, members)]] = True
+                hit[arr[np.ix_(members, part)]] = True
             new = np.flatnonzero(hit & ~in_cl)
             in_cl[new] = True
     return gens
 
 
 def _associativity_witness(arr, gens):
-    """The first (x, g, y) with (x g) y != x (g y), g running over gens."""
+    """The first (x, g, y) with (x g) y != x (g y), g running over gens and
+    then (x, y) in row-major order."""
     for g in gens:
-        left = np.take(arr, arr[:, g], axis=0)    # (x g) y
-        right = np.take(arr, arr[g, :], axis=1)   # x (g y)
-        if not (left == right).all():
-            x, y = np.argwhere(left != right)[0]
-            return x, g, y
+        for lo in range(0, len(arr), BLOCK):
+            rows = arr[lo:lo + BLOCK]
+            left = np.take(arr, rows[:, g], axis=0)    # (x g) y
+            right = np.take(rows, arr[g, :], axis=1)   # x (g y)
+            if not np.array_equal(left, right):
+                x, y = np.argwhere(left != right)[0]
+                return lo + x, g, y
     return None
 
 
 def _inverses(arr):
     """pair[s, t]: s t s = s and t s t = t, and inv[s], the first such t."""
-    idx = np.arange(len(arr))
-    cond = arr[arr, idx[:, None]] == idx[:, None]     # (s t) s == s
-    pair = cond & cond.T                              # plus (t s) t == t
+    m = len(arr)
+    pair = np.empty((m, m), dtype=bool)
+    for lo in range(0, m, BLOCK):
+        s = np.arange(lo, min(lo + BLOCK, m))[:, None]
+        pair[lo:lo + BLOCK] = arr[arr[lo:lo + BLOCK], s] == s    # (s t) s == s
+    # plus (t s) t == t; in place, since a block already done holds cond & cond.T
+    for lo in range(0, m, BLOCK):
+        pair[lo:lo + BLOCK] &= pair[:, lo:lo + BLOCK].T
     return pair, pair.argmax(axis=1).astype(np.int32)
 
 
@@ -167,11 +185,7 @@ def _check_axioms(table, zero, identity):
         s = int(np.argmax(counts > 1))
         ts = np.flatnonzero(pair[s])[:2]
         raise TableError("multiple inverses: element %d (%d and %d)" % (s, ts[0], ts[1]))
-    idems = np.flatnonzero(arr[np.arange(m), np.arange(m)] == np.arange(m))
-    sub = arr[np.ix_(idems, idems)]
-    if not (sub == sub.T).all():
-        i, j = idems[np.argwhere(sub != sub.T)[0]]
-        raise TableError("idempotents do not commute: witness (%d, %d)" % (i, j))
+    # a regular semigroup with unique inverses is inverse: idempotents commute
     return gens, inv
 
 
@@ -215,7 +229,10 @@ class MulTable:
         self.dom = arr[self.inv, diag_idx]        # d(s) = s^-1 s
         self.ran = arr[diag_idx, self.inv]        # r(s) = s s^-1
         # natural order s <= t iff s = t d(s)
-        self._leq = arr[:, self.dom].T == diag_idx[:, None]
+        self._leq = np.empty((m, m), dtype=bool)
+        for lo in range(0, m, BLOCK):
+            s = diag_idx[lo:lo + BLOCK, None]
+            self._leq[lo:lo + BLOCK] = arr[:, self.dom[lo:lo + BLOCK]].T == s
         self._below_count = self._leq.sum(axis=0)
         self._above_count = self._leq.sum(axis=1)
         self._meet = None
@@ -338,7 +355,7 @@ class MulTable:
         rows, nrows, overflow_line = None, 0, None   # the int32 table, filled row by row
         header = None
         names = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
+        for lineno, raw in enumerate(_lines(text), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -399,6 +416,19 @@ class MulTable:
             name_list = [names.get(i, "s%d" % i) for i in range(header["m"])]
         rows = [] if rows is None else rows
         return cls(rows, header["zero"], header["identity"], name_list)
+
+
+def _lines(text):
+    """The lines of text, as str.splitlines gives them, split one slice of
+    about SLICE characters at a time.  Each slice ends just after a newline,
+    which ends a line whatever precedes it, so no line break, CR LF included,
+    is cut in two; text without a newline is one slice."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + SLICE - 1)
+        end = len(text) if cut < 0 else cut + 1
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def _digit_row(line):

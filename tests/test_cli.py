@@ -315,6 +315,42 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+FAMILIES = ["poly", "mpc", "graph", "finite", "thompson", "selftest"]
+PARSER_CASES = (
+    [[], ["--help"], ["bogus"], ["-x"], ["--json", "finite", "validate"]]
+    + [[family, "--help"] for family in FAMILIES]
+    + [[family, "bogus"] for family in FAMILIES]
+    + [[family] for family in FAMILIES]
+    + [["poly", "mul", "a"], ["mpc", "check"], ["graph", "analyze"],
+       ["finite", "validate"], ["finite", "complete", "--dump"],
+       ["thompson", "mul", "x"], ["selftest", "words", "--seed", "x"]]
+)
+
+
+def _parse_outcome(capsys, parser, argv):
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as stop:
+        outcome = stop.code
+    return (outcome,) + capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "none")
+def test_parser_builds_only_the_named_family(capsys, argv):
+    # the other families are stubs: help, usage and errors read as the whole parser's
+    whole = _parse_outcome(capsys, cli.build_parser(), argv)
+    assert _parse_outcome(capsys, cli.build_parser(argv), argv) == whole
+    assert whole[0] == 0 or (whole[0] == 2 and whole[2].startswith("usage: stonedual"))
+
+
+def test_parser_leaves_unnamed_families_as_stubs(capsys):
+    argv = ["poly", "mul", "a", "b"]
+    assert cli.build_parser(argv).parse_args(argv).sub == "mul"
+    with pytest.raises(SystemExit):
+        cli.build_parser(["finite"]).parse_args(argv)
+    assert "unrecognized arguments: mul a b" in capsys.readouterr().err
+
+
 def test_size_cap_from_environment(capsys, monkeypatch, i3_file):
     monkeypatch.setenv("STONEDUAL_MAX_ELEMENTS", "10")
     rc, _, err = run(capsys, ["finite", "validate", i3_file])

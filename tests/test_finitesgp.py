@@ -1,5 +1,6 @@
 import pathlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,7 +126,49 @@ def test_generating_sets_stay_small():
     for arr in (i_k(4).T, I5, relabelled):
         gens = F._semigroup_generators(arr)
         assert len(gens) <= 8
+        # the first candidate is the lowest row with the most distinct entries
+        width = [len(set(row)) for row in arr.tolist()]
+        assert gens[0] == width.index(max(width))
         assert TS.generated(arr, gens) == len(arr)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_validate_finds_defects_in_every_row_block(seed):
+    # the kernels step through BLOCK rows at a time: a defect in the second
+    # and in the last, partial, block must be named as the whole-table scan
+    # names it, with its row counted from the top of the table
+    S = relabel(i_k(4), random.Random(seed))
+    m = S.m
+    assert m > 3 * F.BLOCK and m % F.BLOCK
+    rng = random.Random(seed)
+    for lo in (F.BLOCK, m - m % F.BLOCK):
+        rows = set()
+        for _ in range(8):
+            i, j = rng.randrange(lo, min(lo + F.BLOCK, m)), rng.randrange(m)
+            if S.zero in (i, j):
+                continue
+            table = S.T.copy()
+            table[i, j] = (table[i, j] + rng.randrange(1, m)) % m
+            diag = TS.validate_by_index_order(table, S.zero)
+            assert F.validate(table, S.zero) == diag
+            if diag.startswith("not associative: witness ("):
+                rows.add(int(diag.split("(")[1].split(",")[0]))
+        assert any(lo <= x < lo + F.BLOCK for x in rows)
+
+
+def test_reading_i5_allocates_under_two_tables(theorem_checks_off):
+    # beside the table, the reader and the checks hold O(BLOCK m) scratch and
+    # one Boolean m x m matrix at a time: an allocation count, so it repeats exactly
+    S = i_k(5)
+    text = S.to_text()
+    tracemalloc.start()
+    try:
+        R = F.MulTable.from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (R.T == S.T).all() and R.names == S.names
+    assert peak <= 2 * S.T.nbytes
 
 
 def test_multable_rejects_bad_table():
@@ -233,6 +276,33 @@ def test_row_fast_path_matches_token_path(monkeypatch):
     messages = {o[1].split(": ", 1)[-1] for o in fast if o[0] == "TableError"}
     assert {"entries must be integers", "entries must fit in int32",
             "expected 7 entries"} <= messages
+
+
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\x1c", "\x85", "\u2028"]
+
+
+def test_sliced_reader_splits_as_splitlines(monkeypatch):
+    # every slice size puts a cut at every position of the text, so each
+    # line break falls at, just before and just after some cut
+    rng = random.Random(31)
+    pieces = LINE_BREAKS + ["7", "0 1", " "]
+    texts = ["", "\n", "\r\n\r\n", "a\r\nb", "\r\n\n\r"]
+    texts += ["".join(rng.choice(pieces) for _ in range(rng.randrange(1, 16)))
+              for _ in range(150)]
+    for text in texts:
+        for size in range(1, len(text) + 2):
+            monkeypatch.setattr(F, "SLICE", size)
+            assert list(F._lines(text)) == text.splitlines(), (text, size)
+
+
+def test_sliced_reader_reads_tables_alike(monkeypatch):
+    text = i_k(3).to_text().replace("\n", "\r\n")
+    bad = text.replace("\r\n0 0", "\r\n0 x", 1)
+    whole = [from_text_outcome(t) for t in (text, bad)]
+    assert whole[0][0] == "ok" and whole[1][0] == "TableError"
+    for size in (1, 2, 5, 64, 1000):
+        monkeypatch.setattr(F, "SLICE", size)
+        assert [from_text_outcome(t) for t in (text, bad)] == whole
 
 
 # ---------------------------------------------------------------------------
