@@ -19,18 +19,15 @@ from . import duality
 from .finitesgp import (
     MulTable,
     TableError,
-    _boolean,
     _distributive,
     _e_star_unitary,
     _first_failure,
     _hom_defects,
     _join_table,
     _meet_semigroup,
-    _meet_table,
     _unambiguous,
+    _zero_disjunctive,
     idempotent_subtable,
-    is_cover,
-    is_set_cover,
 )
 
 PrincipalFilter = namedtuple("PrincipalFilter", ["generator"])
@@ -59,18 +56,15 @@ def is_tight_filter(S, generator):
     """Whether the filter generated by a nonzero element meets every finite
     cover of each of its members.
 
-    A cover avoiding the filter lies inside A_a = {x <= a nonzero with
-    generator not below x} for some member a, and enlarging a candidate never
-    stops it from covering, so checking each A_a is sound and complete.
+    In a finite table that holds exactly when the generator is 0-minimal: the
+    0-minimal elements below any other generator cover it and miss its
+    filter, and a 0-minimal generator lies below some member of every cover
+    of anything above it.
     """
     g = int(generator)
     if g == S.zero:
         raise TableError("zero generates no filter")
-    for a in S.above(g):
-        cand = [x for x in S.below(a) if x != S.zero and not S.leq(g, x)]
-        if is_cover(S, a, cand):
-            return False
-    return True
+    return g in S.zero_minimal()
 
 
 def _arrow_matrix(S):
@@ -110,7 +104,7 @@ def lenz_congruence(S):
             reps.append(s)
             for x in np.flatnonzero(sym[s]):
                 lam[int(x)] = cid
-    QT = np.array(lam)[S.T[np.ix_(reps, reps)]]
+    QT = np.array(lam, dtype=np.int32)[S.T[np.ix_(reps, reps)]]
     fid = S.find_identity()
     # a homomorphic image of an inverse semigroup is one; the tests re-prove it
     Q = MulTable(
@@ -143,7 +137,7 @@ def distributive_completion(S):
     return Completion(D, delta, Q, lam, [DClass(k) for k in supports])
 
 
-def part1_isomorphism(S, comp_s=None, comp_e=None):
+def part1_isomorphism(S):
     """Match the idempotents of the completion of S with the completion of
     the idempotent part of S.
 
@@ -152,14 +146,11 @@ def part1_isomorphism(S, comp_s=None, comp_e=None):
     the same 0-minimal arrow classes; matching support keys and rechecking
     products gives the isomorphism.  Returns (ok, mapping) with mapping[j]
     the idempotent class of the completion of S matching class j of the
-    completion of E(S), or (False, None).  comp_s and comp_e, the
-    completions of S and of E(S), are built unless given.
+    completion of E(S), or (False, None).
     """
     E, emb = idempotent_subtable(S)
-    if comp_s is None:
-        comp_s = distributive_completion(S)
-    if comp_e is None:
-        comp_e = distributive_completion(E)
+    comp_s = distributive_completion(S)
+    comp_e = distributive_completion(E)
     # arrow classes of E line up with arrow classes of S
     trans = {comp_e.lam[e]: comp_s.lam[emb[e]] for e in range(E.m)}
     ED, embD = idempotent_subtable(comp_s.D)
@@ -182,44 +173,34 @@ def part1_isomorphism(S, comp_s=None, comp_e=None):
     return True, mapping
 
 
-def booleanization_report(S, comp_s=None):
+def booleanization_report(S):
     """Flag record for the Booleanization of the idempotent part of S.
 
     Takes any finite inverse meet-semigroup table; the flags concern its
-    semilattice of idempotents E (equal to S when S is a semilattice), while
-    part1_iso compares the idempotents of the completion of S, comp_s when
-    given, with the completion of E.  Each flag is computed directly; by the
-    theorems, Boolean completion holds iff tight filters are ultrafilters,
-    unital iff compactable, and densely embedded iff 0-disjunctive.  The
-    trapping condition is vacuous at finite scale (a finite set covers
-    itself) and is reported as such.
+    semilattice of idempotents E (equal to S when S is a semilattice), and
+    are read off the finite theorems rather than recomputed (the test suite
+    re-proves each one by definition).  The completion of E is the Boolean
+    algebra of subsets of its atoms, with the atoms' join as identity; every
+    tight filter is an ultrafilter; the atoms cover E, so E is compactable;
+    E embeds densely exactly when it is 0-disjunctive; and the idempotents of
+    the completion of S are the completion of E (part 1).  The trapping
+    condition is vacuous at finite scale (a finite set covers itself) and is
+    reported as such.
     """
+    if not _meet_semigroup(S):
+        raise TableError("booleanization_report requires all binary meets to exist")
     E, _ = idempotent_subtable(S)
-    ultra = set(f.generator for f in ultrafilters(E))
-    tight = set(e for e in E.nonzero() if is_tight_filter(E, e))
-    comp_e = distributive_completion(E)
-    DE = comp_e.D
-    d_boolean = _boolean(DE)
-    ident = DE.find_identity()
     atoms = E.zero_minimal()
-    compactable = is_set_cover(E, E.nonzero(), atoms)
-    # dense embedding into the completion: injective, meets preserved, every
-    # nonzero class a join of images (the last holds in every completion)
-    injective = len(set(comp_e.delta)) == E.m
-    d = np.array(comp_e.delta)
-    meets_ok = (_meet_table(DE)[np.ix_(d, d)] == d[_meet_table(E)]).all()
-    densely = bool(d_boolean and injective and meets_ok)
-    ok_iso, _ = part1_isomorphism(S, comp_s, comp_e)
     return {
-        "tight_eq_ultra": tight == ultra,
-        "D_boolean": d_boolean,
-        "unital": ident is not None,
-        "compactable": compactable,
-        "densely_embedded": densely,
-        "part1_iso": ok_iso,
+        "tight_eq_ultra": True,  # a 0-minimal generator is tight, any other is not
+        "D_boolean": True,  # the completion is the power set of the atoms
+        "unital": True,  # the set of all atoms is the identity
+        "compactable": True,  # every nonzero idempotent sits above an atom
+        "densely_embedded": _zero_disjunctive(E),
+        "part1_iso": True,  # E(D(S)) = D(E(S)) on every inverse meet-semigroup
         "trapping": "vacuous",
         "essential_set": sorted(E.name(a) for a in atoms),
-        "D_size": DE.m,
+        "D_size": 2 ** len(atoms),
     }
 
 

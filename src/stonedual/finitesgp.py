@@ -385,13 +385,10 @@ class MulTable:
                     names[i] = " ".join(parts[2:])
                     continue
                 try:
-                    row = np.array(parts, dtype=np.int32)
-                except (ValueError, OverflowError):  # then int() has the say
-                    try:
-                        row = [int(x) for x in parts]
-                    except ValueError:
-                        msg = "line %d: entries must be integers" % lineno
-                        raise TableError(msg) from None
+                    row = [int(x) for x in parts]
+                except ValueError:
+                    msg = "line %d: entries must be integers" % lineno
+                    raise TableError(msg) from None
             m = header["m"]
             if len(row) != m:
                 raise TableError("line %d: expected %d entries" % (lineno, m))
@@ -453,18 +450,10 @@ def _index(token, lineno):
 # ---------------------------------------------------------------------------
 # arrow relation and covers on tables
 
-def arrow_enum(S, a, B):
-    """a -> B by direct enumeration: every nonzero x <= a meets some b in B.
-
-    Requires all the meets x ^ b to exist (raises otherwise)."""
-    if a == S.zero:
-        raise TableError("arrow source must be nonzero")
-    return is_set_cover(S, S.below(a), B)
-
-
 def arrow_minset(S, a, B):
-    """a -> B via 0-minimal elements: equivalent to arrow_enum on finite
-    meet-semigroups, and meaningful even when some meets are missing."""
+    """a -> B via 0-minimal elements: every 0-minimal element below a lies
+    below some b in B.  On finite meet-semigroups this is the same as every
+    nonzero x <= a meeting some b, and it needs no meets to exist."""
     if a == S.zero:
         raise TableError("arrow source must be nonzero")
     targets = [b for b in B if b != S.zero]
@@ -479,25 +468,6 @@ def is_cover(S, a, A):
     if not all(S.leq(x, a) for x in A):
         return False
     return arrow_minset(S, a, A)
-
-
-def is_set_cover(S, A, Z):
-    """Z covers the set A: every nonzero member of A meets some member of Z."""
-    Z = [z for z in Z if z != S.zero]
-    for a in A:
-        if a == S.zero:
-            continue
-        hit = False
-        for z in Z:
-            mt = S.meet(a, z)
-            if mt is None:
-                raise TableError("meet of %d and %d does not exist" % (a, z))
-            if mt != S.zero:
-                hit = True
-                break
-        if not hit:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -283,9 +283,6 @@ class DirectedGraph:
     def edge_src(self, e):
         return self.edges[e][0]
 
-    def edge_dst(self, e):
-        return self.edges[e][1]
-
     def to_text(self):
         lines = ["vertex %s" % v for v in self.vertices]
         for name in sorted(self.edges):

@@ -371,11 +371,11 @@ def test_bad_limit_setting_names_the_setting(capsys, monkeypatch, i2_file, value
     )
 
 
-def test_complete_builds_each_completion_once(
+def test_complete_builds_only_the_completion_of_s(
     capsys, monkeypatch, i3_file, theorem_checks_off
 ):
-    # the completion of S and that of E(S) are built once each and shared
-    # with the booleanization report and the part 1 isomorphism
+    # the booleanization report reads its flags off the finite theorems, so
+    # the completion of E(S) is never built on this path
     sizes = []
     build = filtercomp.distributive_completion
 
@@ -386,7 +386,39 @@ def test_complete_builds_each_completion_once(
     monkeypatch.setattr(filtercomp, "distributive_completion", counted)
     rc, out, _ = run(capsys, ["finite", "complete", i3_file])
     assert rc == 0 and out.startswith("completion size: 34\n")
-    assert sizes == [34, 8]
+    assert sizes == [34]
+
+
+def test_complete_and_dualize_state_their_theorems(
+    capsys, monkeypatch, i3_file, theorem_checks_off
+):
+    # boolean: true and roundtrip: true are theorems; tests/conftest.py
+    # re-proves them, the command line does not
+    round_trips, tested, built = [], [], []
+    roundtrip, boolean = duality.duality_roundtrip, finitesgp._boolean
+    build = filtercomp.distributive_completion
+
+    def counted_roundtrip(S):
+        round_trips.append(S.m)
+        return roundtrip(S)
+
+    def recorded_boolean(S):
+        tested.append(S)
+        return boolean(S)
+
+    def recorded_build(S):
+        built.append(build(S))
+        return built[-1]
+
+    monkeypatch.setattr(duality, "duality_roundtrip", counted_roundtrip)
+    monkeypatch.setattr(finitesgp, "_boolean", recorded_boolean)
+    monkeypatch.setattr(filtercomp, "distributive_completion", recorded_build)
+    rc, out, _ = run(capsys, ["finite", "dualize", i3_file])
+    assert rc == 0 and out.endswith("roundtrip: true\n")
+    assert round_trips == []
+    rc, out, _ = run(capsys, ["finite", "complete", i3_file])
+    assert rc == 0 and out.splitlines()[1] == "boolean: true"
+    assert built and all(T is not comp.D for comp in built for T in tested)
 
 
 def test_json_records_round_trip(capsys, i3_file, i2_file):

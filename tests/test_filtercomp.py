@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -183,6 +184,22 @@ def test_lenz_zero_restricted():
         assert [s for s in range(S.m) if lam[s] == Q.zero] == [S.zero], name
 
 
+def test_lenz_on_i5_allocates_under_three_tables(theorem_checks_off):
+    # beside the arrow matrices, Q's table is one int32 gather of the class
+    # array: an allocation count, so it repeats exactly
+    S = i_k(5)
+    F._meet_semigroup(S)  # the meet table is S's own, filled on first use
+    tracemalloc.start()
+    try:
+        Q, lam = FC.lenz_congruence(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Q.m == S.m and lam == list(range(S.m))
+    assert Q.T.dtype == S.T.dtype and (Q.T == S.T).all()
+    assert peak <= 3 * S.T.nbytes
+
+
 def test_lenz_requires_meets():
     with pytest.raises(F.TableError):
         FC.lenz_congruence(no_meet())
@@ -195,7 +212,7 @@ def test_arrow_iff_lambda_leq():
         Q, lam = FC.lenz_congruence(S)
         for a in S.nonzero():
             for b in range(S.m):
-                assert F.arrow_enum(S, a, [b]) == Q.leq(lam[a], lam[b]), (name, a, b)
+                assert TS.arrow_enum(S, a, [b]) == Q.leq(lam[a], lam[b]), (name, a, b)
 
 
 # ---------------------------------------------------------------------------

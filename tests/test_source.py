@@ -1,5 +1,6 @@
-"""The library states its invariants with raises that survive python -O, and
-its element layers do not import the table layers built on them."""
+"""The library states its invariants with raises that survive python -O, its
+element layers do not import the table layers built on them, and the command
+line states theorems instead of re-proving them."""
 
 import ast
 import pathlib
@@ -61,4 +62,25 @@ def test_element_arithmetic_runs_on_the_tuple_rule():
             else:
                 continue
             found += ["%s:%d %s" % (path.name, node.lineno, u) for u in used if u in banned]
+    assert found == []
+
+
+def test_subcommands_do_not_reprove_theorems():
+    # the finite duality theorems are re-proved by tests/conftest.py and by
+    # the selftest suites; nothing else in cli.py names a re-proof
+    banned = {"duality_roundtrip", "part1_isomorphism", "check_universal_property", "_boolean"}
+    path = SRC / "cli.py"
+    found = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(top, ast.FunctionDef) and top.name.startswith("_selftest_"):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                used = node.id
+            elif isinstance(node, (ast.Attribute, ast.alias)):
+                used = node.attr if isinstance(node, ast.Attribute) else node.name
+            else:
+                continue
+            if used in banned:
+                found.append("cli.py:%d %s" % (getattr(node, "lineno", top.lineno), used))
     assert found == []

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from stonedual import filtercomp as FC
 from stonedual import finitesgp as F
 
 
@@ -324,6 +325,78 @@ def completion_by_ideals(Q):
 
 # ---------------------------------------------------------------------------
 # the routes the library replaced, kept as references for tests/conftest.py
+
+
+def is_set_cover(S, A, Z):
+    """Z covers the set A: every nonzero member of A meets some member of Z."""
+    Z = [z for z in Z if z != S.zero]
+    for a in A:
+        if a == S.zero:
+            continue
+        hit = False
+        for z in Z:
+            mt = S.meet(a, z)
+            if mt is None:
+                raise F.TableError("meet of %d and %d does not exist" % (a, z))
+            if mt != S.zero:
+                hit = True
+                break
+        if not hit:
+            return False
+    return True
+
+
+def arrow_enum(S, a, B):
+    """a -> B by direct enumeration: every nonzero x <= a meets some b in B,
+    the meet-based reference for finitesgp.arrow_minset.
+
+    Requires all the meets x ^ b to exist (raises otherwise)."""
+    if a == S.zero:
+        raise F.TableError("arrow source must be nonzero")
+    return is_set_cover(S, S.below(a), B)
+
+
+def tight_by_covers(S, generator):
+    """filtercomp.is_tight_filter by its definition.
+
+    A cover avoiding the filter lies inside A_a = {x <= a nonzero with
+    generator not below x} for some member a, and enlarging a candidate never
+    stops it from covering, so checking each A_a is sound and complete.
+    """
+    g = int(generator)
+    for a in S.above(g):
+        cand = [x for x in S.below(a) if x != S.zero and not S.leq(g, x)]
+        if F.is_cover(S, a, cand):
+            return False
+    return True
+
+
+def booleanization_by_definition(S):
+    """The flags of filtercomp.booleanization_report, each computed from its
+    definition on the completion of the idempotent part E of S."""
+    E, _ = F.idempotent_subtable(S)
+    ultra = set(f.generator for f in FC.ultrafilters(E))
+    tight = set(e for e in E.nonzero() if tight_by_covers(E, e))
+    comp_e = FC.distributive_completion(E)
+    DE = comp_e.D
+    d_boolean = F._boolean(DE)
+    atoms = E.zero_minimal()
+    # dense embedding into the completion: injective, meets preserved, every
+    # nonzero class a join of images (the last holds in every completion)
+    injective = len(set(comp_e.delta)) == E.m
+    d = np.array(comp_e.delta)
+    meets_ok = (F._meet_table(DE)[np.ix_(d, d)] == d[F._meet_table(E)]).all()
+    return {
+        "tight_eq_ultra": tight == ultra,
+        "D_boolean": d_boolean,
+        "unital": DE.find_identity() is not None,
+        "compactable": is_set_cover(E, E.nonzero(), atoms),
+        "densely_embedded": bool(d_boolean and injective and meets_ok),
+        "part1_iso": FC.part1_isomorphism(S)[0],
+        "trapping": "vacuous",
+        "essential_set": sorted(E.name(a) for a in atoms),
+        "D_size": DE.m,
+    }
 
 
 def generators_by_index_order(arr):
