@@ -258,14 +258,17 @@ def disjoint_union(G, H):
 # ---------------------------------------------------------------------------
 # from tables to groupoids
 
-def _groupoid_of_minimals(S):
+def _groupoid_of_minimals(S, lam=None, names=None):
     """The groupoid carried by the 0-minimal elements of any finite table.
 
     The product of 0-minimal s and t is nonzero exactly when d(s) = r(t),
     because distinct 0-minimal idempotents multiply to zero, and the nonzero
     product is 0-minimal again; so the groupoid needs no Boolean hypothesis.
-    Returns the groupoid together with the arrow -> element list."""
-    elems = np.array(S.zero_minimal(), dtype=np.intp)
+    Given lam, one-to-one on the 0-minimal elements, the arrows go in label
+    order, arrow t named names[lam[t]].  Returns the groupoid and the arrow
+    -> element list."""
+    zm = S.zero_minimal()
+    elems = np.array(zm if lam is None else sorted(zm, key=lam.__getitem__), dtype=np.intp)
     pos = np.full(S.m, -1, dtype=np.intp)
     pos[elems] = np.arange(len(elems))
     dom, ran = pos[S.dom[elems]], pos[S.ran[elems]]
@@ -282,9 +285,17 @@ def _groupoid_of_minimals(S):
         )
     comp = {(int(a), int(b)): int(pos[P[a, b]]) for a, b in zip(*np.nonzero(composable))}
     objects = np.flatnonzero(S.is_idem[elems]).tolist()
-    names = [S.name(s) for s in elems]
+    names = [S.name(s) if lam is None else names[lam[s]] for s in elems]
     G = FiniteGroupoid(objects, dom.tolist(), ran.tolist(), comp, names)
     return G, elems.tolist()
+
+
+def _require_boolean_meets(S, what):
+    """Refuse S for what, unless it has every meet and is Boolean."""
+    if not F._meet_semigroup(S):
+        raise TableError("%s needs every meet to exist" % what)
+    if not F._boolean(S):
+        raise TableError("%s needs a Boolean table" % what)
 
 
 def ultrafilter_groupoid(S):
@@ -293,10 +304,7 @@ def ultrafilter_groupoid(S):
     Arrows are the 0-minimal elements standing for their up-set ultrafilters;
     objects are the 0-minimal idempotents.  The product of two composable
     ultrafilters is the up-set of the table product of their generators."""
-    if not F._meet_semigroup(S):
-        raise TableError("ultrafilter groupoid needs every meet to exist")
-    if not F._boolean(S):
-        raise TableError("ultrafilter groupoid needs a Boolean table")
+    _require_boolean_meets(S, "ultrafilter groupoid")
     G, _ = _groupoid_of_minimals(S)
     return G
 
@@ -368,22 +376,26 @@ def _bisection_table(G, sets):
     return F.MulTable(table, zero, identity, names, check=False)
 
 
-def _minimal_bisections(S):
-    """The bisection table B of the groupoid of 0-minimal elements of S.
+def _minimal_bisections(S, lam=None, names=None):
+    """The bisection table B of the groupoid of 0-minimal elements of S,
+    its arrows ordered and named as _groupoid_of_minimals takes them.
 
     Returns (B, supports, phi): supports[i] is the i-th local bisection as a
-    set of 0-minimal elements of S, and phi[s] is the index in B of V_s, the
-    0-minimal elements below s.  V_s is always a local bisection: distinct
-    0-minimal elements below s have distinct domains and ranges."""
-    G, elems = _groupoid_of_minimals(S)
+    set of 0-minimal elements of S, or of their labels given lam, and phi[s]
+    is the index in B of V_s, the 0-minimal elements below s.  V_s is always
+    a local bisection: distinct 0-minimal elements below s have distinct
+    domains and ranges."""
+    G, elems = _groupoid_of_minimals(S, lam, names)
     sets = local_bisections(G)
     B = _bisection_table(G, sets)
     index = {A: i for i, A in enumerate(sets)}
-    pos = {s: i for i, s in enumerate(elems)}
-    v = [frozenset(pos[t] for t in S.minset(s)) for s in range(S.m)]
+    # the support matrix with its rows in arrow order: column s is V_s
+    supp = S.support_matrix()[np.searchsorted(S.zero_minimal(), elems)]
+    v = [frozenset(np.flatnonzero(col).tolist()) for col in supp.T]
     if any(A not in index for A in v):
         raise InternalError("some V_s is not a local bisection")
-    supports = [frozenset(elems[a] for a in A) for A in sets]
+    lam = range(S.m) if lam is None else lam
+    supports = [frozenset(lam[elems[a]] for a in A) for A in sets]
     return B, supports, [index[A] for A in v]
 
 
@@ -431,10 +443,7 @@ def ideal_correspondence(S):
     comes back as C(O) = all s whose 0-minimal elements lie in O.  Returns
     the list of (ideal, invariant subset) pairs as frozensets of table
     elements, smallest ideal first."""
-    if not F._meet_semigroup(S):
-        raise TableError("ideal correspondence needs every meet to exist")
-    if not F._boolean(S):
-        raise TableError("ideal correspondence needs a Boolean table")
+    _require_boolean_meets(S, "ideal correspondence")
     minimals = frozenset(S.zero_minimal())
     return [(T, frozenset(T) & minimals) for T in F.tightly_closed_ideals(S)]
 
@@ -481,14 +490,15 @@ def classify_symmetric(S):
 # ---------------------------------------------------------------------------
 # the principality criterion
 
-def _up_and_fc(S, e):
-    """The up-set of the ultrafilter generated by the atom e, and its F^c."""
-    in_f = S._leq[e] & S.is_idem           # F: the idempotents above e
+def _up_and_fc(S, up):
+    """The up-set of an ultrafilter and its F^c, given the ultrafilter as the
+    row of the support matrix at its atom."""
+    in_f = up & S.is_idem                  # F: the idempotents above the atom
     filt, every = np.flatnonzero(in_f), np.arange(S.m)[:, None]
     conj = S.T[S.T[:, filt], S.inv[:, None]]           # s f s^-1
     back = S.T[S.T[S.inv][:, filt], every]             # s^-1 f s
     fc = in_f[S.dom] & in_f[S.ran] & in_f[conj].all(axis=1) & in_f[back].all(axis=1)
-    return set(np.flatnonzero(S._leq[e]).tolist()), set(np.flatnonzero(fc).tolist())
+    return set(np.flatnonzero(up).tolist()), set(np.flatnonzero(fc).tolist())
 
 
 def principal_criterion(S):
@@ -499,13 +509,10 @@ def principal_criterion(S):
     idempotent part F, and it always contains the up-set of F.  On a finite
     Boolean table the criterion, triviality of the local groups of the
     ultrafilter groupoid, and being fundamental all agree."""
-    if not F._meet_semigroup(S):
-        raise TableError("principal criterion needs every meet to exist")
-    if not F._boolean(S):
-        raise TableError("principal criterion needs a Boolean table")
-    for e in S.zero_minimal():
+    _require_boolean_meets(S, "principal criterion")
+    for e, row in zip(S.zero_minimal(), S.support_matrix()):
         if S.is_idem[e]:
-            up, fc = _up_and_fc(S, e)
+            up, fc = _up_and_fc(S, row)
             if up != fc:
                 return False
     return True

@@ -2,12 +2,11 @@
 inverse semigroup tables.
 
 Everything here is finite, so a filter is the up-set of its minimum and the
-tight filters are the ultrafilters, one per 0-minimal element.  The
-completion pipeline is: quotient by the symmetrized Lenz arrow, giving Q;
-form the groupoid of 0-minimal elements of Q; then multiply its local
-bisections setwise.  A class of the completion is named by its support, a
-local bisection of 0-minimal elements of Q, and delta sends s to the class
-whose support is the set of 0-minimal elements below its arrow class.
+tight filters are the ultrafilters, one per 0-minimal element.  So the Lenz
+arrow a -> b is inclusion of supports, the 0-minimal elements below a and b,
+and the Lenz quotient Q has the 0-minimal groupoid of S.  The completion
+multiplies the local bisections of that groupoid setwise, without building
+Q; a class of it is named by its support, a set of 0-minimal classes.
 """
 
 import itertools
@@ -25,6 +24,7 @@ from .finitesgp import (
     _hom_defects,
     _join_table,
     _meet_semigroup,
+    _row_labels,
     _unambiguous,
     _zero_disjunctive,
     idempotent_subtable,
@@ -32,7 +32,7 @@ from .finitesgp import (
 
 PrincipalFilter = namedtuple("PrincipalFilter", ["generator"])
 DClass = namedtuple("DClass", ["support"])
-Completion = namedtuple("Completion", ["D", "delta", "Q", "lam", "classes"])
+Completion = namedtuple("Completion", ["D", "delta", "lam", "classes"])
 
 
 def ultrafilters(S):
@@ -67,18 +67,15 @@ def is_tight_filter(S, generator):
     return g in S.zero_minimal()
 
 
-def _arrow_matrix(S):
-    """arr[a, b] decides a -> {b}: every 0-minimal element below a lies
-    below b, which on finite meet-semigroups is the same as every nonzero
-    x <= a meeting b nontrivially.
-
-    The zero row is left False; arrows out of zero are vacuous and never
-    consulted.
-    """
-    below = S._leq[S.zero_minimal()].astype(np.int32)  # below[i, s]: i-th <= s
-    arr = below.T @ below == below.sum(axis=0)[:, None]
-    arr[S.zero] = False
-    return arr
+def _lenz_classes(S):
+    """(lam, reps): lam[s] numbers the Lenz class of s by first appearance,
+    reps[c] is the first element of class c.  A class is a set of equal
+    columns of the support matrix; zero's, the one empty column, is {zero}."""
+    if not _meet_semigroup(S):
+        raise TableError("lenz_congruence requires all binary meets to exist")
+    ranks, firsts = _row_labels(S.support_matrix().T)
+    reps = np.sort(firsts)
+    return np.searchsorted(reps, firsts[ranks]).tolist(), reps.tolist()
 
 
 def lenz_congruence(S):
@@ -88,53 +85,31 @@ def lenz_congruence(S):
     {zero}, products and meets descend, and the quotient is separative: the
     arrow on Q agrees with its natural order.
     """
-    if not _meet_semigroup(S):
-        raise TableError("lenz_congruence requires all binary meets to exist")
-    arrows = _arrow_matrix(S)
-    m = S.m
-    sym = arrows & arrows.T
-    sym[S.zero, :] = False
-    sym[:, S.zero] = False
-    sym[S.zero, S.zero] = True
-    lam = [-1] * m
-    reps = []
-    for s in range(m):
-        if lam[s] < 0:
-            cid = len(reps)
-            reps.append(s)
-            for x in np.flatnonzero(sym[s]):
-                lam[int(x)] = cid
+    lam, reps = _lenz_classes(S)
     QT = np.array(lam, dtype=np.int32)[S.T[np.ix_(reps, reps)]]
     fid = S.find_identity()
+    identity = None if fid is None else lam[fid]
     # a homomorphic image of an inverse semigroup is one; the tests re-prove it
-    Q = MulTable(
-        QT,
-        zero=lam[S.zero],
-        identity=None if fid is None else lam[fid],
-        names=[S.name(r) for r in reps],
-        check=False,
-    )
-    return Q, lam
+    return MulTable(QT, lam[S.zero], identity, [S.name(r) for r in reps], check=False), lam
 
 
 def distributive_completion(S):
     """Distributive completion of a finite inverse meet-semigroup.
 
-    Divides S by the Lenz congruence, giving Q and lam, then multiplies the
-    local bisections of the groupoid of 0-minimal elements of Q setwise.  By
-    the duality the completion is the semigroup of compact-open local
-    bisections of the groupoid of tight filters, and in a finite table the
-    tight filters are the ultrafilters, one per 0-minimal element.  Class c
-    of D is named by its support, the 0-minimal elements of Q in its local
-    bisection, and delta sends s to the class with support minset(lam[s]).
-    D is distributive, delta is a 0-restricted homomorphism sending the
-    covers of each element to joins, and every class is the join of the
-    delta images of its support.
+    Multiplies setwise the local bisections of the 0-minimal groupoid of S,
+    which is that of its Lenz quotient Q, so Q is not built: its 0-minimal
+    elements are the classes of those of S, taken in class order and named
+    by their first elements.  By the duality this is the semigroup of
+    compact-open local bisections of the tight groupoid, whose arrows at
+    finite scale are the ultrafilters.  Class c of D is named by its
+    support, the 0-minimal classes in its local bisection, and delta sends s
+    to the class whose support holds those below s.  D is distributive,
+    delta is a 0-restricted homomorphism sending covers to joins, and every
+    class is the join of the delta images of its support.
     """
-    Q, lam = lenz_congruence(S)
-    D, supports, phi = duality._minimal_bisections(Q)
-    delta = [phi[c] for c in lam]
-    return Completion(D, delta, Q, lam, [DClass(k) for k in supports])
+    lam, reps = _lenz_classes(S)
+    D, supports, delta = duality._minimal_bisections(S, lam, [S.name(r) for r in reps])
+    return Completion(D, delta, lam, [DClass(k) for k in supports])
 
 
 def part1_isomorphism(S):

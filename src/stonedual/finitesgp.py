@@ -19,7 +19,6 @@ slice of about SLICE characters at a time.
 
 import itertools
 import os
-from collections import namedtuple
 
 import numpy as np
 
@@ -237,7 +236,7 @@ class MulTable:
         self._above_count = self._leq.sum(axis=1)
         self._meet = None
         self._join = None
-        self._minset = None
+        self._supp = None
         self._compat = None
 
     # -- basic ops ---------------------------------------------------------
@@ -306,10 +305,13 @@ class MulTable:
         return bool(self.compat_matrix()[a, b])
 
     def compat_matrix(self):
+        """compat[s, t]: s^-1 t and s t^-1 are idempotent, BLOCK rows at a time."""
         if self._compat is None:
-            left = self.is_idem[self.T[self.inv, :]]
-            right = self.is_idem[self.T[:, self.inv]]
-            self._compat = left & right
+            self._compat = np.empty((self.m, self.m), dtype=bool)
+            for lo in range(0, self.m, BLOCK):
+                left = np.take(self.T, self.inv[lo:lo + BLOCK], axis=0)   # s^-1 t
+                right = np.take(self.T[lo:lo + BLOCK], self.inv, axis=1)  # s t^-1
+                self._compat[lo:lo + BLOCK] = self.is_idem[left] & self.is_idem[right]
         return self._compat
 
     def orthogonal(self, a, b):
@@ -321,14 +323,16 @@ class MulTable:
         """Nonzero elements with nothing strictly between them and zero."""
         return np.flatnonzero(self._below_count == 2).tolist()
 
+    def support_matrix(self):
+        """supp[i, s]: the i-th 0-minimal element lies below s, so column s is
+        the support of s.  The one source of supports; zero's is empty."""
+        if self._supp is None:
+            self._supp = self._leq[self.zero_minimal()]
+        return self._supp
+
     def minset(self, a):
-        """The 0-minimal elements below a."""
-        if self._minset is None:
-            zm = self.zero_minimal()
-            self._minset = [
-                frozenset(mm for mm in zm if self._leq[mm, s]) for s in range(self.m)
-            ]
-        return self._minset[a]
+        """The support of a: the 0-minimal elements below a."""
+        return frozenset(itertools.compress(self.zero_minimal(), self.support_matrix()[:, a]))
 
     # -- serialization -----------------------------------------------------
 
@@ -456,11 +460,8 @@ def arrow_minset(S, a, B):
     nonzero x <= a meeting some b, and it needs no meets to exist."""
     if a == S.zero:
         raise TableError("arrow source must be nonzero")
-    targets = [b for b in B if b != S.zero]
-    for mm in S.minset(a):
-        if not any(S.leq(mm, b) for b in targets):
-            return False
-    return True
+    supp = S.support_matrix()
+    return not (supp[:, a] & ~supp[:, list(B)].any(axis=1)).any()
 
 
 def is_cover(S, a, A):
@@ -608,18 +609,22 @@ def _fundamental(S):
     return len(set(mu_classes(S))) == S.m
 
 
+def _row_labels(rows):
+    """(labels, firsts): np.unique(rows, axis=0, return_inverse=True)'s
+    labels, the ranks of the distinct rows, and the first row of each rank
+    (lexsort is stable), without the numpy.ma import np.unique makes."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ranked = rows[order]
+    starts = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
+    labels = np.empty(len(rows), dtype=np.int64)
+    labels[order] = np.cumsum(starts) - 1
+    return labels, order[starts]
+
+
 def mu_classes(S):
     """Partition by the maximum idempotent-separating congruence: s and t
     share a class when they conjugate every idempotent alike, s e s^-1."""
-    sig = S.T[S.T[:, S.E], S.inv[:, None]]
-    # np.unique(sig, axis=0, return_inverse=True)'s labels, the ranks of the
-    # distinct rows, without the numpy.ma import that np.unique makes on numpy 2.4
-    order = np.lexsort(sig.T[::-1])
-    ranked = sig[order]
-    starts = np.concatenate(([False], (ranked[1:] != ranked[:-1]).any(axis=1)))
-    labels = np.empty(S.m, dtype=np.int64)
-    labels[order] = np.cumsum(starts)
-    return labels.tolist()
+    return _row_labels(S.T[S.T[:, S.E], S.inv[:, None]])[0].tolist()
 
 
 def _zero_simple(S):
@@ -769,12 +774,11 @@ def is_tightly_closed_ideal(S, ideal):
     """Closed under covers: if the part of the ideal under s covers s then s
     is already inside. Equivalently every outside s has a 0-minimal element
     below it outside the ideal."""
-    for s in range(S.m):
-        if s in ideal or s == S.zero:
-            continue
-        if all(mm in ideal for mm in S.minset(s)):
-            return False
-    return True
+    inside = np.zeros(S.m, dtype=bool)
+    inside[list(ideal) + [S.zero]] = True
+    supp = S.support_matrix()
+    covered = ~(supp & ~inside[S.zero_minimal()][:, None]).any(axis=0)
+    return not (covered & ~inside).any()
 
 
 def tightly_closed_ideals(S):
@@ -790,11 +794,11 @@ def is_zero_simplifying(S):
     if not _meet_semigroup(S):
         raise TableError("0-simplifying check needs all meets to exist")
     E = [e for e in S.E if e != S.zero]
-    zm = S.zero_minimal()
-    below = S._leq[np.ix_(zm, E)]  # below[i, e]: the i-th 0-minimal element <= e
+    supp = S.support_matrix()
+    below = supp[:, E]  # below[i, e]: the i-th 0-minimal element <= e
     for f in E:
         # the 0-minimal elements under the ranges of the x with d(x) <= f
-        covered = S._leq[np.ix_(zm, S.ran[S._leq[S.dom, f]])].any(axis=1)
+        covered = supp[:, S.ran[S._leq[S.dom, f]]].any(axis=1)
         if (below & ~covered[:, None]).any():
             return False
     return True

@@ -257,8 +257,13 @@ class DirectedGraph:
         vs = set(self.vertices)
         if len(vs) != len(self.vertices):
             raise ValueError("duplicate vertex")
+        for v in self.vertices:  # element literals are u/v, paths @v or e.f...
+            if "/" in v:
+                raise ValueError("vertex name %r cannot hold '/'" % (v,))
         self.edges = {}
         for name, src, dst in edges:
+            if "." in name or "/" in name or name.startswith("@"):
+                raise ValueError("edge name %r cannot hold '.' or '/' or start with '@'" % (name,))
             if name in self.edges:
                 raise ValueError("duplicate edge name %r" % (name,))
             if src not in vs or dst not in vs:

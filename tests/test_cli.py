@@ -304,6 +304,28 @@ def test_table_parse_errors_name_the_line(capsys, tmp_path, text, message):
     assert err.startswith("error: " + message)
 
 
+EDGE_SPELLING = "cannot hold '.' or '/' or start with '@'"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vertex v\nedge a.b v v\n", "edge name 'a.b' " + EDGE_SPELLING),
+        ("vertex v\nedge a/b v v\n", "edge name 'a/b' " + EDGE_SPELLING),
+        ("vertex v\nedge @a v v\n", "edge name '@a' " + EDGE_SPELLING),
+        ("vertex v/w\nedge a v/w v/w\n", "vertex name 'v/w' cannot hold '/'"),
+    ],
+    ids=["edge-dot", "edge-slash", "edge-at", "vertex-slash"],
+)
+def test_graph_names_literals_cannot_spell_are_refused(capsys, tmp_path, text, message):
+    # u/v splits at the first '/', a path at '.', and '@' starts an empty
+    # path, so such a name could never be written in an element
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    rc, out, err = run(capsys, ["graph", "analyze", str(path)])
+    assert (rc, out, err) == (1, "", "error: %s\n" % message)
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["poly", "bogus"])
@@ -387,6 +409,22 @@ def test_complete_builds_only_the_completion_of_s(
     rc, out, _ = run(capsys, ["finite", "complete", i3_file])
     assert rc == 0 and out.startswith("completion size: 34\n")
     assert sizes == [34]
+
+
+def test_complete_builds_no_quotient_table(capsys, monkeypatch, i3_file, theorem_checks_off):
+    # the completion reads the 0-minimal groupoid of S, which is that of its
+    # Lenz quotient Q, so Q is never built on this path
+    calls = []
+    quotient = filtercomp.lenz_congruence
+
+    def counted(S):
+        calls.append(S.m)
+        return quotient(S)
+
+    monkeypatch.setattr(filtercomp, "lenz_congruence", counted)
+    rc, out, _ = run(capsys, ["finite", "complete", i3_file])
+    assert rc == 0 and out.startswith("completion size: 34\n")
+    assert calls == []
 
 
 def test_complete_and_dualize_state_their_theorems(

@@ -185,8 +185,8 @@ def test_lenz_zero_restricted():
 
 
 def test_lenz_on_i5_allocates_under_three_tables(theorem_checks_off):
-    # beside the arrow matrices, Q's table is one int32 gather of the class
-    # array: an allocation count, so it repeats exactly
+    # beside the small support matrix, Q's table is one int32 gather of the
+    # class array: an allocation count, so it repeats exactly
     S = i_k(5)
     F._meet_semigroup(S)  # the meet table is S's own, filled on first use
     tracemalloc.start()
@@ -359,13 +359,47 @@ def test_completion_requires_meets():
         FC.distributive_completion(no_meet())
 
 
+def test_completion_takes_arrows_in_class_order():
+    # x lies above the atom a and comes first, so the 0-minimal classes run
+    # {x, a}, {b} while the 0-minimal elements run b, a: the groupoid of S
+    # must take its arrows in the class order of Q, named as Q names them
+    S = F.MulTable(
+        [[0, 0, 0, 0], [0, 1, 0, 3], [0, 0, 2, 0], [0, 3, 0, 3]],
+        zero=0,
+        names=["0", "x", "b", "a"],
+    )
+    comp = FC.distributive_completion(S)
+    assert comp.lam == [0, 1, 2, 1]
+    assert comp.D.names == ["{}", "{x}", "{b}", "{x,b}"]
+    assert comp.delta == [0, 1, 2, 1]
+    assert [sorted(cl.support) for cl in comp.classes] == [[], [1], [2], [1, 2]]
+
+
+def test_completion_on_i5_allocates_under_two_tables(theorem_checks_off):
+    # no quotient table and no arrow matrix: beside D's own int32 table the
+    # completion keeps the support matrix and one block of products; an
+    # allocation count, so it repeats exactly
+    S = i_k(5)
+    F._meet_semigroup(S)  # the meet table is S's own, filled on first use
+    tracemalloc.start()
+    try:
+        comp = FC.distributive_completion(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert comp.D.m == S.m and sorted(comp.delta) == list(range(S.m))
+    assert comp.lam == list(range(S.m))
+    assert peak <= 2 * S.T.nbytes
+
+
 def test_delta_image_supports_are_minsets():
     for name in ("I(2)", "B2", "chain3", "clifford_witness", "B2(Z2)"):
         S = meet_corpus()[name]
         comp = FC.distributive_completion(S)
+        Q = FC.lenz_congruence(S)[0]
         for s in S.nonzero():
             cl = comp.classes[comp.delta[s]]
-            assert cl.support == comp.Q.minset(comp.lam[s]), name
+            assert cl.support == Q.minset(comp.lam[s]), name
         assert comp.classes[comp.D.zero].support == frozenset()
 
 
@@ -382,14 +416,16 @@ def test_every_class_is_a_join_of_delta_images():
 
 def test_class_supports_are_unique_keys():
     for name in ("I(2)", "B2(Z2)", "union_of_chains"):
-        comp = FC.distributive_completion(meet_corpus()[name])
+        S = meet_corpus()[name]
+        comp = FC.distributive_completion(S)
         sups = [cl.support for cl in comp.classes]
         assert len(set(sups)) == len(sups)
         # the ideal each support generates carries just that support
-        zmin = set(comp.Q.zero_minimal())
+        Q = FC.lenz_congruence(S)[0]
+        zmin = set(Q.zero_minimal())
         for cl in comp.classes:
             gen = TS.CompatibleIdeal(tuple(sorted(cl.support)))
-            assert TS.ideal_members(comp.Q, gen) & zmin == cl.support
+            assert TS.ideal_members(Q, gen) & zmin == cl.support
 
 
 # ---------------------------------------------------------------------------

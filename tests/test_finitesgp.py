@@ -425,6 +425,21 @@ def test_join_of_set():
     assert S.join_of_set([e0, S.names.index("[0>1]")]) is None
 
 
+def test_compat_matrix_on_i5_allocates_under_half_a_table():
+    # the Boolean matrix is a quarter of the int32 table, and its two gathers
+    # take BLOCK rows at a time: an allocation count, so it repeats exactly
+    S = i_k(5)
+    tracemalloc.start()
+    try:
+        C = S.compat_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    whole = S.is_idem[S.T[S.inv, :]] & S.is_idem[S.T[:, S.inv]]
+    assert (C == whole).all()
+    assert peak <= S.T.nbytes / 2
+
+
 def test_compatible_and_orthogonal():
     S = i_k(2)
     e0 = S.names.index("[0>0]")

@@ -84,3 +84,22 @@ def test_subcommands_do_not_reprove_theorems():
             if used in banned:
                 found.append("cli.py:%d %s" % (getattr(node, "lineno", top.lineno), used))
     assert found == []
+
+
+def test_library_imports_only_what_it_uses():
+    # an import its module never names costs start-up for nothing; a name
+    # marked noqa: F401 is a re-export (InternalError)
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".", 1)[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    found.append("%s:%d %s" % (path.name, alias.lineno, name))
+    assert found == []
