@@ -182,9 +182,7 @@ def cmd_finite(args):
                 ["not symmetric: %s" % extra],
             )
         return [{"op": "finite.classify", "result": "I(%d)" % k}], ["I(%d)" % k]
-    ideals = sorted(
-        finitesgp.tightly_closed_ideals(S), key=lambda t: (len(t), sorted(t))
-    )
+    ideals = finitesgp.tightly_closed_ideals(S)  # smallest first, then by members
     records = [{"op": "finite.ideals", "count": len(ideals)}]
     lines = ["tightly closed ideals: %d" % len(ideals)]
     for ideal in ideals:

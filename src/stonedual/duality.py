@@ -8,6 +8,8 @@ agree, and it is then 0-minimal again.  Local bisections of that groupoid
 multiply setwise and recover the table; tightly closed ideals match unions of
 connected components; and a table is one of the symmetric inverse monoids
 exactly when it is a fundamental 0-simplifying Boolean inverse meet-monoid.
+One labelling, finitesgp._components, finds the components of a groupoid here
+and of a table's 0-minimal elements there, for its ideals and 0-simplicity.
 """
 
 import numpy as np
@@ -124,18 +126,8 @@ class FiniteGroupoid:
 
     def components(self):
         """Connected components as sorted arrow lists, each with its objects."""
-        label = np.arange(self.m)
-        while True:  # arrows and their endpoints all take the least label
-            new = np.minimum(label, np.minimum(label[self.dom], label[self.ran]))
-            np.minimum.at(new, self.dom, new.copy())
-            np.minimum.at(new, self.ran, new.copy())
-            if (new == label).all():
-                break
-            label = new
-        groups = {}
-        for a in range(self.m):
-            groups.setdefault(int(label[a]), []).append(a)
-        return sorted(sorted(g) for g in groups.values())
+        label, c = F._components(self.dom, self.ran)
+        return [np.flatnonzero(label == k).tolist() for k in range(c)]
 
     # -- serialization ------------------------------------------------------
 

@@ -152,29 +152,30 @@ def booleanization_report(S):
     """Flag record for the Booleanization of the idempotent part of S.
 
     Takes any finite inverse meet-semigroup table; the flags concern its
-    semilattice of idempotents E (equal to S when S is a semilattice), and
-    are read off the finite theorems rather than recomputed (the test suite
-    re-proves each one by definition).  The completion of E is the Boolean
-    algebra of subsets of its atoms, with the atoms' join as identity; every
-    tight filter is an ultrafilter; the atoms cover E, so E is compactable;
-    E embeds densely exactly when it is 0-disjunctive; and the idempotents of
-    the completion of S are the completion of E (part 1).  The trapping
-    condition is vacuous at finite scale (a finite set covers itself) and is
-    reported as such.
+    semilattice of idempotents E (equal to S when S is a semilattice), are
+    read off S without building E, and come from the finite theorems rather
+    than recomputed (the test suite re-proves each one by definition).  The
+    completion of E is the Boolean algebra of subsets of its atoms, with the
+    atoms' join as identity; every tight filter is an ultrafilter; the atoms
+    cover E, so E is compactable; E embeds densely exactly when it is
+    0-disjunctive; and the idempotents of the completion of S are the
+    completion of E (part 1).  The trapping condition is vacuous at finite
+    scale (a finite set covers itself) and is reported as such.
     """
     if not _meet_semigroup(S):
         raise TableError("booleanization_report requires all binary meets to exist")
-    E, _ = idempotent_subtable(S)
-    atoms = E.zero_minimal()
+    # E's atoms are the 0-minimal idempotents of S, and a 0-minimal element
+    # below an idempotent is one, so supports in S and in E agree
+    atoms = [e for e in S.zero_minimal() if S.is_idem[e]]
     return {
         "tight_eq_ultra": True,  # a 0-minimal generator is tight, any other is not
         "D_boolean": True,  # the completion is the power set of the atoms
         "unital": True,  # the set of all atoms is the identity
         "compactable": True,  # every nonzero idempotent sits above an atom
-        "densely_embedded": _zero_disjunctive(E),
+        "densely_embedded": _zero_disjunctive(S),
         "part1_iso": True,  # E(D(S)) = D(E(S)) on every inverse meet-semigroup
         "trapping": "vacuous",
-        "essential_set": sorted(E.name(a) for a in atoms),
+        "essential_set": sorted(S.name(a) for a in atoms),
         "D_size": 2 ** len(atoms),
     }
 

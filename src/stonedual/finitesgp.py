@@ -3,7 +3,10 @@
 Elements are indices 0..m-1. Construction validates the full axiom set
 (associativity, unique inverses, absorbing zero; idempotents then commute) and
 reports the first failing axiom with a witness. Order, meets, joins and the
-standard predicates are derived on demand.
+standard predicates are derived on demand.  Two vectors carry meets and ideals:
+phi, the greatest idempotent below each element (every meet exists exactly
+when phi is total, and then s ^ t = phi(s t^-1) t), and the components of the
+0-minimal elements' groupoid, whose unions give the tightly closed ideals.
 
 Table text format:
     elements <m> zero <z> [identity <e>]
@@ -193,8 +196,8 @@ def _bound_table(leq, count):
 
     count[z] is the number of y with leq[y, z].  The common lower bounds of
     s and t form a down-set, so z is the greatest of them exactly when z is
-    one of them and its own down-set has as many members.  Given the order
-    transposed, with up-set sizes, this gives least upper bounds."""
+    one of them and its own down-set has as many members.  The join table
+    passes the order transposed, with up-set sizes."""
     m = len(leq)
     out = np.empty((m, m), dtype=np.int32)
     for s in range(m):
@@ -203,6 +206,21 @@ def _bound_table(leq, count):
         hit = low & (count[zs, None] == low.sum(axis=0))
         out[s] = np.where(hit.any(axis=0), zs[hit.argmax(axis=0)], -1)
     return out
+
+
+def _components(dom, ran):
+    """(label, c): label[a] is the connected component of a, numbered from 0
+    by least member, in the graph that joins each a to dom[a] and ran[a]."""
+    label = np.arange(len(dom))
+    while True:  # each a and its endpoints all take the least label
+        new = np.minimum(label, np.minimum(label[dom], label[ran]))
+        np.minimum.at(new, dom, new.copy())
+        np.minimum.at(new, ran, new.copy())
+        if (new == label).all():
+            break
+        label = new
+    roots = label == np.arange(len(label))  # a least member keeps its own label
+    return (np.cumsum(roots) - 1)[label], int(roots.sum())
 
 
 class MulTable:
@@ -234,9 +252,10 @@ class MulTable:
             self._leq[lo:lo + BLOCK] = arr[:, self.dom[lo:lo + BLOCK]].T == s
         self._below_count = self._leq.sum(axis=0)
         self._above_count = self._leq.sum(axis=1)
-        self._meet = None
+        self._phi = None
         self._join = None
         self._supp = None
+        self._comp = None
         self._compat = None
 
     # -- basic ops ---------------------------------------------------------
@@ -281,12 +300,21 @@ class MulTable:
     def above(self, a):
         return [int(x) for x in np.flatnonzero(self._leq[a, :])]
 
+    def phi(self):
+        """phi[s]: the greatest idempotent below s, or -1.  An idempotent e <= s
+        is the greatest exactly when as many idempotents lie below e as below s."""
+        if self._phi is None:
+            below = self._leq[self.E]                  # below[i, s]: E[i] <= s
+            count = below.sum(axis=0)
+            hit = below & (count[self.E][:, None] == count)
+            self._phi = np.where(hit.any(axis=0), np.asarray(self.E)[hit.argmax(axis=0)], -1)
+        return self._phi
+
     def meet(self, a, b):
-        """Greatest lower bound, or None if it does not exist."""
-        if self._meet is None:
-            self._meet = _bound_table(self._leq, self._below_count)
-        v = int(self._meet[a, b])
-        return None if v < 0 else v
+        """Greatest lower bound, or None if it does not exist: a ^ b = phi(a b^-1) b,
+        and a b^-1 has a greatest idempotent below it exactly when a ^ b exists."""
+        f = int(self.phi()[self.T[a, self.inv[b]]])
+        return None if f < 0 else int(self.T[f, b])
 
     def join(self, a, b):
         """Least upper bound, or None if it does not exist."""
@@ -329,6 +357,16 @@ class MulTable:
         if self._supp is None:
             self._supp = self._leq[self.zero_minimal()]
         return self._supp
+
+    def minimal_components(self):
+        """_components of the groupoid of 0-minimal elements, taken in order:
+        the endpoints d(z) and r(z) of a 0-minimal z are 0-minimal too."""
+        if self._comp is None:
+            zm = self.zero_minimal()
+            self._comp = _components(
+                np.searchsorted(zm, self.dom[zm]), np.searchsorted(zm, self.ran[zm])
+            )
+        return self._comp
 
     def minset(self, a):
         """The support of a: the 0-minimal elements below a."""
@@ -628,23 +666,17 @@ def mu_classes(S):
 
 
 def _zero_simple(S):
-    """Every nonzero principal ideal is S; S s S = S s s^-1 S, so the nonzero
-    idempotents are enough."""
-    return S.m >= 2 and all(
-        len(principal_ideal(S, e)) == S.m for e in S.E if e != S.zero
-    )
+    """Every nonzero principal ideal is S: exactly when every nonzero element
+    is 0-minimal and their groupoid is connected."""
+    return len(S.zero_minimal()) == S.m - 1 and S.minimal_components()[1] == 1
 
 
 def _zero_disjunctive(S):
     """Each idempotent e < f, both nonzero, is missed by some nonzero
-    idempotent g <= f: g e = 0."""
-    E = np.array([e for e in S.E if e != S.zero], dtype=np.intp)
-    for f in E:
-        lo = E[S._leq[E, f]]
-        missed = S.T[np.ix_(lo, lo)] == S.zero      # missed[g, e]: g e = 0
-        if not missed[:, lo != f].any(axis=0).all():
-            return False
-    return True
+    idempotent g <= f (g e = 0): exactly when the nonzero idempotents have
+    pairwise distinct supports."""
+    E = [e for e in S.E if e != S.zero]
+    return not E or len(_row_labels(S.support_matrix()[:, E].T)[1]) == len(E)
 
 
 def _e_star_unitary(S):
@@ -660,12 +692,6 @@ def _unambiguous(S):
     return not ((S.T[np.ix_(E, E)] != S.zero) & ~L & ~L.T).any()
 
 
-def _meet_table(S):
-    """out[s, t] = the meet of s and t, or -1; the first meet call fills it."""
-    S.meet(S.zero, S.zero)
-    return S._meet
-
-
 def _join_table(S):
     """out[s, t] = the join of s and t, or -1; the first join call fills it."""
     S.join(S.zero, S.zero)
@@ -673,7 +699,9 @@ def _join_table(S):
 
 
 def _meet_semigroup(S):
-    return bool((_meet_table(S) >= 0).all())
+    """Every meet exists exactly when every element has a greatest idempotent
+    below it (Leech)."""
+    return bool((S.phi() >= 0).all())
 
 
 def _distributive(S):
@@ -746,59 +774,33 @@ def is_congruence_free(S):
 # ---------------------------------------------------------------------------
 # tightly closed ideals and the 0-simplifying property
 
-def principal_ideal(S, s):
-    left = np.zeros(S.m, dtype=bool)
-    left[S.T[:, s]] = True  # S s
-    mask = np.zeros(S.m, dtype=bool)
-    mask[S.T[left]] = True  # (S s) S
-    return frozenset(np.flatnonzero(mask).tolist())
-
-
-def all_ideals(S):
-    """Every ideal is a union of principal ideals; close under union.  S s S
-    = S s s^-1 S, so the principal ideals are those of the idempotents."""
-    gens = sorted({principal_ideal(S, e) for e in S.E}, key=sorted)
-    ideals = set(gens)
-    frontier = list(gens)
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            u = cur | g
-            if u not in ideals:
-                ideals.add(u)
-                frontier.append(u)
-    return sorted(ideals, key=lambda I: (len(I), sorted(I)))
-
-
-def is_tightly_closed_ideal(S, ideal):
-    """Closed under covers: if the part of the ideal under s covers s then s
-    is already inside. Equivalently every outside s has a 0-minimal element
-    below it outside the ideal."""
-    inside = np.zeros(S.m, dtype=bool)
-    inside[list(ideal) + [S.zero]] = True
-    supp = S.support_matrix()
-    covered = ~(supp & ~inside[S.zero_minimal()][:, None]).any(axis=0)
-    return not (covered & ~inside).any()
-
-
 def tightly_closed_ideals(S):
-    return [I for I in all_ideals(S) if is_tightly_closed_ideal(S, I)]
+    """The tightly closed ideals, smallest first, then by sorted members: the
+    sets C(O) = {s : supp(s) in O}, one for each union O of components of the
+    groupoid of 0-minimal elements.
+
+    Bit k of mask[s] says that supp(s) meets component k.  The list has 2^c
+    sets of at most m members; it is refused when those 2^c m cells exceed
+    the cells of the largest table the element limit allows."""
+    label, c = S.minimal_components()
+    if (1 << c) * S.m > max_elements() ** 2:
+        raise SizeLimitError(
+            "tightly closed ideals: 2^%d ideals of %d elements exceed %d^2 cells "
+            "(set STONEDUAL_MAX_ELEMENTS to raise)" % (c, S.m, max_elements())
+        )
+    meets = np.zeros((c, S.m), dtype=bool)
+    np.logical_or.at(meets, label, S.support_matrix())
+    weight = np.array([1 << k for k in range(c)], dtype=np.int64 if c < 63 else object)
+    mask = weight @ meets.astype(weight.dtype)
+    found = [np.flatnonzero((mask & ~bits) == 0).tolist() for bits in range(1 << c)]
+    found.sort(key=lambda ideal: (len(ideal), ideal))
+    return [frozenset(ideal) for ideal in found]
 
 
 def is_zero_simplifying(S):
-    """No tightly closed ideal strictly between {0} and S.
-
-    Decided through the witnessed preorder on nonzero idempotents (e below f
-    iff the ranges of every element with domain under f jointly arrow e):
-    S is 0-simplifying exactly when that preorder is universal."""
+    """No tightly closed ideal strictly between {0} and S: those ideals are
+    the C(O) above, so exactly when the 0-minimal groupoid has at most one
+    component."""
     if not _meet_semigroup(S):
         raise TableError("0-simplifying check needs all meets to exist")
-    E = [e for e in S.E if e != S.zero]
-    supp = S.support_matrix()
-    below = supp[:, E]  # below[i, e]: the i-th 0-minimal element <= e
-    for f in E:
-        # the 0-minimal elements under the ranges of the x with d(x) <= f
-        covered = supp[:, S.ran[S._leq[S.dom, f]]].any(axis=1)
-        if (below & ~covered[:, None]).any():
-            return False
-    return True
+    return S.minimal_components()[1] <= 1

@@ -257,13 +257,16 @@ class DirectedGraph:
         vs = set(self.vertices)
         if len(vs) != len(self.vertices):
             raise ValueError("duplicate vertex")
-        for v in self.vertices:  # element literals are u/v, paths @v or e.f...
-            if "/" in v:
-                raise ValueError("vertex name %r cannot hold '/'" % (v,))
+        for v in self.vertices:  # literals are u/v, paths @v or e.f..., lists a,b,...
+            for mark in "/,":
+                if mark in v:
+                    raise ValueError("vertex name %r cannot hold %r" % (v, mark))
         self.edges = {}
         for name, src, dst in edges:
             if "." in name or "/" in name or name.startswith("@"):
                 raise ValueError("edge name %r cannot hold '.' or '/' or start with '@'" % (name,))
+            if "," in name:
+                raise ValueError("edge name %r cannot hold ','" % (name,))
             if name in self.edges:
                 raise ValueError("duplicate edge name %r" % (name,))
             if src not in vs or dst not in vs:

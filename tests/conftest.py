@@ -13,6 +13,7 @@ does so under `RECHECKER.unchecked()`.
 import contextlib
 import functools
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -73,8 +74,8 @@ def check_distributive(S, result):
 
 
 def check_zero_simple(S, result):
-    every = S.m >= 2 and all(len(F.principal_ideal(S, s)) == S.m for s in S.nonzero())
-    assert result == every, "idempotent principal ideals must decide 0-simplicity"
+    every = S.m >= 2 and all(len(TS.principal_ideal(S, s)) == S.m for s in S.nonzero())
+    assert result == every, "one connected groupoid of 0-minimal elements must decide 0-simplicity"
 
 
 def check_all_ideals(S, result):
@@ -83,10 +84,43 @@ def check_all_ideals(S, result):
     )
 
 
+def check_tightly_closed_ideals(S, result):
+    if S.m <= IDEAL_ROUTE_LIMIT:
+        assert result == TS.tightly_closed_ideals_by_enumeration(S), (
+            "the unions of 0-minimal components must give the tightly closed ideals"
+        )
+
+
 def check_is_zero_simplifying(S, result):
-    trivial = {frozenset([S.zero]), frozenset(range(S.m))}
-    by_ideals = all(I in trivial for I in F.tightly_closed_ideals(S))
-    assert result == by_ideals, "0-simplifying routes disagree"
+    assert result == TS.zero_simplifying_by_preorder(S), "0-simplifying routes disagree"
+
+
+def check_zero_disjunctive(S, result):
+    assert result == TS.zero_disjunctive_by_idempotents(S), (
+        "distinct supports of nonzero idempotents must decide 0-disjunctivity"
+    )
+
+
+# the counting-rule meet table of each table object, built once: tests ask
+# for many single meets, and tables are not changed after construction
+COUNTED_MEETS = weakref.WeakKeyDictionary()
+
+
+def _meets_by_counting(S):
+    if S not in COUNTED_MEETS:
+        COUNTED_MEETS[S] = TS.meet_table_by_counting(S)
+    return COUNTED_MEETS[S]
+
+
+def check_meet_semigroup(S, result):
+    assert result == bool((_meets_by_counting(S) >= 0).all()), (
+        "a total phi must mean that every meet exists"
+    )
+
+
+def check_meet(S, a, b, result):
+    want = int(_meets_by_counting(S)[a, b])
+    assert result == (None if want < 0 else want), "phi(a b^-1) b must be the meet"
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +369,14 @@ def check_ideal_correspondence(S, pairs):
         for T2, O2 in pairs:
             assert (T1 <= T2) == (O1 <= O2), "the pairing must respect order"
     # in a Boolean table, tightly closed = closed under the joins that exist
-    for T in F.all_ideals(S):
+    for T in TS.all_ideals(S):
         by_joins = all(
             S.join(a, b) in T
             for a in T
             for b in T
             if S.compatible(a, b) and S.join(a, b) is not None
         )
-        assert by_joins == F.is_tightly_closed_ideal(S, T)
+        assert by_joins == TS.is_tightly_closed_ideal(S, T)
 
 
 def check_classify_symmetric(S, result):
@@ -471,7 +505,13 @@ RECHECKS = [
     (F, "_distributive", check_distributive),
     (FC, "_distributive", check_distributive),
     (F, "_zero_simple", check_zero_simple),
-    (F, "all_ideals", check_all_ideals),
+    (F, "_zero_disjunctive", check_zero_disjunctive),
+    (FC, "_zero_disjunctive", check_zero_disjunctive),
+    (F, "_meet_semigroup", check_meet_semigroup),
+    (FC, "_meet_semigroup", check_meet_semigroup),
+    (F.MulTable, "meet", check_meet),
+    (TS, "all_ideals", check_all_ideals),
+    (F, "tightly_closed_ideals", check_tightly_closed_ideals),
     (F, "is_congruence_free", check_is_congruence_free),
     (F, "is_zero_simplifying", check_is_zero_simplifying),
     (FC, "lenz_congruence", check_lenz_congruence),

@@ -142,6 +142,51 @@ def test_complete_answers_on_i4(capsys, tmp_path):
     assert out.splitlines()[:2] == ["completion size: 209", "boolean: true"]
 
 
+def test_ideals_and_simplifying_on_the_64_element_boolean_algebra(capsys, tmp_path):
+    # all subsets of 6 points: 6 components of one atom each, so 2^6 ideals,
+    # one per subset of atoms, and not 0-simplifying; enumerating every
+    # ideal instead would walk millions of down-sets
+    table = [[i & j for j in range(64)] for i in range(64)]
+    path = tmp_path / "cube6.tbl"
+    path.write_text(MulTable(table, 0, 63).to_text())
+    rc, out, err = run(capsys, ["finite", "ideals", str(path)])
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "tightly closed ideals: 64" and len(lines) == 65
+    assert lines[1] == "ideal {s0}" and lines[-1] == "ideal {%s}" % ",".join(
+        "s%d" % i for i in range(64)
+    )
+    rc, out, err = run(capsys, ["finite", "simplifying", str(path)])
+    assert (rc, out, err) == (0, "0-simplifying: false\n", "")
+
+
+def zero_with_atoms(tmp_path, k):
+    """A table file: zero and k orthogonal idempotent atoms."""
+    table = [[i if i == j else 0 for j in range(k + 1)] for i in range(k + 1)]
+    path = tmp_path / ("atoms%d.tbl" % k)
+    path.write_text(MulTable(table, 0).to_text())
+    return str(path)
+
+
+def test_ideal_list_within_budget_answers(capsys, tmp_path):
+    # 2^14 ideals of 15 elements: 245,760 cells, within 2000^2
+    rc, out, err = run(capsys, ["finite", "ideals", zero_with_atoms(tmp_path, 14)])
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "tightly closed ideals: 16384" and len(lines) == 16385
+    assert lines[1:3] == ["ideal {s0}", "ideal {s0,s1}"]
+
+
+def test_ideal_list_over_budget_is_refused(capsys, tmp_path):
+    # 2^18 ideals of 19 elements: about 5.0 M cells, above 2000^2
+    rc, out, err = run(capsys, ["finite", "ideals", zero_with_atoms(tmp_path, 18)])
+    assert (rc, out) == (1, "")
+    assert err == (
+        "error: tightly closed ideals: 2^18 ideals of 19 elements exceed 2000^2 cells "
+        "(set STONEDUAL_MAX_ELEMENTS to raise)\n"
+    )
+
+
 def test_thompson_commands(capsys):
     g3 = "{a,ba,bb}->{aa,ab,b}:perm=[0,1,2]"
     rc, out, _ = run(capsys, ["thompson", "mul", g3, g3])
@@ -314,12 +359,14 @@ EDGE_SPELLING = "cannot hold '.' or '/' or start with '@'"
         ("vertex v\nedge a/b v v\n", "edge name 'a/b' " + EDGE_SPELLING),
         ("vertex v\nedge @a v v\n", "edge name '@a' " + EDGE_SPELLING),
         ("vertex v/w\nedge a v/w v/w\n", "vertex name 'v/w' cannot hold '/'"),
+        ("vertex v\nedge a,b v v\n", "edge name 'a,b' cannot hold ','"),
+        ("vertex v,w\nedge a v,w v,w\n", "vertex name 'v,w' cannot hold ','"),
     ],
-    ids=["edge-dot", "edge-slash", "edge-at", "vertex-slash"],
+    ids=["edge-dot", "edge-slash", "edge-at", "vertex-slash", "edge-comma", "vertex-comma"],
 )
 def test_graph_names_literals_cannot_spell_are_refused(capsys, tmp_path, text, message):
-    # u/v splits at the first '/', a path at '.', and '@' starts an empty
-    # path, so such a name could never be written in an element
+    # u/v splits at the first '/', a path at '.', a B list at ',', and '@'
+    # starts an empty path, so such a name could never be written in an element
     path = tmp_path / "g.graph"
     path.write_text(text)
     rc, out, err = run(capsys, ["graph", "analyze", str(path)])

@@ -188,7 +188,7 @@ def test_lenz_on_i5_allocates_under_three_tables(theorem_checks_off):
     # beside the small support matrix, Q's table is one int32 gather of the
     # class array: an allocation count, so it repeats exactly
     S = i_k(5)
-    F._meet_semigroup(S)  # the meet table is S's own, filled on first use
+    F._meet_semigroup(S)  # phi is S's own, filled on first use
     tracemalloc.start()
     try:
         Q, lam = FC.lenz_congruence(S)
@@ -380,7 +380,7 @@ def test_completion_on_i5_allocates_under_two_tables(theorem_checks_off):
     # completion keeps the support matrix and one block of products; an
     # allocation count, so it repeats exactly
     S = i_k(5)
-    F._meet_semigroup(S)  # the meet table is S's own, filled on first use
+    F._meet_semigroup(S)  # phi is S's own, filled on first use
     tracemalloc.start()
     try:
         comp = FC.distributive_completion(S)

@@ -840,7 +840,7 @@ def test_mu_classes_and_principal_ideals_match_np_unique():
         for s in range(S.m):
             mask = np.zeros(S.m, dtype=bool)
             mask[S.T[np.unique(S.T[:, s])]] = True
-            assert F.principal_ideal(S, s) == frozenset(np.flatnonzero(mask).tolist()), (name, s)
+            assert TS.principal_ideal(S, s) == frozenset(np.flatnonzero(mask).tolist()), (name, s)
 
 
 def test_fundamental_iff_mu_trivial():
@@ -883,10 +883,10 @@ def test_congruence_free():
 # ideals and the 0-simplifying property
 
 def test_ideals():
-    assert sorted(len(I) for I in F.all_ideals(i_k(2))) == [1, 5, 7]
-    assert sorted(len(I) for I in F.all_ideals(cube(2))) == [1, 2, 2, 3, 4]
+    assert sorted(len(I) for I in TS.all_ideals(i_k(2))) == [1, 5, 7]
+    assert sorted(len(I) for I in TS.all_ideals(cube(2))) == [1, 2, 2, 3, 4]
     for S in (i_k(2), cube(3), b2_z2()):
-        for I in F.all_ideals(S):
+        for I in TS.all_ideals(S):
             assert S.zero in I
             for s in I:
                 for t in range(S.m):
@@ -905,8 +905,8 @@ def test_tightly_closed_ideals():
     # rank ideals of I(3) are not tightly closed: every 0-minimal element
     # below a higher-rank s already sits inside
     S = i_k(3)
-    rank1 = min((I for I in F.all_ideals(S) if len(I) > 1), key=len)
-    assert not F.is_tightly_closed_ideal(S, rank1)
+    rank1 = min((I for I in TS.all_ideals(S) if len(I) > 1), key=len)
+    assert not TS.is_tightly_closed_ideal(S, rank1)
 
 
 def test_zero_simplifying():
@@ -924,8 +924,53 @@ def test_product_factor_ideal_is_tightly_closed():
     left = frozenset(
         a * i_k(2).m + i_k(2).zero for a in range(i_k(2).m)
     )
-    assert left in F.all_ideals(P)
-    assert F.is_tightly_closed_ideal(P, left)
+    assert left in TS.all_ideals(P)
+    assert TS.is_tightly_closed_ideal(P, left)
+
+
+def random_tables(seed):
+    """Seeded random corpora: inverse subsemigroups of I(3) and I(4), and
+    Clifford semigroups with Z/2 on an up-set, some of them without meets."""
+    rng = random.Random(seed)
+    for k in (3, 4):
+        for _ in range(40):
+            yield "sub I(%d)" % k, TS.random_inverse_subsemigroup(i_k(k), rng, rng.randrange(1, 4))
+    for _ in range(80):
+        yield "clifford", TS.random_clifford(rng)
+
+
+def test_phi_and_components_match_the_definitions_on_random_tables(theorem_checks_off):
+    # the library decides meets from phi, ideals and 0-simplicity from the
+    # 0-minimal components, and 0-disjunctivity from supports; each against
+    # its definition, on tables of every kind the theorems cover
+    missing = 0
+    for name, S in random_tables(15):
+        counted = TS.meet_table_by_counting(S).tolist()
+        meets = [[S.meet(a, b) for b in range(S.m)] for a in range(S.m)]
+        assert meets == [[None if v < 0 else v for v in row] for row in counted], name
+        assert F._meet_semigroup(S) == (None not in sum(meets, [])), name
+        missing += not F._meet_semigroup(S)
+        if S.m <= 60:
+            assert F.tightly_closed_ideals(S) == TS.tightly_closed_ideals_by_enumeration(S), name
+        every = S.m >= 2 and all(len(TS.principal_ideal(S, s)) == S.m for s in S.nonzero())
+        assert F._zero_simple(S) == every, name
+        assert F._zero_disjunctive(S) == TS.zero_disjunctive_by_idempotents(S), name
+        if F._meet_semigroup(S):
+            assert F.is_zero_simplifying(S) == TS.zero_simplifying_by_preorder(S), name
+    assert missing  # the corpus reaches tables without some meets
+
+
+def test_deciding_meets_on_i5_builds_no_meet_table(theorem_checks_off):
+    # phi is one vector of m entries beside a few |E| x m masks, where the
+    # counting rule filled an int32 m x m table
+    S = F.symmetric_inverse_monoid(5)
+    tracemalloc.start()
+    try:
+        assert F._meet_semigroup(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < S.T.nbytes / 10
 
 
 # ---------------------------------------------------------------------------

@@ -385,7 +385,7 @@ def booleanization_by_definition(S):
     # nonzero class a join of images (the last holds in every completion)
     injective = len(set(comp_e.delta)) == E.m
     d = np.array(comp_e.delta)
-    meets_ok = (F._meet_table(DE)[np.ix_(d, d)] == d[F._meet_table(E)]).all()
+    meets_ok = (meet_table_by_counting(DE)[np.ix_(d, d)] == d[meet_table_by_counting(E)]).all()
     return {
         "tight_eq_ultra": tight == ultra,
         "D_boolean": d_boolean,
@@ -501,8 +501,8 @@ def distributive_for_every_c(S):
 
 
 def ideals_from_every_element(S):
-    """finitesgp.all_ideals from the principal ideal of every element."""
-    gens = sorted({F.principal_ideal(S, s) for s in range(S.m)}, key=sorted)
+    """all_ideals from the principal ideal of every element."""
+    gens = sorted({principal_ideal(S, s) for s in range(S.m)}, key=sorted)
     ideals = set(gens)
     frontier = list(gens)
     while frontier:
@@ -532,3 +532,132 @@ def bisection_table_by_sets(G, sets):
     identity = index[frozenset(G.objects)]
     names = ["{" + ",".join(G.name(a) for a in sorted(A)) + "}" for A in sets]
     return F.MulTable(table, zero, identity, names, check=False)
+
+
+# ---------------------------------------------------------------------------
+# meets, ideals, 0-simplicity and 0-disjunctivity by their definitions: the
+# library decides them from phi, the 0-minimal components and the supports
+
+
+def meet_table_by_counting(S):
+    """out[s, t] = the meet of s and t, or -1, by the counting rule: z is the
+    meet when it lies below s and t and as many elements lie below z as
+    below both."""
+    return F._bound_table(S._leq, S._below_count)
+
+
+def principal_ideal(S, s):
+    left = np.zeros(S.m, dtype=bool)
+    left[S.T[:, s]] = True  # S s
+    mask = np.zeros(S.m, dtype=bool)
+    mask[S.T[left]] = True  # (S s) S
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
+def all_ideals(S):
+    """Every ideal is a union of principal ideals; close under union.  S s S
+    = S s s^-1 S, so the principal ideals are those of the idempotents."""
+    gens = sorted({principal_ideal(S, e) for e in S.E}, key=sorted)
+    ideals = set(gens)
+    frontier = list(gens)
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            u = cur | g
+            if u not in ideals:
+                ideals.add(u)
+                frontier.append(u)
+    return sorted(ideals, key=lambda I: (len(I), sorted(I)))
+
+
+def is_tightly_closed_ideal(S, ideal):
+    """Closed under covers: if the part of the ideal under s covers s then s
+    is already inside. Equivalently every outside s has a 0-minimal element
+    below it outside the ideal."""
+    inside = np.zeros(S.m, dtype=bool)
+    inside[list(ideal) + [S.zero]] = True
+    supp = S.support_matrix()
+    covered = ~(supp & ~inside[S.zero_minimal()][:, None]).any(axis=0)
+    return not (covered & ~inside).any()
+
+
+def tightly_closed_ideals_by_enumeration(S):
+    """finitesgp.tightly_closed_ideals by filtering every ideal."""
+    return [I for I in all_ideals(S) if is_tightly_closed_ideal(S, I)]
+
+
+def zero_simplifying_by_preorder(S):
+    """finitesgp.is_zero_simplifying through the witnessed preorder on
+    nonzero idempotents (e below f iff the ranges of every element with
+    domain under f jointly arrow e): S is 0-simplifying exactly when that
+    preorder is universal."""
+    E = [e for e in S.E if e != S.zero]
+    supp = S.support_matrix()
+    below = supp[:, E]  # below[i, e]: the i-th 0-minimal element <= e
+    for f in E:
+        # the 0-minimal elements under the ranges of the x with d(x) <= f
+        covered = supp[:, S.ran[S._leq[S.dom, f]]].any(axis=1)
+        if (below & ~covered[:, None]).any():
+            return False
+    return True
+
+
+def zero_disjunctive_by_idempotents(S):
+    """finitesgp._zero_disjunctive by its definition: each idempotent e < f,
+    both nonzero, is missed by some nonzero idempotent g <= f: g e = 0."""
+    E = np.array([e for e in S.E if e != S.zero], dtype=np.intp)
+    for f in E:
+        lo = E[S._leq[E, f]]
+        missed = S.T[np.ix_(lo, lo)] == S.zero      # missed[g, e]: g e = 0
+        if not missed[:, lo != f].any(axis=0).all():
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# seeded random corpora: inverse subsemigroups of I(k), and Clifford
+# semigroups over random semilattices
+
+
+def random_inverse_subsemigroup(S, rng, gens=3):
+    """The inverse subsemigroup of S (with zero) generated by a few random
+    elements, as its own table."""
+    inside = np.zeros(S.m, dtype=bool)
+    inside[[S.zero] + [rng.randrange(S.m) for _ in range(gens)]] = True
+    while True:
+        members = np.flatnonzero(inside)
+        grown = inside.copy()
+        grown[S.inv[members]] = True
+        grown[S.T[np.ix_(members, members)]] = True
+        if (grown == inside).all():
+            return F.subtable(S, members.tolist())[0]
+        inside = grown
+
+
+def random_clifford(rng, points=4):
+    """A Clifford semigroup: the group Z/2 = {e, g_e} sits at each idempotent
+    e of an up-set U of a random semilattice of subsets of `points` points
+    (closed under intersection, with the empty set as zero), and the trivial
+    group elsewhere; (e, a)(f, b) = (e f, a + b), with the sign dropped
+    below U.  Meets can fail: g_e and e have no meet when the idempotents
+    below e outside U have no greatest member."""
+    sets = {0} | {rng.randrange(1, 1 << points) for _ in range(rng.randrange(1, 6))}
+    while True:
+        closed = sets | {a & b for a in sets for b in sets}
+        if closed == sets:
+            break
+        sets = closed
+    idems = sorted(sets)
+    # the up-set of one or two nonzero idempotents; the zero stays absorbing
+    up = {rng.choice(idems[1:]) for _ in range(rng.randrange(1, 3))}
+    up = {e for e in idems if any(u & e == u for u in up)}
+    elems = [(e, 0) for e in idems] + [(e, 1) for e in idems if e in up]
+    index = {x: i for i, x in enumerate(elems)}
+
+    def mul(x, y):
+        e = x[0] & y[0]
+        return index[(e, (x[1] + y[1]) % 2 if e in up else 0)]
+
+    table = [[mul(x, y) for y in elems] for x in elems]
+    names = ["%s%d" % ("g" if a else "e", e) for e, a in elems]
+    return F.MulTable(table, index[(0, 0)], None, names)
