@@ -10,6 +10,10 @@ Subpackages by topic:
   duality     ultrafilter groupoids, bisection semigroups, classification
   thompson    Cuntz inverse monoid elements and Thompson-Higman tree pairs
   cli         command line front end
+
+The public surface is what the command line reaches, what the acceptance
+tests call, and the operations listed under "Library API" in README.md;
+fixtures and reference routes that only tests call live in tests/.
 """
 
 __version__ = "0.1.0"

@@ -118,12 +118,6 @@ class FiniteGroupoid:
             return self.names[a]
         return "g%d" % a
 
-    def is_principal(self):
-        """No nontrivial local groups: d(a) = r(a) forces a to be an identity."""
-        return all(
-            self.dom[a] != self.ran[a] or a in self._objset for a in range(self.m)
-        )
-
     def components(self):
         """Connected components as sorted arrow lists, each with its objects."""
         label, c = F._components(self.dom, self.ran)
@@ -187,64 +181,6 @@ class FiniteGroupoid:
             [ran[a] for a in range(m)],
             comp,
         )
-
-
-def pair_groupoid(k):
-    """The groupoid k x k: one arrow (i,j) per ordered pair, sending j to i."""
-
-    def aid(i, j):
-        return i * k + j
-
-    objects = [aid(i, i) for i in range(k)]
-    dom = [aid(a % k, a % k) for a in range(k * k)]
-    ran = [aid(a // k, a // k) for a in range(k * k)]
-    comp = {}
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                comp[(aid(i, j), aid(j, l))] = aid(i, l)
-    names = ["(%d,%d)" % (i, j) for i in range(k) for j in range(k)]
-    return FiniteGroupoid(objects, dom, ran, comp, names)
-
-
-def discrete_groupoid(k):
-    """k isolated identities and nothing else."""
-    comp = {(e, e): e for e in range(k)}
-    names = ["e%d" % e for e in range(k)]
-    return FiniteGroupoid(range(k), range(k), range(k), comp, names)
-
-
-def group_groupoid(table, names=None):
-    """A finite group presented as a one-object groupoid.
-
-    table[a][b] is the product; the group axioms are verified by the
-    groupoid validation."""
-    n = len(table)
-    idents = [
-        e
-        for e in range(n)
-        if all(table[e][x] == x and table[x][e] == x for x in range(n))
-    ]
-    if len(idents) != 1:
-        raise TableError("group table needs exactly one identity")
-    e = idents[0]
-    comp = {(a, b): table[a][b] for a in range(n) for b in range(n)}
-    return FiniteGroupoid([e], [e] * n, [e] * n, comp, names)
-
-
-def disjoint_union(G, H):
-    """Two groupoids side by side with no arrows between them."""
-    off = G.m
-    objects = list(G.objects) + [e + off for e in H.objects]
-    dom = list(G.dom) + [x + off for x in H.dom]
-    ran = list(G.ran) + [x + off for x in H.ran]
-    comp = {}
-    for X, off in ((G, 0), (H, G.m)):
-        for a, b in zip(*np.nonzero(X.C >= 0)):
-            comp[(int(a) + off, int(b) + off)] = int(X.C[a, b]) + off
-    names = ["L:" + G.name(a) for a in range(G.m)]
-    names += ["R:" + H.name(a) for a in range(H.m)]
-    return FiniteGroupoid(objects, dom, ran, comp, names)
 
 
 # ---------------------------------------------------------------------------
@@ -477,34 +413,3 @@ def classify_symmetric(S):
         name = S.name(phi.index(None))
         raise InternalError("the atom action of %s is not injective" % name)
     return k, phi
-
-
-# ---------------------------------------------------------------------------
-# the principality criterion
-
-def _up_and_fc(S, up):
-    """The up-set of an ultrafilter and its F^c, given the ultrafilter as the
-    row of the support matrix at its atom."""
-    in_f = up & S.is_idem                  # F: the idempotents above the atom
-    filt, every = np.flatnonzero(in_f), np.arange(S.m)[:, None]
-    conj = S.T[S.T[:, filt], S.inv[:, None]]           # s f s^-1
-    back = S.T[S.T[S.inv][:, filt], every]             # s^-1 f s
-    fc = in_f[S.dom] & in_f[S.ran] & in_f[conj].all(axis=1) & in_f[back].all(axis=1)
-    return set(np.flatnonzero(up).tolist()), set(np.flatnonzero(fc).tolist())
-
-
-def principal_criterion(S):
-    """Whether F^up = F^c for every ultrafilter F of the idempotent part.
-
-    F^c collects the elements whose domain and range lie in F and whose
-    conjugation preserves F; it is the largest inverse subsemigroup with
-    idempotent part F, and it always contains the up-set of F.  On a finite
-    Boolean table the criterion, triviality of the local groups of the
-    ultrafilter groupoid, and being fundamental all agree."""
-    _require_boolean_meets(S, "principal criterion")
-    for e, row in zip(S.zero_minimal(), S.support_matrix()):
-        if S.is_idem[e]:
-            up, fc = _up_and_fc(S, row)
-            if up != fc:
-                return False
-    return True

@@ -1,31 +1,29 @@
-"""Filters, the Lenz congruence, and distributive completions of finite
-inverse semigroup tables.
+"""Filters, tight filters and distributive completions of finite inverse
+semigroup tables, with booleanization reports and the universal property.
 
 Everything here is finite, so a filter is the up-set of its minimum and the
 tight filters are the ultrafilters, one per 0-minimal element.  So the Lenz
 arrow a -> b is inclusion of supports, the 0-minimal elements below a and b,
 and the Lenz quotient Q has the 0-minimal groupoid of S.  The completion
 multiplies the local bisections of that groupoid setwise, without building
-Q; a class of it is named by its support, a set of 0-minimal classes.
+Q; a class of it is named by its support, a set of 0-minimal classes.  The
+test suite builds Q, in tests/tests_support_tables.py, to check each
+completion against it.
 """
 
-import itertools
 from collections import namedtuple
 
 import numpy as np
 
 from . import duality
 from .finitesgp import (
-    MulTable,
     TableError,
     _distributive,
-    _e_star_unitary,
     _first_failure,
     _hom_defects,
     _join_table,
     _meet_semigroup,
     _row_labels,
-    _unambiguous,
     _zero_disjunctive,
     idempotent_subtable,
 )
@@ -42,14 +40,6 @@ def ultrafilters(S):
     maximal ones are generated by the 0-minimal elements.
     """
     return [PrincipalFilter(int(e)) for e in S.zero_minimal()]
-
-
-def filter_elements(S, f):
-    """The members of a principal filter."""
-    g = f.generator if isinstance(f, PrincipalFilter) else int(f)
-    if g == S.zero:
-        raise TableError("zero generates no filter")
-    return frozenset(S.above(g))
 
 
 def is_tight_filter(S, generator):
@@ -76,21 +66,6 @@ def _lenz_classes(S):
     ranks, firsts = _row_labels(S.support_matrix().T)
     reps = np.sort(firsts)
     return np.searchsorted(reps, firsts[ranks]).tolist(), reps.tolist()
-
-
-def lenz_congruence(S):
-    """Quotient a finite inverse meet-semigroup by the symmetrized arrow.
-
-    Returns (Q, lam) with lam[s] the class of s.  The class of zero is just
-    {zero}, products and meets descend, and the quotient is separative: the
-    arrow on Q agrees with its natural order.
-    """
-    lam, reps = _lenz_classes(S)
-    QT = np.array(lam, dtype=np.int32)[S.T[np.ix_(reps, reps)]]
-    fid = S.find_identity()
-    identity = None if fid is None else lam[fid]
-    # a homomorphic image of an inverse semigroup is one; the tests re-prove it
-    return MulTable(QT, lam[S.zero], identity, [S.name(r) for r in reps], check=False), lam
 
 
 def distributive_completion(S):
@@ -178,26 +153,6 @@ def booleanization_report(S):
         "essential_set": sorted(S.name(a) for a in atoms),
         "D_size": 2 ** len(atoms),
     }
-
-
-def orthogonalize(S, X):
-    """Turn a pairwise compatible set into a pairwise orthogonal one with the
-    same downset by keeping only the maximal elements.
-
-    Requires an unambiguous E*-unitary table: there compatible elements are
-    comparable or orthogonal, which is what makes discarding work.
-    """
-    if not _unambiguous(S):
-        raise TableError("orthogonalize requires an unambiguous table")
-    if not _e_star_unitary(S):
-        raise TableError("orthogonalize requires an E*-unitary table")
-    xs = sorted(set(int(x) for x in X))
-    for a, b in itertools.combinations(xs, 2):
-        if not S.compatible(a, b):
-            raise TableError(
-                "not pairwise compatible: %s, %s" % (S.name(a), S.name(b))
-            )
-    return [a for a in xs if not any(b != a and S.leq(a, b) for b in xs)]
 
 
 def check_universal_property(S, T, theta):

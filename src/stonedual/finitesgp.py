@@ -138,19 +138,10 @@ def _inverses(arr):
     return pair, pair.argmax(axis=1).astype(np.int32)
 
 
-def validate(table, zero, identity=None):
-    """Return None if the table is an inverse semigroup with absorbing zero,
-    else a diagnostic string naming the first failing axiom and a witness."""
-    try:
-        _check_axioms(table, zero, identity)
-    except TableError as exc:
-        return str(exc)
-    return None
-
-
 def _check_axioms(table, zero, identity):
-    """Raise validate's diagnostic as a TableError, or return what was found
-    on the way: (a generating set, the inverse of each element)."""
+    """Raise a TableError naming the first failing axiom and a witness, or
+    return what was found on the way: (a generating set, the inverse of each
+    element)."""
     m = len(table)
     if m == 0:
         raise TableError("empty table")
@@ -490,26 +481,6 @@ def _index(token, lineno):
 
 
 # ---------------------------------------------------------------------------
-# arrow relation and covers on tables
-
-def arrow_minset(S, a, B):
-    """a -> B via 0-minimal elements: every 0-minimal element below a lies
-    below some b in B.  On finite meet-semigroups this is the same as every
-    nonzero x <= a meeting some b, and it needs no meets to exist."""
-    if a == S.zero:
-        raise TableError("arrow source must be nonzero")
-    supp = S.support_matrix()
-    return not (supp[:, a] & ~supp[:, list(B)].any(axis=1)).any()
-
-
-def is_cover(S, a, A):
-    A = list(A)
-    if not all(S.leq(x, a) for x in A):
-        return False
-    return arrow_minset(S, a, A)
-
-
-# ---------------------------------------------------------------------------
 # constructions
 
 def _maps_of_partial_injections(k):
@@ -557,63 +528,6 @@ def symmetric_inverse_monoid(k):
     identity = index[tuple(range(k))]
     names = [_map_name(f) for f in maps]
     return MulTable(table, zero, identity, names)
-
-
-def zero_direct_union(S, T):
-    """Glue the zeros of two tables; everything across the seam multiplies to 0."""
-    m = (S.m - 1) + (T.m - 1) + 1
-    _check_size(m, "zero direct union")
-    table = np.zeros((m, m), dtype=np.int32)
-    names = ["0"]
-    for X, tag in ((S, "L:"), (T, "R:")):
-        nz = np.array(X.nonzero(), dtype=np.intp)
-        new = np.zeros(X.m, dtype=np.int32)   # zero stays 0
-        new[nz] = len(names) + np.arange(len(nz))
-        table[np.ix_(new[nz], new[nz])] = new[X.T[np.ix_(nz, nz)]]
-        names += [tag + X.name(s) for s in nz]
-    return MulTable(table, 0, None, names)
-
-
-def direct_product(S, T):
-    m = S.m * T.m
-    _check_size(m, "direct product")
-    TS, TT = S.T, T.T
-    mT = T.m
-    # index (a, b) -> a * mT + b
-    a1, b1 = np.divmod(np.arange(m), mT)
-    pa = TS[np.ix_(a1, a1)]
-    pb = TT[np.ix_(b1, b1)]
-    table = pa * mT + pb
-    zero = S.zero * mT + T.zero
-    identity = None
-    eS, eT = S.find_identity(), T.find_identity()
-    if eS is not None and eT is not None:
-        identity = eS * mT + eT
-    names = ["(%s,%s)" % (S.name(a), T.name(b)) for a in range(S.m) for b in range(T.m)]
-    return MulTable(table, zero, identity, names)
-
-
-def rees_b_r(M, r):
-    """r x r matrix variant over an inverse monoid with zero: triples (i|m|j)
-    with (i|m|j)(k|n|l) = (i|mn|l) when j = k and mn is nonzero, else 0."""
-    if M.find_identity() is None:
-        raise TableError("base must be a monoid")
-    nz = np.array(M.nonzero(), dtype=np.intp)
-    n = len(nz)
-    m = 1 + r * r * n
-    _check_size(m, "matrix variant")
-    rank = np.zeros(M.m, dtype=np.intp)
-    rank[nz] = np.arange(n)
-    # element 1 + (i r + j) n + rank[s] is (i+1|s|j+1)
-    e = np.arange(m - 1)
-    i, j, s = e // (r * n), e // n % r, nz[e % n]
-    p = M.T[np.ix_(s, s)]
-    table = np.zeros((m, m), dtype=np.int32)
-    table[1:, 1:] = np.where(
-        (j[:, None] == i) & (p != M.zero), 1 + (i[:, None] * r + j) * n + rank[p], 0
-    )
-    names = ["0"] + ["(%d|%s|%d)" % (a + 1, M.name(t), b + 1) for a, b, t in zip(i, j, s)]
-    return MulTable(table, 0, None, names)
 
 
 def idempotent_subtable(S):

@@ -15,7 +15,6 @@ from .words import (
     _strip_prefix,
     element_ops,
     format_path,
-    make_path,
     parse_path,
     path_dom,
 )
@@ -39,11 +38,6 @@ def gisg_zero(graph):
 
 def gisg_is_zero(s):
     return s.u is None
-
-
-def identity_at(graph, vertex):
-    p = make_path(graph, vertex, ())
-    return GraphISGElement(graph, p, p)
 
 
 def _check_graph(s, t):
@@ -74,18 +68,6 @@ def gisg_inv(s):
 
 def gisg_is_idempotent(s):
     return gisg_is_zero(s) or s.u == s.v
-
-
-def gisg_dom(s):
-    if gisg_is_zero(s):
-        return s
-    return GraphISGElement(s.graph, s.v, s.v)
-
-
-def gisg_ran(s):
-    if gisg_is_zero(s):
-        return s
-    return GraphISGElement(s.graph, s.u, s.u)
 
 
 def gisg_leq(s, t):

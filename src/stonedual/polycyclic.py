@@ -73,19 +73,6 @@ def poly_is_idempotent(s):
     return poly_is_zero(s) or s.y == s.x
 
 
-def poly_dom(s):
-    # d(s) = s^-1 s
-    if poly_is_zero(s):
-        return s
-    return PolyElement(s.n, s.x, s.x)
-
-
-def poly_ran(s):
-    if poly_is_zero(s):
-        return s
-    return PolyElement(s.n, s.y, s.y)
-
-
 def poly_leq(s, t):
     """Natural order: s <= t iff s = t (s^-1 s), i.e. both coordinates of s
     extend those of t by one common word."""
@@ -132,6 +119,8 @@ def format_poly(s):
 
 
 def parse_poly(text, n):
+    if n < 1:  # checked here, not in poly_zero, which every zero product calls
+        raise ValueError("alphabet size must be >= 1")
     text = text.strip()
     if text == "0":
         return poly_zero(n)
@@ -165,12 +154,6 @@ def ext_is_zero(s):
     return s.i == 0
 
 
-def ext_of_poly(m, r=1, i=1, j=1):
-    if poly_is_zero(m):
-        return ext_zero(m.n, r)
-    return ext(m.n, r, i, m, j)
-
-
 def _check_ext(s, t):
     if s.n != t.n or s.r != t.r:
         raise ValueError("parameter mismatch: (%d,%d) vs (%d,%d)" % (s.n, s.r, t.n, t.r))
@@ -196,12 +179,6 @@ def ext_inv(s):
 
 def ext_is_idempotent(s):
     return ext_is_zero(s) or (s.i == s.j and poly_is_idempotent(s.m))
-
-
-def ext_dom(s):
-    if ext_is_zero(s):
-        return s
-    return ExtPolyElement(s.n, s.r, s.j, poly_dom(s.m), s.j)
 
 
 def ext_leq(s, t):

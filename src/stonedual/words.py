@@ -334,10 +334,6 @@ def make_path(graph, anchor, edges):
     return Path(graph, anchor, edges)
 
 
-def path_range(p):
-    return p.anchor
-
-
 def path_dom(p):
     if p.edges:
         return p.graph.edges[p.edges[-1]][0]

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from stonedual import polycyclic as pc
 from stonedual import thompson as th
 from stonedual import words as wd
 from stonedual.finitesgp import MulTable, symmetric_inverse_monoid
+import tests_support_tables as TS
 
 ROSE2 = "vertex *\nedge a * *\nedge b * *\n"
 CHAIN2 = [[0, 0, 0], [0, 1, 1], [0, 1, 2]]
@@ -241,6 +243,13 @@ def test_domain_errors_exit_1(capsys, tmp_path):
                  ["thompson", "fromunit", "-n", "2", "-r", "0", "{}"]):
         rc, out, err = run(capsys, argv)
         assert (rc, out, err) == (1, "", "error: root count must be >= 1\n")
+    # so is an alphabet size below 1, whatever the literals
+    for argv in (["poly", "mul", "-n", "0", "0", "0"],
+                 ["poly", "leq", "-n", "-3", "0", "0"],
+                 ["poly", "arrow", "-n", "0", "0", "0"],
+                 ["poly", "meet", "-n", "0", "a", "0"]):
+        rc, out, err = run(capsys, argv)
+        assert (rc, out, err) == (1, "", "error: alphabet size must be >= 1\n")
 
 
 @pytest.mark.parametrize(
@@ -460,18 +469,18 @@ def test_complete_builds_only_the_completion_of_s(
 
 def test_complete_builds_no_quotient_table(capsys, monkeypatch, i3_file, theorem_checks_off):
     # the completion reads the 0-minimal groupoid of S, which is that of its
-    # Lenz quotient Q, so Q is never built on this path
-    calls = []
-    quotient = filtercomp.lenz_congruence
+    # Lenz quotient Q, so the only tables built are S and its completion
+    built = []
+    init = MulTable.__init__
 
-    def counted(S):
-        calls.append(S.m)
-        return quotient(S)
+    def counted(self, table, *args, **kwargs):
+        built.append(len(table))
+        init(self, table, *args, **kwargs)
 
-    monkeypatch.setattr(filtercomp, "lenz_congruence", counted)
+    monkeypatch.setattr(MulTable, "__init__", counted)
     rc, out, _ = run(capsys, ["finite", "complete", i3_file])
     assert rc == 0 and out.startswith("completion size: 34\n")
-    assert calls == []
+    assert built == [34, 34]
 
 
 def test_complete_and_dualize_state_their_theorems(
@@ -581,6 +590,37 @@ I3_TBL = str(ROOT / "tables" / "i3.tbl")
 # stdout block buffered, as from a plain shell, so that the entry point's own
 # flush is what writes the answer
 BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def readme_examples():
+    """(command, shown output) for each `$ stonedual ...` line in a README
+    code block; a trailing backslash continues the command."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if not line.startswith("$ stonedual "):
+            continue
+        command = line[len("$ stonedual "):]
+        while command.endswith("\\"):
+            i += 1
+            command = command[:-1] + lines[i]
+        shown = []
+        for line in lines[i + 1:]:
+            if line.startswith(("$ ", "```")):
+                break
+            shown.append(line + "\n")
+        examples.append((command, "".join(shown)))
+    return examples
+
+
+def test_readme_examples_print_what_readme_shows(capsys, monkeypatch):
+    # the examples name tables/ and graphs/ relative to the repository
+    monkeypatch.chdir(ROOT)
+    examples = readme_examples()
+    assert len(examples) == 12 and all(shown for _, shown in examples)
+    for command, shown in examples:
+        rc, out, err = run(capsys, shlex.split(command))
+        assert (command, rc, out, err) == (command, 0, shown, "")
 
 
 @pytest.mark.parametrize(
@@ -947,7 +987,7 @@ def test_fuzz_graph_format(tmp_path_factory, text, sub, a, b):
     assert_clean_exit(["graph", sub, "--", str(path)] + args)
 
 
-GROUPOIDS = [duality.pair_groupoid(2).to_text(), duality.discrete_groupoid(2).to_text()]
+GROUPOIDS = [TS.pair_groupoid(2).to_text(), TS.discrete_groupoid(2).to_text()]
 _arrow_id = st.one_of(st.integers(-1, 4), st.sampled_from([99999999999, -(10**30)]))
 
 

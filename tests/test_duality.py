@@ -5,6 +5,7 @@ import pytest
 
 from stonedual import duality as D
 from stonedual import finitesgp as F
+import tests_support_tables as TS
 from tests_support_tables import (
     adjoined_z2,
     b2,
@@ -27,11 +28,11 @@ from tests_support_tables import (
 # groupoid corpus
 
 def z2_groupoid():
-    return D.group_groupoid([[0, 1], [1, 0]], ["1", "g"])
+    return TS.group_groupoid([[0, 1], [1, 0]], ["1", "g"])
 
 
 def z3_groupoid():
-    return D.group_groupoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]], ["1", "w", "ww"])
+    return TS.group_groupoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]], ["1", "w", "ww"])
 
 
 def z2_times_pair2():
@@ -55,15 +56,15 @@ def z2_times_pair2():
 
 def groupoid_corpus():
     return {
-        "pair1": D.pair_groupoid(1),
-        "pair2": D.pair_groupoid(2),
-        "pair3": D.pair_groupoid(3),
-        "disc1": D.discrete_groupoid(1),
-        "disc3": D.discrete_groupoid(3),
+        "pair1": TS.pair_groupoid(1),
+        "pair2": TS.pair_groupoid(2),
+        "pair3": TS.pair_groupoid(3),
+        "disc1": TS.discrete_groupoid(1),
+        "disc3": TS.discrete_groupoid(3),
         "z2": z2_groupoid(),
         "z3": z3_groupoid(),
-        "pair2+disc1": D.disjoint_union(D.pair_groupoid(2), D.discrete_groupoid(1)),
-        "z2+pair2": D.disjoint_union(z2_groupoid(), D.pair_groupoid(2)),
+        "pair2+disc1": TS.disjoint_union(TS.pair_groupoid(2), TS.discrete_groupoid(1)),
+        "z2+pair2": TS.disjoint_union(z2_groupoid(), TS.pair_groupoid(2)),
         "z2xpair2": z2_times_pair2(),
     }
 
@@ -117,27 +118,27 @@ def oracle_components(G):
 
 def test_groupoid_builders():
     for k in (1, 2, 3):
-        G = D.pair_groupoid(k)
+        G = TS.pair_groupoid(k)
         assert G.m == k * k and len(G.objects) == k
-        assert G.is_principal()
+        assert TS.is_principal(G)
         assert len(G.components()) == 1
         # exactly one arrow between each ordered pair of objects
         for d in G.objects:
             for r in G.objects:
                 arrows = [a for a in range(G.m) if G.dom[a] == d and G.ran[a] == r]
                 assert len(arrows) == 1
-        H = D.discrete_groupoid(k)
+        H = TS.discrete_groupoid(k)
         assert H.m == k and H.objects == list(range(k))
-        assert H.is_principal() and len(H.components()) == k
+        assert TS.is_principal(H) and len(H.components()) == k
     G = z2_groupoid()
     assert G.m == 2 and len(G.objects) == 1
-    assert not G.is_principal()
-    mixed = D.disjoint_union(z2_groupoid(), D.pair_groupoid(2))
+    assert not TS.is_principal(G)
+    mixed = TS.disjoint_union(z2_groupoid(), TS.pair_groupoid(2))
     assert mixed.m == 6 and len(mixed.components()) == 2
-    assert not mixed.is_principal()
+    assert not TS.is_principal(mixed)
     bundle = z2_times_pair2()
     assert bundle.m == 8 and len(bundle.components()) == 1
-    assert not bundle.is_principal()
+    assert not TS.is_principal(bundle)
 
 
 def test_groupoid_inverse_laws():
@@ -150,7 +151,7 @@ def test_groupoid_inverse_laws():
 
 
 def test_groupoid_validation_rejections():
-    good = D.pair_groupoid(2)
+    good = TS.pair_groupoid(2)
 
     def comp_dict(G):
         return {
@@ -215,10 +216,10 @@ def test_local_bisections_against_definition():
 def test_bisection_counts():
     # |Bi(k x k)| = sum_i C(k,i)^2 i! = |I(k)|: 2, 7, 34, 209
     for k, count in [(1, 2), (2, 7), (3, 34), (4, 209)]:
-        assert len(D.local_bisections(D.pair_groupoid(k))) == count
+        assert len(D.local_bisections(TS.pair_groupoid(k))) == count
     # discrete groupoid: bisections = subsets of the objects
     for k in (1, 2, 3):
-        assert len(D.local_bisections(D.discrete_groupoid(k))) == 2 ** k
+        assert len(D.local_bisections(TS.discrete_groupoid(k))) == 2 ** k
     # one-object group: the empty set and each singleton
     assert len(D.local_bisections(z2_groupoid())) == 3
     assert len(D.local_bisections(z3_groupoid())) == 4
@@ -226,21 +227,21 @@ def test_bisection_counts():
     assert len(D.local_bisections(z2_times_pair2())) == 17
     # disjoint union multiplies the counts: 7 * 2
     assert len(D.local_bisections(
-        D.disjoint_union(D.pair_groupoid(2), D.discrete_groupoid(1)))) == 14
+        TS.disjoint_union(TS.pair_groupoid(2), TS.discrete_groupoid(1)))) == 14
 
 
 def test_local_bisections_stop_at_the_size_cap():
     # 2^1100 bisections, one arrow per level: a recursive walk over the
     # arrows would overflow the stack before reaching the cap
     with pytest.raises(F.SizeLimitError):
-        D.local_bisections(D.discrete_groupoid(1100))
+        D.local_bisections(TS.discrete_groupoid(1100))
 
 
 def test_bisection_semigroup_examples():
-    B = D.bisection_semigroup(D.pair_groupoid(2))
+    B = D.bisection_semigroup(TS.pair_groupoid(2))
     assert B.m == 7
-    assert D.bisection_semigroup(D.discrete_groupoid(1)).m == 2
-    B4 = D.bisection_semigroup(D.discrete_groupoid(2))
+    assert D.bisection_semigroup(TS.discrete_groupoid(1)).m == 2
+    B4 = D.bisection_semigroup(TS.discrete_groupoid(2))
     assert B4.m == 4
     assert all(B4.is_idem[s] for s in range(4))
 
@@ -262,7 +263,7 @@ def test_bisection_semigroup_meet_join_are_intersection_union():
 
 
 def test_bisection_names_track_arrow_sets():
-    G = D.pair_groupoid(2)
+    G = TS.pair_groupoid(2)
     B = D.bisection_semigroup(G)
     assert B.name(B.zero) == "{}"
     ident = B.find_identity()
@@ -313,7 +314,7 @@ def test_ultrafilter_groupoid_arrows_are_zero_minimals():
 
 def test_roundtrip_boolean_corpus():
     corpus = dict(boolean_corpus())
-    corpus["I(1)xI(2)"] = F.direct_product(i_k(1), i_k(2))
+    corpus["I(1)xI(2)"] = TS.direct_product(i_k(1), i_k(2))
     for name, S in corpus.items():
         ok, phi = D.duality_roundtrip(S)
         assert ok, name
@@ -499,15 +500,15 @@ def test_classify_symmetric_reasons():
 # the principality criterion
 
 def test_principal_criterion_examples():
-    assert D.principal_criterion(i_k(2))
-    assert D.principal_criterion(chain(2))
-    assert not D.principal_criterion(adjoined_z2())
+    assert TS.principal_criterion(i_k(2))
+    assert TS.principal_criterion(chain(2))
+    assert not TS.principal_criterion(adjoined_z2())
 
 
 def test_principal_criterion_triangle():
     # criterion = fundamental = trivial local groups, on every Boolean table
     for name, S in boolean_corpus().items():
-        crit = D.principal_criterion(S)
+        crit = TS.principal_criterion(S)
         assert crit == F._fundamental(S), name
         G = D.ultrafilter_groupoid(S)
         loops_trivial = all(
@@ -518,9 +519,9 @@ def test_principal_criterion_triangle():
 
 def test_principal_criterion_gate():
     with pytest.raises(F.TableError, match="meet"):
-        D.principal_criterion(no_meet())
+        TS.principal_criterion(no_meet())
     with pytest.raises(F.TableError, match="Boolean"):
-        D.principal_criterion(b2_z2())
+        TS.principal_criterion(b2_z2())
 
 
 # ---------------------------------------------------------------------------

@@ -64,10 +64,10 @@ def test_ultrafilter_meets_characterization():
 
 def test_filter_elements():
     c3 = chain(3)
-    assert FC.filter_elements(c3, FC.PrincipalFilter(1)) == {1, 2}
-    assert FC.filter_elements(c3, 2) == {2}
+    assert TS.filter_elements(c3, FC.PrincipalFilter(1)) == {1, 2}
+    assert TS.filter_elements(c3, 2) == {2}
     with pytest.raises(F.TableError):
-        FC.filter_elements(c3, 0)
+        TS.filter_elements(c3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,7 @@ def oracle_tight(S, g):
         xs = [x for x in S.below(a) if x != S.zero]
         for r in range(len(xs) + 1):
             for C in itertools.combinations(xs, r):
-                if F.is_cover(S, a, C) and not any(S.leq(g, c) for c in C):
+                if TS.is_cover(S, a, C) and not any(S.leq(g, c) for c in C):
                     return False
     return True
 
@@ -154,32 +154,32 @@ def test_idempotent_filter_correspondence():
 def test_lenz_identity_on_separative_tables():
     for name in ("I(1)", "I(2)", "B2", "B3", "cube2", "cube3", "adjoined_z2"):
         S = meet_corpus()[name]
-        Q, lam = FC.lenz_congruence(S)
+        Q, lam = TS.lenz_congruence(S)
         assert Q.m == S.m, name
         assert lam == list(range(S.m)), name
 
 
 def test_lenz_collapses_witness():
     # e <= g with g^2 = 1 forces g, 1, and e into one class
-    Q, lam = FC.lenz_congruence(clifford_witness())
+    Q, lam = TS.lenz_congruence(clifford_witness())
     assert Q.m == 2
     assert lam == [0, 1, 1, 1]
     assert [Q.name(i) for i in range(2)] == ["0", "e"]
 
 
 def test_lenz_collapses_chains():
-    Q, lam = FC.lenz_congruence(chain(3))
+    Q, lam = TS.lenz_congruence(chain(3))
     assert Q.m == 2 and lam == [0, 1, 1]
-    Q, lam = FC.lenz_congruence(chain(4))
+    Q, lam = TS.lenz_congruence(chain(4))
     assert Q.m == 2 and lam == [0, 1, 1, 1]
     # two orthogonal atoms are separative already
-    Q, lam = FC.lenz_congruence(union_of_chains())
+    Q, lam = TS.lenz_congruence(union_of_chains())
     assert Q.m == 3 and lam == [0, 1, 2]
 
 
 def test_lenz_zero_restricted():
     for name, S in meet_corpus().items():
-        Q, lam = FC.lenz_congruence(S)
+        Q, lam = TS.lenz_congruence(S)
         assert lam[S.zero] == Q.zero, name
         assert [s for s in range(S.m) if lam[s] == Q.zero] == [S.zero], name
 
@@ -191,7 +191,7 @@ def test_lenz_on_i5_allocates_under_three_tables(theorem_checks_off):
     F._meet_semigroup(S)  # phi is S's own, filled on first use
     tracemalloc.start()
     try:
-        Q, lam = FC.lenz_congruence(S)
+        Q, lam = TS.lenz_congruence(S)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -202,14 +202,14 @@ def test_lenz_on_i5_allocates_under_three_tables(theorem_checks_off):
 
 def test_lenz_requires_meets():
     with pytest.raises(F.TableError):
-        FC.lenz_congruence(no_meet())
+        TS.lenz_congruence(no_meet())
 
 
 def test_arrow_iff_lambda_leq():
     # a -> {b} exactly when the classes are ordered
     for name in ("I(2)", "chain4", "clifford_witness", "B2(Z2)", "union_of_chains"):
         S = meet_corpus()[name]
-        Q, lam = FC.lenz_congruence(S)
+        Q, lam = TS.lenz_congruence(S)
         for a in S.nonzero():
             for b in range(S.m):
                 assert TS.arrow_enum(S, a, [b]) == Q.leq(lam[a], lam[b]), (name, a, b)
@@ -396,7 +396,7 @@ def test_delta_image_supports_are_minsets():
     for name in ("I(2)", "B2", "chain3", "clifford_witness", "B2(Z2)"):
         S = meet_corpus()[name]
         comp = FC.distributive_completion(S)
-        Q = FC.lenz_congruence(S)[0]
+        Q = TS.lenz_congruence(S)[0]
         for s in S.nonzero():
             cl = comp.classes[comp.delta[s]]
             assert cl.support == Q.minset(comp.lam[s]), name
@@ -421,7 +421,7 @@ def test_class_supports_are_unique_keys():
         sups = [cl.support for cl in comp.classes]
         assert len(set(sups)) == len(sups)
         # the ideal each support generates carries just that support
-        Q = FC.lenz_congruence(S)[0]
+        Q = TS.lenz_congruence(S)[0]
         zmin = set(Q.zero_minimal())
         for cl in comp.classes:
             gen = TS.CompatibleIdeal(tuple(sorted(cl.support)))
@@ -488,25 +488,25 @@ def test_part1_isomorphism_explicit():
 def test_orthogonalize_table():
     I2 = i_k(2)
     pos = {I2.name(i): i for i in range(I2.m)}
-    kept = FC.orthogonalize(I2, [pos["[0>0]"], pos["[0>0,1>1]"]])
+    kept = TS.orthogonalize(I2, [pos["[0>0]"], pos["[0>0,1>1]"]])
     assert [I2.name(x) for x in kept] == ["[0>0,1>1]"]
     both = [pos["[0>0]"], pos["[1>1]"]]
-    assert FC.orthogonalize(I2, both) == sorted(both)
-    kept = FC.orthogonalize(I2, [I2.zero, pos["[0>0]"]])
+    assert TS.orthogonalize(I2, both) == sorted(both)
+    kept = TS.orthogonalize(I2, [I2.zero, pos["[0>0]"]])
     assert [I2.name(x) for x in kept] == ["[0>0]"]
     with pytest.raises(F.TableError):
-        FC.orthogonalize(I2, [pos["[0>0,1>1]"], pos["[0>1,1>0]"]])
+        TS.orthogonalize(I2, [pos["[0>0,1>1]"], pos["[0>1,1>0]"]])
 
 
 def test_orthogonalize_preconditions():
     # 011 ^ 110 = 010 with the two incomparable: not unambiguous
     with pytest.raises(F.TableError):
-        FC.orthogonalize(cube(3), [3, 6])
+        TS.orthogonalize(cube(3), [3, 6])
     # unambiguous but not E*-unitary: e <= g with g not idempotent
     with pytest.raises(F.TableError):
-        FC.orthogonalize(clifford_witness(), [1])
+        TS.orthogonalize(clifford_witness(), [1])
     with pytest.raises(F.TableError):
-        FC.orthogonalize(i2_x_i2(), [0])
+        TS.orthogonalize(i2_x_i2(), [0])
 
 
 # ---------------------------------------------------------------------------

@@ -33,35 +33,35 @@ TABLES = pathlib.Path(__file__).resolve().parent.parent / "tables"
 
 def test_validate_accepts_corpus():
     for name, S in meet_corpus().items():
-        assert F.validate(S.T, S.zero, S.identity) is None, name
+        assert TS.validate(S.T, S.zero, S.identity) is None, name
 
 
 def test_validate_shape_and_range():
-    assert F.validate([], 0) == "empty table"
-    assert F.validate([[0, 0]], 0) == "not square: shape (1, 2)"
-    assert F.validate([[0, 1], [1, 5]], 0) == "entry out of range at (1, 1)"
-    assert F.validate([[0]], 3) == "zero index 3 out of range"
-    assert F.validate([[0]], 0, identity=5) == "identity index 5 out of range"
+    assert TS.validate([], 0) == "empty table"
+    assert TS.validate([[0, 0]], 0) == "not square: shape (1, 2)"
+    assert TS.validate([[0, 1], [1, 5]], 0) == "entry out of range at (1, 1)"
+    assert TS.validate([[0]], 3) == "zero index 3 out of range"
+    assert TS.validate([[0]], 0, identity=5) == "identity index 5 out of range"
 
 
 def test_validate_zero_and_identity():
-    assert F.validate([[0, 0], [1, 1]], 0) == "zero not absorbing: witness s=1"
-    assert F.validate([[0, 0], [0, 1]], 0, identity=0) == "identity fails: witness s=1"
-    assert F.validate([[0, 0], [0, 1]], 0, identity=1) is None
+    assert TS.validate([[0, 0], [1, 1]], 0) == "zero not absorbing: witness s=1"
+    assert TS.validate([[0, 0], [0, 1]], 0, identity=0) == "identity fails: witness s=1"
+    assert TS.validate([[0, 0], [0, 1]], 0, identity=1) is None
 
 
 def test_validate_associativity():
     # (1*1)*2 = 1 but 1*(1*2) = 2
     bad = [[0, 0, 0], [0, 2, 1], [0, 1, 1]]
-    assert F.validate(bad, 0) == "not associative: witness (1, 1, 2)"
+    assert TS.validate(bad, 0) == "not associative: witness (1, 1, 2)"
 
 
 def test_validate_inverses():
     # null product: 1 has no inverse
-    assert F.validate([[0, 0], [0, 0]], 0) == "no inverse: element 1"
+    assert TS.validate([[0, 0], [0, 0]], 0) == "no inverse: element 1"
     # left zero band with zero adjoined: both 1 and 2 invert 1
     band = [[0, 0, 0], [0, 1, 1], [0, 2, 2]]
-    assert F.validate(band, 0) == "multiple inverses: element 1 (1 and 2)"
+    assert TS.validate(band, 0) == "multiple inverses: element 1 (1 and 2)"
 
 
 def test_validate_never_raises_on_junk():
@@ -71,7 +71,7 @@ def test_validate_never_raises_on_junk():
         table = [[0] * m] + [
             [0] + [rng.randrange(m) for _ in range(m - 1)] for _ in range(m - 1)
         ]
-        diag = F.validate(table, 0)
+        diag = TS.validate(table, 0)
         assert diag is None or isinstance(diag, str)
         if diag is None:
             F.MulTable(table, 0)
@@ -113,7 +113,7 @@ def test_validate_matches_index_order_route(case):
     # Light's test over the widest-first generators decides associativity as
     # the index-order scan does, and a failure is named by that scan's witness
     table, zero, identity = case
-    assert F.validate(table, zero, identity) == TS.validate_by_index_order(
+    assert TS.validate(table, zero, identity) == TS.validate_by_index_order(
         table, zero, identity
     )
 
@@ -150,7 +150,7 @@ def test_validate_finds_defects_in_every_row_block(seed):
             table = S.T.copy()
             table[i, j] = (table[i, j] + rng.randrange(1, m)) % m
             diag = TS.validate_by_index_order(table, S.zero)
-            assert F.validate(table, S.zero) == diag
+            assert TS.validate(table, S.zero) == diag
             if diag.startswith("not associative: witness ("):
                 rows.add(int(diag.split("(")[1].split(",")[0]))
         assert any(lo <= x < lo + F.BLOCK for x in rows)
@@ -481,7 +481,7 @@ def test_arrow_routes_agree():
         for _ in range(120):
             a = rng.choice(nz)
             B = rng.sample(range(S.m), rng.randrange(0, min(S.m, 5)))
-            assert TS.arrow_enum(S, a, B) == F.arrow_minset(S, a, B), name
+            assert TS.arrow_enum(S, a, B) == TS.arrow_minset(S, a, B), name
 
 
 def test_arrow_zero_source_rejected():
@@ -489,7 +489,7 @@ def test_arrow_zero_source_rejected():
     with pytest.raises(F.TableError):
         TS.arrow_enum(S, S.zero, [1])
     with pytest.raises(F.TableError):
-        F.arrow_minset(S, S.zero, [1])
+        TS.arrow_minset(S, S.zero, [1])
 
 
 def test_arrow_with_missing_meet():
@@ -498,24 +498,24 @@ def test_arrow_with_missing_meet():
     # enumeration hits the missing meet q ^ g; the 0-minimal route is fine
     with pytest.raises(F.TableError):
         TS.arrow_enum(S, q, [g])
-    assert F.arrow_minset(S, q, [g])
+    assert TS.arrow_minset(S, q, [g])
     with pytest.raises(F.TableError):
         F.is_zero_simplifying(S)
 
 
 def test_covers():
     C = cube(3)
-    assert F.is_cover(C, 7, [1, 2, 4])
-    assert F.is_cover(C, 7, [7])
-    assert F.is_cover(C, 3, [1, 2])
-    assert not F.is_cover(C, 7, [1, 2])
-    assert not F.is_cover(C, 3, [1, 4])  # 4 is not below 3
+    assert TS.is_cover(C, 7, [1, 2, 4])
+    assert TS.is_cover(C, 7, [7])
+    assert TS.is_cover(C, 3, [1, 2])
+    assert not TS.is_cover(C, 7, [1, 2])
+    assert not TS.is_cover(C, 3, [1, 4])  # 4 is not below 3
     S = i_k(2)
     ident = S.names.index("[0>0,1>1]")
     swap = S.names.index("[0>1,1>0]")
-    assert F.is_cover(S, ident, [S.names.index("[0>0]"), S.names.index("[1>1]")])
-    assert not F.is_cover(S, swap, [S.names.index("[0>1]")])
-    assert F.is_cover(S, swap, [S.names.index("[0>1]"), S.names.index("[1>0]")])
+    assert TS.is_cover(S, ident, [S.names.index("[0>0]"), S.names.index("[1>1]")])
+    assert not TS.is_cover(S, swap, [S.names.index("[0>1]")])
+    assert TS.is_cover(S, swap, [S.names.index("[0>1]"), S.names.index("[1>0]")])
 
 
 def test_cover_collapse_witness():
@@ -525,8 +525,8 @@ def test_cover_collapse_witness():
     e = S.names.index("e")
     one = S.names.index("1")
     g = S.names.index("g")
-    assert F.is_cover(S, one, [e])
-    assert F.is_cover(S, g, [e])
+    assert TS.is_cover(S, one, [e])
+    assert TS.is_cover(S, g, [e])
 
 
 def test_set_cover():
@@ -561,7 +561,7 @@ def test_direct_product():
     P = i2_x_i2()
     assert P.m == 49
     assert P.find_identity() is not None
-    Q = F.direct_product(chain(2), chain(2))
+    Q = TS.direct_product(chain(2), chain(2))
     assert Q.m == 4 and Q.find_identity() == 3
 
 
@@ -577,7 +577,7 @@ def test_rees_matrix_variant():
     assert b2_z2().m == 9
     assert b2().find_identity() is None
     with pytest.raises(F.TableError):
-        F.rees_b_r(b2(), 2)  # base must be a monoid
+        TS.rees_b_r(b2(), 2)  # base must be a monoid
     # B_2 relations: a a^-1 = e11, a^-1 a = e22, a^2 = 0
     S = b2()
     a = S.names.index("(1|1|2)")
@@ -981,6 +981,6 @@ def test_size_limit(monkeypatch):
     with pytest.raises(F.SizeLimitError):
         F.symmetric_inverse_monoid(4)
     with pytest.raises(F.SizeLimitError):
-        F.direct_product(i_k(2), F.MulTable([[0] * 15] * 15, 0, check=False))
+        TS.direct_product(i_k(2), F.MulTable([[0] * 15] * 15, 0, check=False))
     monkeypatch.setenv("STONEDUAL_MAX_ELEMENTS", "2000")
     assert F.symmetric_inverse_monoid(4).m == 209

@@ -65,8 +65,8 @@ def test_inverse_semigroup_laws_fuzz():
         s, t, u = (rand_elt(rng, n, 4) for _ in range(3))
         assert P.poly_mul(P.poly_mul(s, t), u) == P.poly_mul(s, P.poly_mul(t, u))
         assert P.poly_mul(P.poly_mul(s, P.poly_inv(s)), s) == s
-        e = P.poly_dom(s)
-        f = P.poly_dom(t)
+        e = P.poly_mul(P.poly_inv(s), s)
+        f = P.poly_mul(P.poly_inv(t), t)
         assert P.poly_mul(e, f) == P.poly_mul(f, e)
         one = P.poly_one(n)
         assert P.poly_mul(one, s) == s and P.poly_mul(s, one) == s
@@ -80,8 +80,8 @@ def test_basic_identities():
     assert P.poly_mul(a, ainv) == P.parse_poly("a.a^-1", n)
     s = P.parse_poly("ab.a^-1", n)
     assert P.poly_inv(s) == P.parse_poly("a.ab^-1", n)
-    assert P.poly_dom(s) == P.parse_poly("a.a^-1", n)
-    assert P.poly_ran(s) == P.parse_poly("ab.ab^-1", n)
+    assert P.poly_mul(P.poly_inv(s), s) == P.parse_poly("a.a^-1", n)
+    assert P.poly_mul(s, P.poly_inv(s)) == P.parse_poly("ab.ab^-1", n)
     assert P.poly_is_zero(P.poly_mul(ainv, P.parse_poly("b", n)))
     assert P.poly_mul(a, P.parse_poly("b^-1", n)) == P.parse_poly("a.b^-1", n)
 
@@ -123,7 +123,7 @@ def test_order_and_meet_fuzz():
         assert P.poly_leq(s, t) == oracle_leq(s, t)
         # s <= t iff s = t d(s)
         if not P.poly_is_zero(s):
-            assert P.poly_leq(s, t) == (s == P.poly_mul(t, P.poly_dom(s)))
+            assert P.poly_leq(s, t) == (s == P.poly_mul(t, P.poly_mul(P.poly_inv(s), s)))
         m = P.poly_meet(s, t)
         assert P.poly_leq(m, s) and P.poly_leq(m, t)
         # meets here are always one of the arguments or zero
@@ -269,6 +269,11 @@ def test_ext_products():
     assert P.format_ext(P.ext_inv(s)) == "(2|1,a|1)"
 
 
+def rooted(p):
+    """p in the r = 1 variant."""
+    return P.ext_zero(p.n, 1) if P.poly_is_zero(p) else P.ext(p.n, 1, 1, p, 1)
+
+
 def test_ext_laws_fuzz():
     rng = random.Random(19)
     for trial in range(20000):
@@ -276,7 +281,7 @@ def test_ext_laws_fuzz():
         s, t, u = (rand_ext(rng, n, r, 3) for _ in range(3))
         assert P.ext_mul(P.ext_mul(s, t), u) == P.ext_mul(s, P.ext_mul(t, u))
         assert P.ext_mul(P.ext_mul(s, P.ext_inv(s)), s) == s
-        e, f = P.ext_dom(s), P.ext_dom(t)
+        e, f = P.ext_mul(P.ext_inv(s), s), P.ext_mul(P.ext_inv(t), t)
         assert P.ext_mul(e, f) == P.ext_mul(f, e)
         # order: restriction of s sits below s
         if not P.ext_is_zero(s):
@@ -287,14 +292,14 @@ def test_ext_laws_fuzz():
             assert P.ext_compatible(below, s)
         # at r = 1 the r-rooted variant is P_n itself
         p, q = rand_elt(rng, n, 3), rand_elt(rng, n, 3)
-        ep, eq = P.ext_of_poly(p), P.ext_of_poly(q)
-        assert P.ext_meet(ep, eq) == P.ext_of_poly(P.poly_meet(p, q))
+        ep, eq = rooted(p), rooted(q)
+        assert P.ext_meet(ep, eq) == rooted(P.poly_meet(p, q))
         assert P.ext_compatible(ep, eq) == P.poly_compatible(p, q)
         assert P.ext_orthogonal(ep, eq) == P.poly_orthogonal(p, q)
         if not P.poly_is_zero(p):
             w = rand_word(rng, n, 2)
             B = [q, P.poly_mul(p, P.poly(n, w, w))]
-            got = P.ext_lenz_arrow(ep, [P.ext_of_poly(b) for b in B])
+            got = P.ext_lenz_arrow(ep, [rooted(b) for b in B])
             assert got == P.lenz_arrow(p, B)
 
 

@@ -4,6 +4,8 @@ line states theorems instead of re-proving them."""
 
 import ast
 import pathlib
+import re
+import textwrap
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "stonedual"
 
@@ -102,4 +104,195 @@ def test_library_imports_only_what_it_uses():
                 name = alias.asname or alias.name.split(".", 1)[0]
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     found.append("%s:%d %s" % (path.name, alias.lineno, name))
+    assert found == []
+
+
+# ---------------------------------------------------------------------------
+# reachability: src/ holds what the CLI, the contract or the documented API
+# reaches
+
+ROOT = SRC.parent.parent
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _bindings(tree, package, modules):
+    """{local name: [target]} for every import in tree that reaches the
+    package, wherever it sits: a target is (module, None) for a module and
+    (module, name) for a name, "__init__" being the package itself."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = node.module
+            elif node.module == package or (node.module or "").startswith(package + "."):
+                base = node.module[len(package) + 1:] or None
+            else:
+                continue
+            for alias in node.names:
+                if base is None:
+                    target = (alias.name, None) if alias.name in modules else ("__init__", alias.name)
+                else:
+                    target = (base, alias.name)
+                bound.setdefault(alias.asname or alias.name, []).append(target)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == package and alias.asname and rest in modules:
+                    bound.setdefault(alias.asname, []).append((rest, None))
+    return bound
+
+
+def _api_entries(readme):
+    """The (module, name) of each "- `module.name`" bullet under the
+    README's "## Library API" heading."""
+    section = re.search(r"^## Library API\n(.*?)(?=^## |\Z)", readme, re.M | re.S)
+    return re.findall(r"^- `(\w+)\.(\w+)`", section.group(1), re.M) if section else []
+
+
+def unreached(src, acceptance, readme):
+    """Each module-level def or class of the package in src that no root
+    reaches, as "module.name (file:line)", and each README API entry that
+    names no definition.
+
+    The roots are every def and class of cli, every other module-level
+    statement (so the names one tuple assignment binds, as element_ops's
+    do, stand or fall together), the acceptance test's text and the
+    README's API entries.  A
+    reached body reaches the names it uses, each resolved in its own module:
+    the module's defs, its imports, and alias.attr through an imported
+    module.  A reached class reaches its methods."""
+    package = src.name
+    paths = {p.stem: p for p in sorted(src.glob("*.py"))}
+    trees = {mod: ast.parse(p.read_text(), filename=str(p)) for mod, p in paths.items()}
+    defs, todo, reached = {}, [], set()
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, DEFS):
+                defs[mod, node.name] = node
+                if mod == "cli":
+                    reached.add((mod, node.name))
+            if mod == "cli" or not isinstance(node, DEFS):
+                todo.append((mod, node))
+    bindings = {mod: _bindings(tree, package, paths) for mod, tree in trees.items()}
+    bindings[None] = _bindings(ast.parse(acceptance), package, paths)
+    todo.append((None, ast.parse(acceptance)))
+    problems = []
+    for mod, name in _api_entries(readme):
+        if (mod, name) in defs:
+            reached.add((mod, name))
+            todo.append((mod, defs[mod, name]))
+        else:
+            problems.append("README API entry `%s.%s` names no definition" % (mod, name))
+
+    def resolve(mod, name, seen=()):
+        if (mod, name) in defs:
+            return [(mod, name)]
+        found = []
+        for target in bindings.get(mod, {}).get(name, []):
+            if target[1] is not None and target not in seen:
+                found += resolve(*target, seen + (target,))
+        return found
+
+    while todo:
+        mod, body = todo.pop()
+        for node in ast.walk(body):
+            hits = []
+            if isinstance(node, ast.Name):
+                hits = resolve(mod, node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                for target, attr in bindings.get(mod, {}).get(node.value.id, []):
+                    if attr is None:
+                        hits += resolve(target, node.attr)
+            for hit in hits:
+                if hit not in reached:
+                    reached.add(hit)
+                    todo.append((hit[0], defs[hit]))
+    problems += [
+        "%s.%s (%s:%d)" % (mod, name, paths[mod].name, node.lineno)
+        for (mod, name), node in sorted(defs.items())
+        if (mod, name) not in reached
+    ]
+    return problems
+
+
+def test_every_src_name_is_reached():
+    # a def or class in src/ must be reached from the command line, named
+    # by the acceptance tests, or listed under README's "Library API";
+    # fixtures and reference routes that only tests call live in tests/
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
+    assert unreached(SRC, acceptance, (ROOT / "README.md").read_text()) == []
+
+
+def test_reachability_flags_unreached_defs_and_stale_api_entries(tmp_path):
+    src = tmp_path / "pkg"
+    src.mkdir()
+    sources = {
+        "__init__": """
+            class Error(Exception):
+                pass
+        """,
+        "lib": """
+            from . import Error
+
+            def used():
+                return helper()
+
+            def helper():
+                raise Error
+
+            def tested():
+                pass
+
+            def documented():
+                pass
+
+            def unused():
+                pass
+
+            def is_cover():
+                pass
+        """,
+        # words names is_cover only as its own closure, never lib's
+        "words": """
+            def ops():
+                def is_cover():
+                    pass
+                return is_cover
+
+            cover = ops()
+        """,
+        "cli": """
+            from . import lib
+            from .words import cover
+
+            def main():
+                return lib.used(), cover
+        """,
+    }
+    for name, text in sources.items():
+        (src / ("%s.py" % name)).write_text(textwrap.dedent(text))
+    acceptance = "from pkg import lib as L\n\nL.tested()\n"
+    readme = "## Library API\n\n- `lib.documented`: kept\n- `lib.missing`: gone\n\n## Next\n"
+    assert unreached(src, acceptance, readme) == [
+        "README API entry `lib.missing` names no definition",
+        "lib.is_cover (lib.py:19)",
+        "lib.unused (lib.py:16)",
+    ]
+
+
+def test_library_imports_no_test_module():
+    # fixtures and references that only tests call live in tests/, and the
+    # library never reaches back for them
+    test_modules = {"tests"} | {p.stem for p in (ROOT / "tests").glob("*.py")}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                targets = [node.module]
+            elif isinstance(node, ast.Import):
+                targets = [a.name for a in node.names]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, target) for target in targets
+                      if target.split(".", 1)[0] in test_modules]
     assert found == []

@@ -251,7 +251,7 @@ def test_normalize_unique_across_representatives():
 
 
 def ext1(text, r=1, root=1):
-    return pc.ext_of_poly(pc.parse_poly(text, 2), r=r, i=root, j=root)
+    return pc.ext(2, r, root, pc.parse_poly(text, 2), root)
 
 
 def normal_parts(parts, r=1):

@@ -216,11 +216,11 @@ def compose(p, q):
 def test_path_basics():
     g = sample_graph()
     p = W.parse_path("x.z", g)
-    assert W.path_range(p) == "p"
+    assert p.anchor == "p"
     assert W.path_dom(p) == "q"
     assert W.format_path(p) == "x.z"
     idp = W.parse_path("@q", g)
-    assert W.path_dom(idp) == W.path_range(idp) == "q"
+    assert W.path_dom(idp) == idp.anchor == "q"
     assert compose(p, idp) == p
     assert compose(idp, p) is None  # d(idp) = q but r(p) = p
     with pytest.raises(ValueError):
@@ -233,7 +233,7 @@ def test_path_compose_order_matches_edge_direction():
     e1 = W.make_path(g, "q", ("z",))   # z: q -> q
     comp = compose(e2, e1)
     assert comp is not None
-    assert W.path_range(comp) == "p" and W.path_dom(comp) == "q"
+    assert comp.anchor == "p" and W.path_dom(comp) == "q"
     assert comp.edges == ("x", "z")
 
 
@@ -271,7 +271,7 @@ def test_one_vertex_graph_mirrors_words():
     g = W.one_vertex_graph(2)
     for ls in W.all_letter_tuples(2, 3):
         p = W.word_to_path(ls, 2, g)
-        assert W.path_dom(p) == W.path_range(p) == "*"
+        assert W.path_dom(p) == p.anchor == "*"
     p = W.word_to_path((0, 1), 2, g)
     q = W.word_to_path((0,), 2, g)
     # q is a prefix of p, as the word a is of ab: the idempotent at p lies

@@ -1,11 +1,14 @@
-"""Corpus of small inverse semigroup tables shared across the test suite,
-and reference routes that the library's answers are compared against."""
+"""Corpus of small inverse semigroup tables and groupoids shared across the
+test suite, the constructions that build them, and reference routes that the
+library's answers are compared against."""
 
+import itertools
 from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
+from stonedual import duality as D
 from stonedual import filtercomp as FC
 from stonedual import finitesgp as F
 
@@ -113,24 +116,81 @@ def trivial_monoid():
     return F.MulTable([[0, 0], [0, 1]], 0, 1, ["0", "1"])
 
 
+def zero_direct_union(S, T):
+    """Glue the zeros of two tables; everything across the seam multiplies to 0."""
+    m = (S.m - 1) + (T.m - 1) + 1
+    F._check_size(m, "zero direct union")
+    table = np.zeros((m, m), dtype=np.int32)
+    names = ["0"]
+    for X, tag in ((S, "L:"), (T, "R:")):
+        nz = np.array(X.nonzero(), dtype=np.intp)
+        new = np.zeros(X.m, dtype=np.int32)   # zero stays 0
+        new[nz] = len(names) + np.arange(len(nz))
+        table[np.ix_(new[nz], new[nz])] = new[X.T[np.ix_(nz, nz)]]
+        names += [tag + X.name(s) for s in nz]
+    return F.MulTable(table, 0, None, names)
+
+
+def direct_product(S, T):
+    m = S.m * T.m
+    F._check_size(m, "direct product")
+    TS, TT = S.T, T.T
+    mT = T.m
+    # index (a, b) -> a * mT + b
+    a1, b1 = np.divmod(np.arange(m), mT)
+    pa = TS[np.ix_(a1, a1)]
+    pb = TT[np.ix_(b1, b1)]
+    table = pa * mT + pb
+    zero = S.zero * mT + T.zero
+    identity = None
+    eS, eT = S.find_identity(), T.find_identity()
+    if eS is not None and eT is not None:
+        identity = eS * mT + eT
+    names = ["(%s,%s)" % (S.name(a), T.name(b)) for a in range(S.m) for b in range(T.m)]
+    return F.MulTable(table, zero, identity, names)
+
+
+def rees_b_r(M, r):
+    """r x r matrix variant over an inverse monoid with zero: triples (i|m|j)
+    with (i|m|j)(k|n|l) = (i|mn|l) when j = k and mn is nonzero, else 0."""
+    if M.find_identity() is None:
+        raise F.TableError("base must be a monoid")
+    nz = np.array(M.nonzero(), dtype=np.intp)
+    n = len(nz)
+    m = 1 + r * r * n
+    F._check_size(m, "matrix variant")
+    rank = np.zeros(M.m, dtype=np.intp)
+    rank[nz] = np.arange(n)
+    # element 1 + (i r + j) n + rank[s] is (i+1|s|j+1)
+    e = np.arange(m - 1)
+    i, j, s = e // (r * n), e // n % r, nz[e % n]
+    p = M.T[np.ix_(s, s)]
+    table = np.zeros((m, m), dtype=np.int32)
+    table[1:, 1:] = np.where(
+        (j[:, None] == i) & (p != M.zero), 1 + (i[:, None] * r + j) * n + rank[p], 0
+    )
+    names = ["0"] + ["(%d|%s|%d)" % (a + 1, M.name(t), b + 1) for a, b, t in zip(i, j, s)]
+    return F.MulTable(table, 0, None, names)
+
+
 def b2():
-    return F.rees_b_r(trivial_monoid(), 2)
+    return rees_b_r(trivial_monoid(), 2)
 
 
 def b3():
-    return F.rees_b_r(trivial_monoid(), 3)
+    return rees_b_r(trivial_monoid(), 3)
 
 
 def b2_z2():
-    return F.rees_b_r(adjoined_z2(), 2)
+    return rees_b_r(adjoined_z2(), 2)
 
 
 def union_of_chains():
-    return F.zero_direct_union(chain(2), chain(2))
+    return zero_direct_union(chain(2), chain(2))
 
 
 def i2_x_i2():
-    return F.direct_product(i_k(2), i_k(2))
+    return direct_product(i_k(2), i_k(2))
 
 
 def meet_corpus():
@@ -150,7 +210,7 @@ def meet_corpus():
         "B3": b3(),
         "B2(Z2)": b2_z2(),
         "union_of_chains": union_of_chains(),
-        "I(1)xI(2)": F.direct_product(i_k(1), i_k(2)),
+        "I(1)xI(2)": direct_product(i_k(1), i_k(2)),
     }
 
 
@@ -198,6 +258,73 @@ def principal_congruence(S, a, b):
             reps[r] = len(reps)
         out[s] = reps[r]
     return out
+
+
+# ---------------------------------------------------------------------------
+# groupoids
+
+def pair_groupoid(k):
+    """The groupoid k x k: one arrow (i,j) per ordered pair, sending j to i."""
+
+    def aid(i, j):
+        return i * k + j
+
+    objects = [aid(i, i) for i in range(k)]
+    dom = [aid(a % k, a % k) for a in range(k * k)]
+    ran = [aid(a // k, a // k) for a in range(k * k)]
+    comp = {}
+    for i in range(k):
+        for j in range(k):
+            for l in range(k):
+                comp[(aid(i, j), aid(j, l))] = aid(i, l)
+    names = ["(%d,%d)" % (i, j) for i in range(k) for j in range(k)]
+    return D.FiniteGroupoid(objects, dom, ran, comp, names)
+
+
+def discrete_groupoid(k):
+    """k isolated identities and nothing else."""
+    comp = {(e, e): e for e in range(k)}
+    names = ["e%d" % e for e in range(k)]
+    return D.FiniteGroupoid(range(k), range(k), range(k), comp, names)
+
+
+def group_groupoid(table, names=None):
+    """A finite group presented as a one-object groupoid.
+
+    table[a][b] is the product; the group axioms are verified by the
+    groupoid validation."""
+    n = len(table)
+    idents = [
+        e
+        for e in range(n)
+        if all(table[e][x] == x and table[x][e] == x for x in range(n))
+    ]
+    if len(idents) != 1:
+        raise F.TableError("group table needs exactly one identity")
+    e = idents[0]
+    comp = {(a, b): table[a][b] for a in range(n) for b in range(n)}
+    return D.FiniteGroupoid([e], [e] * n, [e] * n, comp, names)
+
+
+def disjoint_union(G, H):
+    """Two groupoids side by side with no arrows between them."""
+    off = G.m
+    objects = list(G.objects) + [e + off for e in H.objects]
+    dom = list(G.dom) + [x + off for x in H.dom]
+    ran = list(G.ran) + [x + off for x in H.ran]
+    comp = {}
+    for X, off in ((G, 0), (H, G.m)):
+        for a, b in zip(*np.nonzero(X.C >= 0)):
+            comp[(int(a) + off, int(b) + off)] = int(X.C[a, b]) + off
+    names = ["L:" + G.name(a) for a in range(G.m)]
+    names += ["R:" + H.name(a) for a in range(H.m)]
+    return D.FiniteGroupoid(objects, dom, ran, comp, names)
+
+
+def is_principal(G):
+    """No nontrivial local groups: d(a) = r(a) forces a to be an identity."""
+    objects = frozenset(G.objects)
+    return all(G.dom[a] != G.ran[a] or a in objects for a in range(G.m))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +451,109 @@ def completion_by_ideals(Q):
 
 
 # ---------------------------------------------------------------------------
+# table functions that only tests call: validation as a diagnostic string,
+# the arrow and covers by supports, the Lenz quotient, orthogonalization,
+# filters and the principality criterion
+
+def validate(table, zero, identity=None):
+    """Return None if the table is an inverse semigroup with absorbing zero,
+    else a diagnostic string naming the first failing axiom and a witness."""
+    try:
+        F._check_axioms(table, zero, identity)
+    except F.TableError as exc:
+        return str(exc)
+    return None
+
+
+def arrow_minset(S, a, B):
+    """a -> B via 0-minimal elements: every 0-minimal element below a lies
+    below some b in B.  On finite meet-semigroups this is the same as every
+    nonzero x <= a meeting some b, and it needs no meets to exist."""
+    if a == S.zero:
+        raise F.TableError("arrow source must be nonzero")
+    supp = S.support_matrix()
+    return not (supp[:, a] & ~supp[:, list(B)].any(axis=1)).any()
+
+
+def is_cover(S, a, A):
+    A = list(A)
+    if not all(S.leq(x, a) for x in A):
+        return False
+    return arrow_minset(S, a, A)
+
+
+def lenz_congruence(S):
+    """Quotient a finite inverse meet-semigroup by the symmetrized arrow.
+
+    Returns (Q, lam) with lam[s] the class of s.  The class of zero is just
+    {zero}, products and meets descend, and the quotient is separative: the
+    arrow on Q agrees with its natural order.
+    """
+    lam, reps = FC._lenz_classes(S)
+    QT = np.array(lam, dtype=np.int32)[S.T[np.ix_(reps, reps)]]
+    fid = S.find_identity()
+    identity = None if fid is None else lam[fid]
+    # a homomorphic image of an inverse semigroup is one; the tests re-prove it
+    return F.MulTable(QT, lam[S.zero], identity, [S.name(r) for r in reps], check=False), lam
+
+
+def orthogonalize(S, X):
+    """Turn a pairwise compatible set into a pairwise orthogonal one with the
+    same downset by keeping only the maximal elements.
+
+    Requires an unambiguous E*-unitary table: there compatible elements are
+    comparable or orthogonal, which is what makes discarding work.
+    """
+    if not F._unambiguous(S):
+        raise F.TableError("orthogonalize requires an unambiguous table")
+    if not F._e_star_unitary(S):
+        raise F.TableError("orthogonalize requires an E*-unitary table")
+    xs = sorted(set(int(x) for x in X))
+    for a, b in itertools.combinations(xs, 2):
+        if not S.compatible(a, b):
+            raise F.TableError(
+                "not pairwise compatible: %s, %s" % (S.name(a), S.name(b))
+            )
+    return [a for a in xs if not any(b != a and S.leq(a, b) for b in xs)]
+
+
+def filter_elements(S, f):
+    """The members of a principal filter."""
+    g = f.generator if isinstance(f, FC.PrincipalFilter) else int(f)
+    if g == S.zero:
+        raise F.TableError("zero generates no filter")
+    return frozenset(S.above(g))
+
+
+def _up_and_fc(S, up):
+    """The up-set of an ultrafilter and its F^c, given the ultrafilter as the
+    row of the support matrix at its atom."""
+    in_f = up & S.is_idem                  # F: the idempotents above the atom
+    filt, every = np.flatnonzero(in_f), np.arange(S.m)[:, None]
+    conj = S.T[S.T[:, filt], S.inv[:, None]]           # s f s^-1
+    back = S.T[S.T[S.inv][:, filt], every]             # s^-1 f s
+    fc = in_f[S.dom] & in_f[S.ran] & in_f[conj].all(axis=1) & in_f[back].all(axis=1)
+    return set(np.flatnonzero(up).tolist()), set(np.flatnonzero(fc).tolist())
+
+
+def principal_criterion(S):
+    """Whether F^up = F^c for every ultrafilter F of the idempotent part.
+
+    F^c collects the elements whose domain and range lie in F and whose
+    conjugation preserves F; it is the largest inverse subsemigroup with
+    idempotent part F, and it always contains the up-set of F.  On a finite
+    Boolean table the criterion, triviality of the local groups of the
+    ultrafilter groupoid, and being fundamental all agree."""
+    D._require_boolean_meets(S, "principal criterion")
+    for e, row in zip(S.zero_minimal(), S.support_matrix()):
+        if S.is_idem[e]:
+            up, fc = _up_and_fc(S, row)
+            if up != fc:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # the routes the library replaced, kept as references for tests/conftest.py
 
 
@@ -348,7 +578,7 @@ def is_set_cover(S, A, Z):
 
 def arrow_enum(S, a, B):
     """a -> B by direct enumeration: every nonzero x <= a meets some b in B,
-    the meet-based reference for finitesgp.arrow_minset.
+    the meet-based reference for arrow_minset.
 
     Requires all the meets x ^ b to exist (raises otherwise)."""
     if a == S.zero:
@@ -366,7 +596,7 @@ def tight_by_covers(S, generator):
     g = int(generator)
     for a in S.above(g):
         cand = [x for x in S.below(a) if x != S.zero and not S.leq(g, x)]
-        if F.is_cover(S, a, cand):
+        if is_cover(S, a, cand):
             return False
     return True
 
@@ -423,7 +653,7 @@ def generators_by_index_order(arr):
 
 
 def validate_by_index_order(table, zero, identity=None):
-    """finitesgp.validate with associativity tested against every generator
+    """validate with associativity tested against every generator
     of the index-order scan."""
     m = len(table)
     if m == 0:
