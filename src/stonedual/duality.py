@@ -245,7 +245,10 @@ def local_bisections(G):
 
     A subset is a local bisection when no two members share a source and no
     two share a target; this is the same canonical order the bisection
-    semigroup table uses."""
+    semigroup table uses.  Their number, counted first, must be within the
+    element limit."""
+    objects = np.isin(np.arange(G.m), G.objects)
+    _check_size(F._bisection_count(*F._components(G.dom, G.ran), objects), "bisection semigroup")
     # a subset of a local bisection is one, so adding the arrows one at a
     # time only ever extends the list: (bisection, sources, targets)
     found = [(frozenset(), frozenset(), frozenset())]
@@ -254,7 +257,6 @@ def local_bisections(G):
         for A, ds, rs in found[:]:
             if d not in ds and r not in rs:
                 found.append((A | {a}, ds | {d}, rs | {r}))
-                _check_size(len(found), "bisection semigroup")
     return sorted((A for A, _, _ in found), key=lambda A: (len(A), sorted(A)))
 
 

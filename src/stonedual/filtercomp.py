@@ -16,17 +16,8 @@ from collections import namedtuple
 import numpy as np
 
 from . import duality
-from .finitesgp import (
-    TableError,
-    _distributive,
-    _first_failure,
-    _hom_defects,
-    _join_table,
-    _meet_semigroup,
-    _row_labels,
-    _zero_disjunctive,
-    idempotent_subtable,
-)
+from . import finitesgp as F
+from .finitesgp import TableError, _first_failure, _hom_defects, _join_table, _row_labels
 
 PrincipalFilter = namedtuple("PrincipalFilter", ["generator"])
 DClass = namedtuple("DClass", ["support"])
@@ -61,8 +52,8 @@ def _lenz_classes(S):
     """(lam, reps): lam[s] numbers the Lenz class of s by first appearance,
     reps[c] is the first element of class c.  A class is a set of equal
     columns of the support matrix; zero's, the one empty column, is {zero}."""
-    if not _meet_semigroup(S):
-        raise TableError("lenz_congruence requires all binary meets to exist")
+    if not F._meet_semigroup(S):
+        raise TableError("distributive completion needs every meet to exist")
     ranks, firsts = _row_labels(S.support_matrix().T)
     reps = np.sort(firsts)
     return np.searchsorted(reps, firsts[ranks]).tolist(), reps.tolist()
@@ -98,12 +89,12 @@ def part1_isomorphism(S):
     the idempotent class of the completion of S matching class j of the
     completion of E(S), or (False, None).
     """
-    E, emb = idempotent_subtable(S)
+    E, emb = F.idempotent_subtable(S)
     comp_s = distributive_completion(S)
     comp_e = distributive_completion(E)
     # arrow classes of E line up with arrow classes of S
     trans = {comp_e.lam[e]: comp_s.lam[emb[e]] for e in range(E.m)}
-    ED, embD = idempotent_subtable(comp_s.D)
+    ED, embD = F.idempotent_subtable(comp_s.D)
     sup_to_ed = {comp_s.classes[embD[i]].support: i for i in range(ED.m)}
     nE = comp_e.D.m
     if nE != ED.m:
@@ -137,8 +128,8 @@ def booleanization_report(S):
     completion of E (part 1).  The trapping condition is vacuous at finite
     scale (a finite set covers itself) and is reported as such.
     """
-    if not _meet_semigroup(S):
-        raise TableError("booleanization_report requires all binary meets to exist")
+    if not F._meet_semigroup(S):
+        raise TableError("booleanization report needs every meet to exist")
     # E's atoms are the 0-minimal idempotents of S, and a 0-minimal element
     # below an idempotent is one, so supports in S and in E agree
     atoms = [e for e in S.zero_minimal() if S.is_idem[e]]
@@ -147,7 +138,7 @@ def booleanization_report(S):
         "D_boolean": True,  # the completion is the power set of the atoms
         "unital": True,  # the set of all atoms is the identity
         "compactable": True,  # every nonzero idempotent sits above an atom
-        "densely_embedded": _zero_disjunctive(S),
+        "densely_embedded": F._zero_disjunctive(S),
         "part1_iso": True,  # E(D(S)) = D(E(S)) on every inverse meet-semigroup
         "trapping": "vacuous",
         "essential_set": sorted(S.name(a) for a in atoms),
@@ -176,7 +167,7 @@ def check_universal_property(S, T, theta):
     fail = _first_failure(_hom_defects(S, T, theta))
     if fail is not None:
         return False, "not a homomorphism at (%s, %s)" % tuple(map(S.name, fail[1]))
-    if not _distributive(T):
+    if not F._distributive(T):
         return False, "target is not distributive"
 
     for s in range(S.m):

@@ -6,7 +6,8 @@ reports the first failing axiom with a witness. Order, meets, joins and the
 standard predicates are derived on demand.  Two vectors carry meets and ideals:
 phi, the greatest idempotent below each element (every meet exists exactly
 when phi is total, and then s ^ t = phi(s t^-1) t), and the components of the
-0-minimal elements' groupoid, whose unions give the tightly closed ideals.
+0-minimal elements' groupoid, whose unions give the tightly closed ideals
+and whose shapes count the local bisections that decide Booleanness.
 
 Table text format:
     elements <m> zero <z> [identity <e>]
@@ -21,6 +22,7 @@ slice of about SLICE characters at a time.
 """
 
 import itertools
+import math
 import os
 
 import numpy as np
@@ -212,6 +214,20 @@ def _components(dom, ran):
         label = new
     roots = label == np.arange(len(label))  # a least member keeps its own label
     return (np.cumsum(roots) - 1)[label], int(roots.sum())
+
+
+def _bisection_count(label, c, objects):
+    """The number of local bisections of a finite groupoid whose arrow a lies
+    in component label[a] of c and is an identity when objects[a].  By
+    Brandt's theorem a component with n objects is its local group, of order
+    h = arrows / n^2, times the pair groupoid on n, whose local bisections
+    number sum_k C(n, k)^2 k! h^k; the components' counts multiply."""
+    count = 1
+    arrows = np.bincount(label, minlength=c).tolist()
+    for n, a in zip(np.bincount(label[objects], minlength=c).tolist(), arrows):
+        h = a // (n * n)
+        count *= sum(math.comb(n, k) ** 2 * math.factorial(k) * h**k for k in range(n + 1))
+    return count
 
 
 class MulTable:
@@ -641,27 +657,20 @@ def _distributive(S):
     return True
 
 
-def _complemented(S):
-    """Each idempotent e <= f has a complement below the idempotent f: some
-    idempotent g <= f with g e = 0 and g v e = f."""
-    E = np.array(S.E, dtype=np.intp)
-    J = _join_table(S)
-    for f in E:
-        lo = E[S._leq[E, f]]
-        cut = np.ix_(lo, lo)
-        complement = (S.T[cut] == S.zero) & (J[cut] == f)  # complement[g, e]
-        if not complement.any(axis=0).all():
-            return False
-    return True
-
-
 def _boolean(S):
-    """Distributive, with relative complements of idempotents."""
-    return _distributive(S) and _complemented(S)
+    """Distributive, with relative complements of idempotents.  Once every
+    meet exists, s -> V_s, the 0-minimal elements below s, is a homomorphism
+    into the local bisections of the 0-minimal groupoid, and S is Boolean
+    exactly when it is one-to-one and onto (the finite duality): when the
+    support columns are distinct and as many as the bisections."""
+    if not _meet_semigroup(S):
+        return False
+    count = _bisection_count(*S.minimal_components(), S.is_idem[S.zero_minimal()])
+    return S.m == count and len(_row_labels(S.support_matrix().T)[1]) == S.m
 
 
 def predicates(S):
-    distributive = _distributive(S)
+    boolean = _boolean(S)
     return {
         "fundamental": _fundamental(S),
         "zero_simple": _zero_simple(S),
@@ -669,8 +678,8 @@ def predicates(S):
         "e_star_unitary": _e_star_unitary(S),
         "unambiguous": _unambiguous(S),
         "meet_semigroup": _meet_semigroup(S),
-        "distributive": distributive,
-        "boolean": distributive and _complemented(S),
+        "distributive": boolean or _distributive(S),  # Boolean tables are, by definition
+        "boolean": boolean,
     }
 
 
@@ -714,7 +723,5 @@ def tightly_closed_ideals(S):
 def is_zero_simplifying(S):
     """No tightly closed ideal strictly between {0} and S: those ideals are
     the C(O) above, so exactly when the 0-minimal groupoid has at most one
-    component."""
-    if not _meet_semigroup(S):
-        raise TableError("0-simplifying check needs all meets to exist")
+    component; no meet is needed."""
     return S.minimal_components()[1] <= 1

@@ -3,11 +3,12 @@
 The library computes each answer once, by one route.  The checks below
 re-prove the theorems behind those answers from a call's inputs and its
 result: each is a plain function check(*inputs, result).  The session
-fixture `recheck_theorems` wraps the library functions, under every module
-name that tests or the library call them by, so that each call made by a
-test, directly or from inside the library or a check, is followed by its
-check.  A check that recomputes a result whose call was already checked
-does so under `RECHECKER.unchecked()`.
+fixture `recheck_theorems` wraps each library function once, in its own
+module, so that each call made by a test, directly or from inside the
+library or a check, is followed by its check; the library calls a wrapped
+function through its module, never by an imported name
+(tests/test_source.py holds it to that).  A check that recomputes a
+result whose call was already checked does so under `RECHECKER.unchecked()`.
 """
 
 import contextlib
@@ -71,6 +72,18 @@ def check_distributive(S, result):
     assert result == TS.distributive_for_every_c(S), (
         "distributivity over generators must match it over every c"
     )
+
+
+def check_boolean(S, result):
+    assert result == TS.boolean_by_definition(S), (
+        "distinct supports, as many as the local bisections, must decide Boolean"
+    )
+
+
+def check_predicates(S, rep):
+    # a Boolean table is distributive by definition, and predicates builds
+    # no join table for it
+    assert rep["distributive"] == F._distributive(S), "distributive flags disagree"
 
 
 def check_zero_simple(S, result):
@@ -321,6 +334,14 @@ def check_bisection_table(G, sets, B):
     assert F._boolean(B), "bisections must form a Boolean table"
 
 
+def check_local_bisections(G, sets):
+    objects = np.isin(np.arange(G.m), G.objects)
+    assert len(sets) == F._bisection_count(*F._components(G.dom, G.ran), objects), (
+        "Brandt's count must number the local bisections"
+    )
+    assert len(set(sets)) == len(sets)
+
+
 def check_duality_roundtrip(S, result):
     ok, phi = result
     G, elems = D._groupoid_of_minimals(S)
@@ -503,12 +524,11 @@ RECHECKS = [
     (TS, "validate", check_validate),
     (F, "_check_axioms", check_check_axioms),
     (F, "_distributive", check_distributive),
-    (FC, "_distributive", check_distributive),
+    (F, "_boolean", check_boolean),
+    (F, "predicates", check_predicates),
     (F, "_zero_simple", check_zero_simple),
     (F, "_zero_disjunctive", check_zero_disjunctive),
-    (FC, "_zero_disjunctive", check_zero_disjunctive),
     (F, "_meet_semigroup", check_meet_semigroup),
-    (FC, "_meet_semigroup", check_meet_semigroup),
     (F.MulTable, "meet", check_meet),
     (TS, "all_ideals", check_all_ideals),
     (F, "tightly_closed_ideals", check_tightly_closed_ideals),
@@ -523,6 +543,7 @@ RECHECKS = [
     (TS, "orthogonalize", check_orthogonalize),
     (FC, "check_universal_property", check_universal_property),
     (D, "ultrafilter_groupoid", check_ultrafilter_groupoid),
+    (D, "local_bisections", check_local_bisections),
     (D, "_bisection_table", check_bisection_table),
     (D, "duality_roundtrip", check_duality_roundtrip),
     (D, "ideal_correspondence", check_ideal_correspondence),

@@ -189,6 +189,24 @@ def test_ideal_list_over_budget_is_refused(capsys, tmp_path):
     )
 
 
+def test_bisection_limit_is_checked_on_the_count(capsys, tmp_path):
+    # 11 atoms make 2^11 local bisections, counted before any is listed
+    rc, out, err = run(capsys, ["finite", "complete", zero_with_atoms(tmp_path, 11)])
+    assert (rc, out) == (1, "")
+    assert err == (
+        "error: bisection semigroup has 2048 elements, above the limit 2000 "
+        "(set STONEDUAL_MAX_ELEMENTS to raise)\n"
+    )
+
+
+def test_complete_without_meets_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "no_meet.tbl"
+    path.write_text(TS.no_meet().to_text())
+    rc, out, err = run(capsys, ["finite", "complete", str(path)])
+    assert (rc, out) == (1, "")
+    assert err == "error: distributive completion needs every meet to exist\n"
+
+
 def test_thompson_commands(capsys):
     g3 = "{a,ba,bb}->{aa,ab,b}:perm=[0,1,2]"
     rc, out, _ = run(capsys, ["thompson", "mul", g3, g3])
@@ -769,6 +787,21 @@ def test_tables_corpus_replays_golden_output(label, sub):
         assert len(err.splitlines()) == 1
         return
     want = json.loads(GOLDEN.read_text())["ops"]["%s %s" % (sub, label)]
+    assert (rc, err) == (want["exit"], "")
+    assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
+
+
+@pytest.mark.parametrize("sub", FINITE_SUBS)
+def test_boolean_table_needs_no_join_table(monkeypatch, sub, theorem_checks_off):
+    # on a Boolean table no subcommand builds the join table or the
+    # compatible pairs: Boolean is counted, and distributive follows from it
+    def refuse(*args):
+        raise AssertionError("built an m x m join or compatibility table")
+
+    monkeypatch.setattr(finitesgp, "_bound_table", refuse)
+    monkeypatch.setattr(MulTable, "compat_matrix", refuse)
+    rc, out, err = quiet_main(["finite", sub, str(TABLES / "i3.tbl")])
+    want = json.loads(GOLDEN.read_text())["ops"]["%s i3" % sub]
     assert (rc, err) == (want["exit"], "")
     assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
 

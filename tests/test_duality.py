@@ -231,10 +231,22 @@ def test_bisection_counts():
 
 
 def test_local_bisections_stop_at_the_size_cap():
-    # 2^1100 bisections, one arrow per level: a recursive walk over the
-    # arrows would overflow the stack before reaching the cap
+    # 2^1100 bisections, refused by their count before any is listed
     with pytest.raises(F.SizeLimitError):
         D.local_bisections(TS.discrete_groupoid(1100))
+
+
+def bisection_count(G):
+    return F._bisection_count(*F._components(G.dom, G.ran), np.isin(np.arange(G.m), G.objects))
+
+
+def test_bisection_count_numbers_the_local_bisections():
+    # Brandt: a component with n objects and local groups of order h has
+    # sum_k C(n, k)^2 k! h^k local bisections, and components multiply
+    for name, G in groupoid_corpus().items():
+        assert bisection_count(G) == len(D.local_bisections(G)) == len(oracle_bisections(G)), name
+    assert bisection_count(TS.discrete_groupoid(1100)) == 2**1100
+    assert bisection_count(TS.pair_groupoid(4)) == 209  # the rook monoid I(4)
 
 
 def test_bisection_semigroup_examples():

@@ -499,8 +499,10 @@ def test_arrow_with_missing_meet():
     with pytest.raises(F.TableError):
         TS.arrow_enum(S, q, [g])
     assert TS.arrow_minset(S, q, [g])
-    with pytest.raises(F.TableError):
-        F.is_zero_simplifying(S)
+    # 0-simplicity reads the components alone: u and v lie in two, and the
+    # table has four tightly closed ideals
+    assert F.is_zero_simplifying(S) is False
+    assert len(F.tightly_closed_ideals(S)) == 4
 
 
 def test_covers():
@@ -955,8 +957,7 @@ def test_phi_and_components_match_the_definitions_on_random_tables(theorem_check
         every = S.m >= 2 and all(len(TS.principal_ideal(S, s)) == S.m for s in S.nonzero())
         assert F._zero_simple(S) == every, name
         assert F._zero_disjunctive(S) == TS.zero_disjunctive_by_idempotents(S), name
-        if F._meet_semigroup(S):
-            assert F.is_zero_simplifying(S) == TS.zero_simplifying_by_preorder(S), name
+        assert F.is_zero_simplifying(S) == TS.zero_simplifying_by_preorder(S), name
     assert missing  # the corpus reaches tables without some meets
 
 
@@ -971,6 +972,55 @@ def test_deciding_meets_on_i5_builds_no_meet_table(theorem_checks_off):
     finally:
         tracemalloc.stop()
     assert peak < S.T.nbytes / 10
+
+
+def parity_tables(seed):
+    """The named fixtures, the meet and Boolean corpora, I(1)..I(4), and
+    seeded random tables: 150 inverse subsemigroups of I(3), 100 of I(4)
+    and 100 Clifford semigroups, some of them without meets."""
+    rng = random.Random(seed)
+    yield from meet_corpus().items()
+    yield from TS.boolean_corpus().items()
+    named = {
+        "no_meet": no_meet(), "M3": TS.m3(), "N5": TS.n5(), "trivial": TS.trivial_monoid(),
+        "chain1": chain(1), "cube1": cube(1), "I(2)xI(2)": i2_x_i2(),
+        "relabelled I(3)": relabel(i_k(3), random.Random(seed)),
+    }
+    yield from named.items()
+    for k in range(1, 5):
+        yield "I(%d)" % k, i_k(k)
+    for k, count in ((3, 150), (4, 100)):
+        for _ in range(count):
+            yield "sub I(%d)" % k, TS.random_inverse_subsemigroup(i_k(k), rng, rng.randrange(1, 4))
+    for _ in range(100):
+        yield "clifford", TS.random_clifford(rng)
+
+
+def test_boolean_by_counting_matches_the_definition(theorem_checks_off):
+    # the library counts the local bisections of the 0-minimal groupoid; the
+    # definition builds the join table and the compatible pairs
+    tables = boolean = without_meets = 0
+    for name, S in parity_tables(7):
+        got = F._boolean(S)
+        assert got == TS.boolean_by_definition(S), name
+        tables += 1
+        boolean += got
+        without_meets += not F._meet_semigroup(S)
+    assert tables >= 350 and boolean >= 80 and without_meets >= 10
+
+
+def test_deciding_boolean_on_i5_builds_no_join_table(theorem_checks_off):
+    # the count reads phi, the supports and the component labels: a few
+    # vectors and |E| x m or 0-minimal x m masks beside the int32 m x m table
+    S = F.symmetric_inverse_monoid(5)
+    tracemalloc.start()
+    try:
+        assert F._boolean(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < S.T.nbytes / 10
+    assert S._join is None and S._compat is None
 
 
 # ---------------------------------------------------------------------------

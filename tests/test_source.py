@@ -6,6 +6,7 @@ import ast
 import pathlib
 import re
 import textwrap
+import types
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "stonedual"
 
@@ -277,6 +278,38 @@ def test_reachability_flags_unreached_defs_and_stale_api_entries(tmp_path):
         "README API entry `lib.missing` names no definition",
         "lib.is_cover (lib.py:19)",
         "lib.unused (lib.py:16)",
+    ]
+
+
+def hooked_imports(sources, hooked):
+    """Each (module, name) in hooked that one of sources, {module: text} of
+    the package stonedual, imports by name, as "module.py: module.name"."""
+    found = []
+    for mod, text in sorted(sources.items()):
+        for targets in _bindings(ast.parse(text), "stonedual", sources).values():
+            found += ["%s.py: %s.%s" % (mod, *t) for t in targets if t in hooked]
+    return found
+
+
+def test_hooked_functions_are_called_through_their_module():
+    # tests/conftest.py wraps each RECHECKS function in its own module; a
+    # name imported from there would keep the bare function, and its calls
+    # would skip their check
+    import conftest
+
+    hooked = {
+        (module.__name__.rpartition(".")[2], name)
+        for module, name, _ in conftest.RECHECKS
+        if isinstance(module, types.ModuleType) and module.__name__.startswith("stonedual.")
+    }
+    assert ("finitesgp", "_boolean") in hooked and ("duality", "local_bisections") in hooked
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert hooked_imports(sources, hooked) == []
+    sources["filtercomp"] += "from .finitesgp import _meet_semigroup as meets\n"
+    sources["cli"] += "from stonedual.duality import local_bisections\n"
+    assert hooked_imports(sources, hooked) == [
+        "cli.py: duality.local_bisections",
+        "filtercomp.py: finitesgp._meet_semigroup",
     ]
 
 

@@ -730,6 +730,27 @@ def distributive_for_every_c(S):
     return True
 
 
+def complemented(S):
+    """Each idempotent e <= f has a complement below the idempotent f: some
+    idempotent g <= f with g e = 0 and g v e = f."""
+    E = np.array(S.E, dtype=np.intp)
+    J = F._join_table(S)
+    for f in E:
+        lo = E[S._leq[E, f]]
+        cut = np.ix_(lo, lo)
+        complement = (S.T[cut] == S.zero) & (J[cut] == f)  # complement[g, e]
+        if not complement.any(axis=0).all():
+            return False
+    return True
+
+
+def boolean_by_definition(S):
+    """finitesgp._boolean by its definition: distributive, with relative
+    complements of idempotents; it builds the join table and the compatible
+    pairs, where the library counts local bisections."""
+    return F._distributive(S) and complemented(S)
+
+
 def ideals_from_every_element(S):
     """all_ideals from the principal ideal of every element."""
     gens = sorted({principal_ideal(S, s) for s in range(S.m)}, key=sorted)
