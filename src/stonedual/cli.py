@@ -148,8 +148,8 @@ def cmd_finite(args):
             records.append({"class": i, "name": comp.D.names[i]})
             lines.append("class %d: %s" % (i, comp.D.names[i]))
         if args.dump:
-            head["text"] = comp.D.to_text()
-            lines.extend(comp.D.to_text().splitlines())
+            head["text"] = text = comp.D.to_text()
+            lines.extend(text.splitlines())
         return records, lines
     if sub == "dualize":
         from . import duality
@@ -169,8 +169,8 @@ def cmd_finite(args):
             "roundtrip: true",
         ]
         if args.dump:
-            rec["text"] = G.to_text()
-            lines.extend(G.to_text().splitlines())
+            rec["text"] = text = G.to_text()
+            lines.extend(text.splitlines())
         return [rec], lines
     if sub == "classify":
         from . import duality

@@ -28,12 +28,7 @@ class FiniteGroupoid:
     semigroup convention that the right factor acts first."""
 
     def __init__(self, objects, dom, ran, compose, names=None):
-        self.m = m = len(dom)
-        self.dom = [int(x) for x in dom]
-        self.ran = [int(x) for x in ran]
-        self.objects = sorted(int(e) for e in objects)
-        self._objset = frozenset(self.objects)
-        self.names = list(names) if names is not None else None
+        m = len(dom)
         C = np.full((m, m), -1, dtype=np.int32)
         for (a, b), c in compose.items():
             if not (0 <= a < m and 0 <= b < m and 0 <= c < m):
@@ -42,7 +37,7 @@ class FiniteGroupoid:
                     % (a, b, c, m - 1)
                 )
             C[a, b] = c
-        self.C = C
+        self._set(objects, dom, ran, C, None, names)
         dom = np.array(self.dom, dtype=np.int64)
         ran = np.array(self.ran, dtype=np.int64)
         diag = self._validate(dom, ran)
@@ -55,6 +50,15 @@ class FiniteGroupoid:
             a = int(np.argmax(counts != 1))
             raise TableError("arrow %d has %d inverses" % (a, counts[a]))
         self.inv = np.nonzero(hits)[1].tolist()  # one hit per row
+
+    def _set(self, objects, dom, ran, C, inv, names):
+        """Fields as given: C[a, b] is a * b or -1, inv[a] the inverse of a."""
+        self.m = len(dom)
+        self.dom = [int(x) for x in dom]
+        self.ran = [int(x) for x in ran]
+        self.objects = sorted(int(e) for e in objects)
+        self.names = list(names) if names is not None else None
+        self.C, self.inv = C, inv
 
     def _validate(self, dom, ran):
         """The first failing groupoid axiom with a witness, or None."""
@@ -118,22 +122,17 @@ class FiniteGroupoid:
             return self.names[a]
         return "g%d" % a
 
-    def components(self):
-        """Connected components as sorted arrow lists, each with its objects."""
-        label, c = F._components(self.dom, self.ran)
-        return [np.flatnonzero(label == k).tolist() for k in range(c)]
-
     # -- serialization ------------------------------------------------------
 
     def to_text(self):
         lines = ["object %d" % e for e in self.objects]
+        objects = frozenset(self.objects)
         for a in range(self.m):
-            if a not in self._objset:
+            if a not in objects:
                 lines.append("arrow %d %d %d" % (a, self.dom[a], self.ran[a]))
-        for a in range(self.m):
-            for b in range(self.m):
-                if self.C[a, b] >= 0:
-                    lines.append("compose %d %d %d" % (a, b, int(self.C[a, b])))
+        a, b = np.nonzero(self.C >= 0)
+        for abc in zip(a.tolist(), b.tolist(), self.C[a, b].tolist()):
+            lines.append("compose %d %d %d" % abc)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -191,30 +190,30 @@ def _groupoid_of_minimals(S, lam=None, names=None):
 
     The product of 0-minimal s and t is nonzero exactly when d(s) = r(t),
     because distinct 0-minimal idempotents multiply to zero, and the nonzero
-    product is 0-minimal again; so the groupoid needs no Boolean hypothesis.
-    Given lam, one-to-one on the 0-minimal elements, the arrows go in label
-    order, arrow t named names[lam[t]].  Returns the groupoid and the arrow
-    -> element list."""
+    product is 0-minimal again; so the groupoid needs no Boolean hypothesis,
+    and it is read off the table without re-proving its axioms (the tests
+    do).  Given lam, one-to-one on the 0-minimal elements, the arrows go in
+    label order, arrow t named names[lam[t]].  Returns the groupoid and the
+    arrow -> element list."""
     zm = S.zero_minimal()
     elems = np.array(zm if lam is None else sorted(zm, key=lam.__getitem__), dtype=np.intp)
-    pos = np.full(S.m, -1, dtype=np.intp)
-    pos[elems] = np.arange(len(elems))
+    pos = np.full(S.m, -2, dtype=np.int32)  # the arrow of s; -1 for zero, -2 for the rest
+    pos[S.zero], pos[elems] = -1, np.arange(len(elems))
     dom, ran = pos[S.dom[elems]], pos[S.ran[elems]]
     fail = _first_failure((dom < 0) | (ran < 0))
     if fail is not None:
         raise InternalError("endpoints of %s are not 0-minimal" % S.name(elems[fail[1][0]]))
-    P = S.T[np.ix_(elems, elems)]
-    composable = dom[:, None] == ran[None, :]
-    fail = _first_failure((P != S.zero) != composable, composable & (pos[P] < 0))
+    C = pos[S.T[np.ix_(elems, elems)]]
+    fail = _first_failure((C >= 0) != (dom[:, None] == ran[None, :]), C < -1)
     if fail is not None:
         s, t = elems[list(fail[1])]
         raise InternalError(
             "0-minimal product %s * %s is not composition" % (S.name(s), S.name(t))
         )
-    comp = {(int(a), int(b)): int(pos[P[a, b]]) for a, b in zip(*np.nonzero(composable))}
     objects = np.flatnonzero(S.is_idem[elems]).tolist()
     names = [S.name(s) if lam is None else names[lam[s]] for s in elems]
-    G = FiniteGroupoid(objects, dom.tolist(), ran.tolist(), comp, names)
+    G = FiniteGroupoid.__new__(FiniteGroupoid)
+    G._set(objects, dom.tolist(), ran.tolist(), C, pos[S.inv[elems]].tolist(), names)
     return G, elems.tolist()
 
 
@@ -315,6 +314,8 @@ def _minimal_bisections(S, lam=None, names=None):
     is the index in B of V_s, the 0-minimal elements below s.  V_s is always
     a local bisection: distinct 0-minimal elements below s have distinct
     domains and ranges."""
+    label, c = S.minimal_components()  # refuse before the groupoid is built
+    _check_size(F._bisection_count(label, c, S.is_idem[S.zero_minimal()]), "bisection semigroup")
     G, elems = _groupoid_of_minimals(S, lam, names)
     sets = local_bisections(G)
     B = _bisection_table(G, sets)

@@ -55,9 +55,11 @@ def max_elements():
 def _check_size(m, what="table"):
     lim = max_elements()
     if m > lim:
+        # a count of 19 or more digits is shown by its order of magnitude
+        count = "%d" % m if m < 10**18 else "more than 10^%d" % (len(str(m - 1)) - 1)
         raise SizeLimitError(
-            "%s has %d elements, above the limit %d (set STONEDUAL_MAX_ELEMENTS to raise)"
-            % (what, m, lim)
+            "%s has %s elements, above the limit %d (set STONEDUAL_MAX_ELEMENTS to raise)"
+            % (what, count, lim)
         )
 
 

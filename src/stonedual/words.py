@@ -273,11 +273,8 @@ class DirectedGraph:
                 raise ValueError("edge %r references unknown vertex" % (name,))
             self.edges[name] = (src, dst)
         self.in_edges = {v: [] for v in self.vertices}
-        self.out_edges = {v: [] for v in self.vertices}
         for name in sorted(self.edges):
-            src, dst = self.edges[name]
-            self.in_edges[dst].append(name)
-            self.out_edges[src].append(name)
+            self.in_edges[self.edges[name][1]].append(name)
         # the extension tree of paths: a path ending at v grows by an in-edge
         # of v, and the grown path ends at that edge's source
         self.branches = {

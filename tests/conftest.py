@@ -300,6 +300,28 @@ def check_universal_property(S, T, theta, result):
 # duality
 
 
+def check_groupoid_of_minimals(S, *args):
+    # the library reads the groupoid off the table; rebuild it the old way,
+    # every composite written out, so that the validating constructor
+    # re-proves the groupoid axioms and finds the inverses by search
+    *given, (G, elems) = args
+    lam, names = given or (None, None)
+    zm = S.zero_minimal()
+    assert elems == (zm if lam is None else sorted(zm, key=lam.__getitem__))
+    el = np.array(elems, dtype=np.intp)
+    pos = np.full(S.m, -1)
+    pos[el] = np.arange(len(el))
+    composable = S.dom[el][:, None] == S.ran[el][None, :]
+    prods = pos[S.T[np.ix_(el, el)]]
+    comp = {(int(a), int(b)): int(prods[a, b]) for a, b in zip(*np.nonzero(composable))}
+    objects = [a for a, s in enumerate(elems) if S.is_idem[s]]
+    names = [S.name(s) if lam is None else names[lam[s]] for s in elems]
+    ref = D.FiniteGroupoid(objects, pos[S.dom[el]], pos[S.ran[el]], comp, names)
+    assert G.C.dtype == ref.C.dtype and (G.C == ref.C).all(), "composites differ"
+    assert (G.dom, G.ran, G.objects) == (ref.dom, ref.ran, ref.objects), "endpoints differ"
+    assert (G.inv, G.names) == (ref.inv, ref.names), "inverses or names differ"
+
+
 def check_ultrafilter_groupoid(S, G):
     # `finite dualize` prints roundtrip: true once the groupoid accepts S
     assert D.duality_roundtrip(S)[0], "the round trip must hold on Boolean tables"
@@ -365,7 +387,7 @@ def check_duality_roundtrip(S, result):
 
 def check_ideal_correspondence(S, pairs):
     G, elems = D._groupoid_of_minimals(S)
-    comps = [frozenset(elems[a] for a in comp) for comp in G.components()]
+    comps = [frozenset(elems[a] for a in comp) for comp in TS.components(G)]
     invariants = set()
     for bits in range(1 << len(comps)):
         chosen = [comps[i] for i in range(len(comps)) if bits >> i & 1]
@@ -542,6 +564,7 @@ RECHECKS = [
     (FC, "booleanization_report", check_booleanization_report),
     (TS, "orthogonalize", check_orthogonalize),
     (FC, "check_universal_property", check_universal_property),
+    (D, "_groupoid_of_minimals", check_groupoid_of_minimals),
     (D, "ultrafilter_groupoid", check_ultrafilter_groupoid),
     (D, "local_bisections", check_local_bisections),
     (D, "_bisection_table", check_bisection_table),

@@ -199,6 +199,21 @@ def test_bisection_limit_is_checked_on_the_count(capsys, tmp_path):
     )
 
 
+def test_bisection_limit_is_checked_before_the_groupoid(capsys, monkeypatch, tmp_path):
+    # 70 atoms make 2^70 local bisections, a count of 22 digits: refused from
+    # the table's own component labels, and shown by its order of magnitude
+    def refuse(*args):
+        raise AssertionError("built the groupoid of a completion over the limit")
+
+    monkeypatch.setattr(duality, "_groupoid_of_minimals", refuse)
+    rc, out, err = run(capsys, ["finite", "complete", zero_with_atoms(tmp_path, 70)])
+    assert (rc, out) == (1, "")
+    assert err == (
+        "error: bisection semigroup has more than 10^21 elements, above the limit 2000 "
+        "(set STONEDUAL_MAX_ELEMENTS to raise)\n"
+    )
+
+
 def test_complete_without_meets_is_one_error_line(capsys, tmp_path):
     path = tmp_path / "no_meet.tbl"
     path.write_text(TS.no_meet().to_text())
@@ -804,6 +819,76 @@ def test_boolean_table_needs_no_join_table(monkeypatch, sub, theorem_checks_off)
     want = json.loads(GOLDEN.read_text())["ops"]["%s i3" % sub]
     assert (rc, err) == (want["exit"], "")
     assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
+
+
+def test_table_route_runs_no_groupoid_reproof(monkeypatch, tmp_path, theorem_checks_off):
+    # the 0-minimal groupoid is read off the table; the groupoid axioms are
+    # re-proved by tests/conftest.py, and the validating constructor is kept
+    # for groupoids that come from outside
+    def refuse(*args):
+        raise AssertionError("re-proved the groupoid axioms on the table route")
+
+    monkeypatch.setattr(duality.FiniteGroupoid, "_validate", refuse)
+    i3, golden = str(TABLES / "i3.tbl"), json.loads(GOLDEN.read_text())["ops"]
+    for sub in FINITE_SUBS:
+        rc, out, err = quiet_main(["finite", sub, i3])
+        want = golden["%s i3" % sub]
+        assert (rc, err) == (want["exit"], "")
+        assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
+        if sub in ("complete", "dualize"):
+            rc, dumped, err = quiet_main(["finite", sub, "--dump", i3])
+            assert (rc, err) == (0, "") and dumped.startswith(out) and dumped != out
+    z7 = tmp_path / "z7.tbl"
+    z7.write_text(TS.cyclic_with_zero(7).to_text())
+    for argv in [[sub] for sub in FINITE_SUBS] + [["complete", "--dump"], ["dualize", "--dump"]]:
+        rc, out, err = quiet_main(["finite", *argv, str(z7)])
+        assert (rc, err) == (0, ""), argv
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+@pytest.mark.parametrize("sub", ["complete", "dualize"])
+def test_dump_renders_its_text_once(monkeypatch, sub, flags):
+    cls = MulTable if sub == "complete" else duality.FiniteGroupoid
+    texts, render = [], cls.to_text
+
+    def counted(self):
+        texts.append(render(self))
+        return texts[-1]
+
+    monkeypatch.setattr(cls, "to_text", counted)
+    i3 = str(TABLES / "i3.tbl")
+    rc, plain, err = quiet_main(["finite", sub, *flags, i3])
+    assert (rc, err, texts) == (0, "", [])
+    rc, out, err = quiet_main(["finite", sub, "--dump", *flags, i3])
+    assert (rc, err, len(texts)) == (0, "", 1)
+    if flags:
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[0].pop("text") == texts[0]
+        assert records == [json.loads(line) for line in plain.splitlines()]
+    else:
+        assert out == plain + texts[0]
+
+
+@pytest.mark.parametrize("group", ["Z%d" % n for n in range(1, 9)] + ["S3"])
+def test_finite_commands_on_groups_with_zero(tmp_path, group):
+    # every element of a group with a zero is 0-minimal, so its groupoid is
+    # the group: one object, n arrows, the shape on which a re-proof is cubic
+    S = TS.s3_with_zero() if group == "S3" else TS.cyclic_with_zero(int(group[1:]))
+    n, path = S.m - 1, tmp_path / "group.tbl"
+    path.write_text(S.to_text())
+    outs = {}
+    for sub in FINITE_SUBS:
+        rc, outs[sub], err = quiet_main(["finite", sub, str(path)])
+        assert (rc, err) == (0, ""), sub
+    assert outs["dualize"] == "objects: 1\narrows: %d\nroundtrip: true\n" % n
+    lines = outs["complete"].splitlines()
+    assert lines[0] == "completion size: %d" % (n + 1)
+    assert len([line for line in lines if line.startswith("class ")]) == n + 1
+    assert outs["classify"] == ("I(1)\n" if n == 1 else "not symmetric: not fundamental\n")
+    rc, out, err = quiet_main(["finite", "dualize", "--dump", str(path)])
+    G = duality.ultrafilter_groupoid(S)
+    H = duality.FiniteGroupoid.from_text(out.split("roundtrip: true\n", 1)[1])
+    assert (H.C == G.C).all() and H.inv == G.inv
 
 
 _token = st.one_of(

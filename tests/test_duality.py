@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,7 +122,7 @@ def test_groupoid_builders():
         G = TS.pair_groupoid(k)
         assert G.m == k * k and len(G.objects) == k
         assert TS.is_principal(G)
-        assert len(G.components()) == 1
+        assert len(TS.components(G)) == 1
         # exactly one arrow between each ordered pair of objects
         for d in G.objects:
             for r in G.objects:
@@ -129,15 +130,15 @@ def test_groupoid_builders():
                 assert len(arrows) == 1
         H = TS.discrete_groupoid(k)
         assert H.m == k and H.objects == list(range(k))
-        assert TS.is_principal(H) and len(H.components()) == k
+        assert TS.is_principal(H) and len(TS.components(H)) == k
     G = z2_groupoid()
     assert G.m == 2 and len(G.objects) == 1
     assert not TS.is_principal(G)
     mixed = TS.disjoint_union(z2_groupoid(), TS.pair_groupoid(2))
-    assert mixed.m == 6 and len(mixed.components()) == 2
+    assert mixed.m == 6 and len(TS.components(mixed)) == 2
     assert not TS.is_principal(mixed)
     bundle = z2_times_pair2()
-    assert bundle.m == 8 and len(bundle.components()) == 1
+    assert bundle.m == 8 and len(TS.components(bundle)) == 1
     assert not TS.is_principal(bundle)
 
 
@@ -200,7 +201,7 @@ def test_groupoid_validation_rejections():
 
 def test_components_oracle():
     for name, G in groupoid_corpus().items():
-        assert G.components() == oracle_components(G), name
+        assert TS.components(G) == oracle_components(G), name
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +320,35 @@ def test_ultrafilter_groupoid_arrows_are_zero_minimals():
         assert [G.name(a) for a in range(G.m)] == [S.name(s) for s in elems], name
         objs = [elems[e] for e in G.objects]
         assert objs == [s for s in elems if S.is_idem[s]], name
+
+
+def test_ultrafilter_groupoid_of_a_group_takes_quadratic_memory(theorem_checks_off):
+    # Z_400^0 is one object with 400 arrows; its groupoid is read off the
+    # table in a few a x a arrays, with no composite dict and no axiom check
+    S = TS.cyclic_with_zero(400)
+    S.phi(), S.support_matrix(), S.minimal_components()
+    tracemalloc.start()
+    try:
+        G = D.ultrafilter_groupoid(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (G.m, len(G.objects)) == (400, 1)
+    assert peak < 48 * G.m**2
+
+
+def test_groupoid_hook_rebuilds_through_the_validating_constructor():
+    import conftest
+
+    S = i_k(2)
+    G, elems = D._groupoid_of_minimals(S)
+    conftest.check_groupoid_of_minimals(S, (G, elems))
+    G.inv = G.inv[::-1]
+    with pytest.raises(AssertionError, match="inverses"):
+        conftest.check_groupoid_of_minimals(S, (G, elems))
+    G.C = G.C.T.copy()
+    with pytest.raises(AssertionError, match="composites"):
+        conftest.check_groupoid_of_minimals(S, (G, elems))
 
 
 # ---------------------------------------------------------------------------

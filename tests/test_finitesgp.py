@@ -1034,3 +1034,15 @@ def test_size_limit(monkeypatch):
         TS.direct_product(i_k(2), F.MulTable([[0] * 15] * 15, 0, check=False))
     monkeypatch.setenv("STONEDUAL_MAX_ELEMENTS", "2000")
     assert F.symmetric_inverse_monoid(4).m == 209
+
+
+@pytest.mark.parametrize(
+    "count, shown",
+    [(2001, "2001"), (10**18 - 1, str(10**18 - 1)), (10**18, "more than 10^17"),
+     (10**18 + 1, "more than 10^18"), (2**70, "more than 10^21")],
+)
+def test_size_limit_shows_long_counts_by_magnitude(count, shown):
+    # a refused count of 19 or more digits is shown as a true lower bound
+    with pytest.raises(F.SizeLimitError) as refused:
+        F._check_size(count, "bisection semigroup")
+    assert str(refused.value).startswith("bisection semigroup has %s elements," % shown)

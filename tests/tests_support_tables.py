@@ -61,6 +61,28 @@ def adjoined_z2():
     return F.MulTable(table, 0, 1, ["0", "1", "g"])
 
 
+def group_with_zero(table, names):
+    """A finite group with a zero adjoined: table[a][b] multiplies the group
+    elements 0..n-1, with identity 0, and group element a is element a + 1
+    of the result, after the zero."""
+    rows = [[0] * (len(table) + 1)] + [[0] + [c + 1 for c in row] for row in table]
+    return F.MulTable(rows, 0, 1, ["0"] + list(names))
+
+
+def cyclic_with_zero(n):
+    """Z_n^0: the cyclic group g^0..g^(n-1) of order n with a zero."""
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    return group_with_zero(table, ["g%d" % a for a in range(n)])
+
+
+def s3_with_zero():
+    """The symmetric group on 3 points, as permutation tuples, with a zero."""
+    perms = list(itertools.permutations(range(3)))  # the identity first
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]
+    return group_with_zero(table, ["".join(map(str, p)) for p in perms])
+
+
 def clifford_witness():
     """{0 < e} glued under Z/2 = {1, g}: ge = eg = e, g^2 = 1.
 
@@ -319,6 +341,12 @@ def disjoint_union(G, H):
     names = ["L:" + G.name(a) for a in range(G.m)]
     names += ["R:" + H.name(a) for a in range(H.m)]
     return D.FiniteGroupoid(objects, dom, ran, comp, names)
+
+
+def components(G):
+    """Connected components as sorted arrow lists, by finitesgp's labelling."""
+    label, c = F._components(G.dom, G.ran)
+    return [np.flatnonzero(label == k).tolist() for k in range(c)]
 
 
 def is_principal(G):
