@@ -305,7 +305,7 @@ def check_groupoid_of_minimals(S, *args):
     # every composite written out, so that the validating constructor
     # re-proves the groupoid axioms and finds the inverses by search
     *given, (G, elems) = args
-    lam, names = given or (None, None)
+    lam, labels = given or (None, None)
     zm = S.zero_minimal()
     assert elems == (zm if lam is None else sorted(zm, key=lam.__getitem__))
     el = np.array(elems, dtype=np.intp)
@@ -315,7 +315,7 @@ def check_groupoid_of_minimals(S, *args):
     prods = pos[S.T[np.ix_(el, el)]]
     comp = {(int(a), int(b)): int(prods[a, b]) for a, b in zip(*np.nonzero(composable))}
     objects = [a for a, s in enumerate(elems) if S.is_idem[s]]
-    names = [S.name(s) if lam is None else names[lam[s]] for s in elems]
+    names = [S.name(s) if lam is None else labels[lam[s]] for s in elems]
     ref = D.FiniteGroupoid(objects, pos[S.dom[el]], pos[S.ran[el]], comp, names)
     assert G.C.dtype == ref.C.dtype and (G.C == ref.C).all(), "composites differ"
     assert (G.dom, G.ran, G.objects) == (ref.dom, ref.ran, ref.objects), "endpoints differ"
