@@ -140,16 +140,16 @@ def cmd_finite(args):
 
         comp = filtercomp.distributive_completion(S)
         # a distributive completion of a finite table is Boolean
-        head = {"op": "finite.complete", "size": comp.D.m, "boolean": True}
+        head = {"op": "finite.complete", "size": len(comp.names), "boolean": True}
         head.update(filtercomp.booleanization_report(S))
-        lines = ["completion size: %d" % comp.D.m, "boolean: true"]
+        lines = ["completion size: %d" % len(comp.names), "boolean: true"]
         records = [head]
-        for i in range(comp.D.m):
-            records.append({"class": i, "name": comp.D.names[i]})
-            lines.append("class %d: %s" % (i, comp.D.names[i]))
-        if args.dump:
+        for i, name in enumerate(comp.names):
+            records.append({"class": i, "name": name})
+            lines.append("class %d: %s" % (i, name))
+        if args.dump:  # the text ends with its one newline, which print adds back
             head["text"] = text = comp.D.to_text()
-            lines.extend(text.splitlines())
+            lines.append(text[:-1])
         return records, lines
     if sub == "dualize":
         from . import duality
@@ -170,7 +170,7 @@ def cmd_finite(args):
         ]
         if args.dump:
             rec["text"] = text = G.to_text()
-            lines.extend(text.splitlines())
+            lines.append(text[:-1])
         return [rec], lines
     if sub == "classify":
         from . import duality

@@ -130,9 +130,10 @@ class FiniteGroupoid:
         for a in range(self.m):
             if a not in objects:
                 lines.append("arrow %d %d %d" % (a, self.dom[a], self.ran[a]))
-        a, b = np.nonzero(self.C >= 0)
-        for abc in zip(a.tolist(), b.tolist(), self.C[a, b].tolist()):
-            lines.append("compose %d %d %d" % abc)
+        for a, row in enumerate(self.C):  # one row of composites at a time
+            b = np.flatnonzero(row >= 0)
+            composites = zip(b.tolist(), row[b].tolist())
+            lines.append("\n".join("compose %d %d %d" % (a, x, y) for x, y in composites))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -185,18 +186,18 @@ class FiniteGroupoid:
 # ---------------------------------------------------------------------------
 # from tables to groupoids
 
-def _groupoid_of_minimals(S, lam=None, names=None):
+def _groupoid_of_minimals(S):
     """The groupoid carried by the 0-minimal elements of any finite table.
 
     The product of 0-minimal s and t is nonzero exactly when d(s) = r(t),
     because distinct 0-minimal idempotents multiply to zero, and the nonzero
     product is 0-minimal again; so the groupoid needs no Boolean hypothesis,
     and it is read off the table without re-proving its axioms (the tests
-    do).  Given lam, one-to-one on the 0-minimal elements, the arrows go in
-    label order, arrow t named names[lam[t]].  Returns the groupoid and the
-    arrow -> element list."""
-    zm = S.zero_minimal()
-    elems = np.array(zm if lam is None else sorted(zm, key=lam.__getitem__), dtype=np.intp)
+    do).  The arrows go in the order of their Lenz classes, each named by
+    its class's first element: on a Boolean table, index order and their
+    own names.  Returns the groupoid and the arrow -> element list."""
+    lam, reps = S.lenz_classes()
+    elems = np.array(sorted(S.zero_minimal(), key=lam.__getitem__), dtype=np.intp)
     pos = np.full(S.m, -2, dtype=np.int32)  # the arrow of s; -1 for zero, -2 for the rest
     pos[S.zero], pos[elems] = -1, np.arange(len(elems))
     dom, ran = pos[S.dom[elems]], pos[S.ran[elems]]
@@ -211,7 +212,7 @@ def _groupoid_of_minimals(S, lam=None, names=None):
             "0-minimal product %s * %s is not composition" % (S.name(s), S.name(t))
         )
     objects = np.flatnonzero(S.is_idem[elems]).tolist()
-    names = [S.name(s) if lam is None else names[lam[s]] for s in elems]
+    names = [S.name(reps[lam[s]]) for s in elems]
     G = FiniteGroupoid.__new__(FiniteGroupoid)
     G._set(objects, dom.tolist(), ran.tolist(), C, pos[S.inv[elems]].tolist(), names)
     return G, elems.tolist()
@@ -300,34 +301,34 @@ def _bisection_table(G, sets):
             raise InternalError("setwise product escaped the bisections")
         table[i : i + 16] = order[pos]
     zero, identity = sets.index(frozenset()), sets.index(frozenset(G.objects))
-    names = ["{" + ",".join(G.name(a) for a in sorted(A)) + "}" for A in sets]
     # local bisections always form an inverse monoid; the tests re-prove it
-    return F.MulTable(table, zero, identity, names, check=False)
+    return F.MulTable(table, zero, identity, _bisection_names(G, sets), check=False)
 
 
-def _minimal_bisections(S, lam=None, names=None):
-    """The bisection table B of the groupoid of 0-minimal elements of S,
-    its arrows ordered and named as _groupoid_of_minimals takes them.
+def _bisection_names(G, sets):
+    """Each set of arrows named by the names of its members, in arrow order."""
+    return ["{" + ",".join(G.name(a) for a in sorted(A)) + "}" for A in sets]
 
-    Returns (B, supports, phi): supports[i] is the i-th local bisection as a
-    set of 0-minimal elements of S, or of their labels given lam, and phi[s]
-    is the index in B of V_s, the 0-minimal elements below s.  V_s is always
-    a local bisection: distinct 0-minimal elements below s have distinct
-    domains and ranges."""
+
+def _minimal_bisections(S):
+    """(G, sets, supports, phi): the groupoid of 0-minimal elements of S,
+    its local bisections, each as a set of Lenz classes of S, and phi[s],
+    the index of V_s, the 0-minimal elements below s.  V_s is always a local
+    bisection: distinct 0-minimal elements below s have distinct domains
+    and ranges."""
     label, c = S.minimal_components()  # refuse before the groupoid is built
     _check_size(F._bisection_count(label, c, S.is_idem[S.zero_minimal()]), "bisection semigroup")
-    G, elems = _groupoid_of_minimals(S, lam, names)
+    G, elems = _groupoid_of_minimals(S)
     sets = local_bisections(G)
-    B = _bisection_table(G, sets)
     index = {A: i for i, A in enumerate(sets)}
     # the support matrix with its rows in arrow order: column s is V_s
     supp = S.support_matrix()[np.searchsorted(S.zero_minimal(), elems)]
     v = [frozenset(np.flatnonzero(col).tolist()) for col in supp.T]
     if any(A not in index for A in v):
         raise InternalError("some V_s is not a local bisection")
-    lam = range(S.m) if lam is None else lam
+    lam = S.lenz_classes()[0]
     supports = [frozenset(lam[elems[a]] for a in A) for A in sets]
-    return B, supports, [index[A] for A in v]
+    return G, sets, supports, [index[A] for A in v]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +341,8 @@ def duality_roundtrip(S):
     Returns (True, phi) where phi[s] is the index of V_s in the bisection
     table, or (False, witness) naming the first failure.  The round trip
     succeeds exactly on Boolean inverse meet-semigroups."""
-    B, _, phi = _minimal_bisections(S)
+    G, sets, _, phi = _minimal_bisections(S)
+    B = _bisection_table(G, sets)
     fail = _first_failure(_hom_defects(S, B, phi))
     if fail is not None:
         s, t = fail[1]

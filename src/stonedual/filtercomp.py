@@ -4,24 +4,37 @@ semigroup tables, with booleanization reports and the universal property.
 Everything here is finite, so a filter is the up-set of its minimum and the
 tight filters are the ultrafilters, one per 0-minimal element.  So the Lenz
 arrow a -> b is inclusion of supports, the 0-minimal elements below a and b,
-and the Lenz quotient Q has the 0-minimal groupoid of S.  The completion
-multiplies the local bisections of that groupoid setwise, without building
-Q; a class of it is named by its support, a set of 0-minimal classes.  The
-test suite builds Q, in tests/tests_support_tables.py, to check each
-completion against it.
+and the Lenz quotient Q has the 0-minimal groupoid of S.  A class of the
+completion is a local bisection of that groupoid, named by its support, a
+set of 0-minimal classes; their setwise products, the completion's table,
+are built only when read.  The tests build Q to check each completion.
 """
 
+import functools
 from collections import namedtuple
 
 import numpy as np
 
 from . import duality
 from . import finitesgp as F
-from .finitesgp import TableError, _first_failure, _hom_defects, _join_table, _row_labels
+from .finitesgp import TableError, _first_failure, _hom_defects, _join_table
 
 PrincipalFilter = namedtuple("PrincipalFilter", ["generator"])
 DClass = namedtuple("DClass", ["support"])
-Completion = namedtuple("Completion", ["D", "delta", "lam", "classes"])
+
+
+class Completion:
+    """delta, lam, the classes and their names, as distributive_completion
+    gives them; D, the table of the classes, is built on first read."""
+
+    def __init__(self, G, sets, supports, delta, lam):
+        self._bisections, self.delta, self.lam = (G, sets), delta, lam
+        self.classes = [DClass(k) for k in supports]
+        self.names = duality._bisection_names(G, sets)
+
+    @functools.cached_property
+    def D(self):
+        return duality._bisection_table(*self._bisections)
 
 
 def ultrafilters(S):
@@ -48,34 +61,21 @@ def is_tight_filter(S, generator):
     return g in S.zero_minimal()
 
 
-def _lenz_classes(S):
-    """(lam, reps): lam[s] numbers the Lenz class of s by first appearance,
-    reps[c] is the first element of class c.  A class is a set of equal
-    columns of the support matrix; zero's, the one empty column, is {zero}."""
-    if not F._meet_semigroup(S):
-        raise TableError("distributive completion needs every meet to exist")
-    ranks, firsts = _row_labels(S.support_matrix().T)
-    reps = np.sort(firsts)
-    return np.searchsorted(reps, firsts[ranks]).tolist(), reps.tolist()
-
-
 def distributive_completion(S):
     """Distributive completion of a finite inverse meet-semigroup.
 
     Multiplies setwise the local bisections of the 0-minimal groupoid of S,
-    which is that of its Lenz quotient Q, so Q is not built: its 0-minimal
-    elements are the classes of those of S, taken in class order and named
-    by their first elements.  By the duality this is the semigroup of
-    compact-open local bisections of the tight groupoid, whose arrows at
-    finite scale are the ultrafilters.  Class c of D is named by its
-    support, the 0-minimal classes in its local bisection, and delta sends s
-    to the class whose support holds those below s.  D is distributive,
-    delta is a 0-restricted homomorphism sending covers to joins, and every
-    class is the join of the delta images of its support.
+    which is that of its Lenz quotient Q, so Q is not built.  By the duality
+    this is the semigroup of compact-open local bisections of the tight
+    groupoid, whose arrows at finite scale are the ultrafilters.  Class c of
+    D is named by its support, the 0-minimal classes in its local bisection,
+    and delta sends s to the class whose support holds those below s.  D is
+    distributive, delta is a 0-restricted homomorphism sending covers to
+    joins, and every class is the join of the delta images of its support.
     """
-    lam, reps = _lenz_classes(S)
-    D, supports, delta = duality._minimal_bisections(S, lam, [S.name(r) for r in reps])
-    return Completion(D, delta, lam, [DClass(k) for k in supports])
+    if not F._meet_semigroup(S):
+        raise TableError("distributive completion needs every meet to exist")
+    return Completion(*duality._minimal_bisections(S), S.lenz_classes()[0])
 
 
 def part1_isomorphism(S):
@@ -84,32 +84,22 @@ def part1_isomorphism(S):
 
     Below an idempotent everything is idempotent and arrows between
     idempotents only mention idempotents, so both sides' classes are keyed by
-    the same 0-minimal arrow classes; matching support keys and rechecking
-    products gives the isomorphism.  Returns (ok, mapping) with mapping[j]
-    the idempotent class of the completion of S matching class j of the
-    completion of E(S), or (False, None).
+    the same 0-minimal arrow classes; matching support keys gives the
+    isomorphism (the tests re-prove its products).  Returns (ok, mapping)
+    with mapping[j] the idempotent class of the completion of S, numbered
+    among those, matching class j of the completion of E(S), or (False, None).
     """
     E, emb = F.idempotent_subtable(S)
     comp_s = distributive_completion(S)
     comp_e = distributive_completion(E)
     # arrow classes of E line up with arrow classes of S
     trans = {comp_e.lam[e]: comp_s.lam[emb[e]] for e in range(E.m)}
-    ED, embD = F.idempotent_subtable(comp_s.D)
-    sup_to_ed = {comp_s.classes[embD[i]].support: i for i in range(ED.m)}
-    nE = comp_e.D.m
-    if nE != ED.m:
-        return False, None
-    mapping = []
-    for j in range(nE):
-        ks = frozenset(trans[t] for t in comp_e.classes[j].support)
-        if ks not in sup_to_ed:
-            return False, None
-        mapping.append(sup_to_ed[ks])
-    if sorted(mapping) != list(range(nE)):
-        return False, None
-    if _hom_defects(comp_e.D, ED, mapping).any():
-        return False, None
-    if mapping[comp_e.D.zero] != ED.zero:
+    # a class is idempotent when its support holds only idempotent atoms
+    atoms = {comp_s.lam[z] for z in S.zero_minimal() if S.is_idem[z]}
+    idem = [cl.support for cl in comp_s.classes if cl.support <= atoms]
+    index = {k: i for i, k in enumerate(idem)}
+    mapping = [index.get(frozenset(trans[t] for t in cl.support)) for cl in comp_e.classes]
+    if None in mapping or sorted(mapping) != list(range(len(idem))):
         return False, None
     return True, mapping
 
@@ -180,14 +170,12 @@ def check_universal_property(S, T, theta):
     comp = distributive_completion(S)
     # theta is constant on arrow classes: equal classes have equal 0-minimal
     # lower bounds and theta of an element is the join over those
-    theta_q = {}
-    for s in range(S.m):
-        theta_q.setdefault(comp.lam[s], theta[s])
+    reps = S.lenz_classes()[1]
     theta_bar = []
     for c, cl in enumerate(comp.classes):
-        v = T.join_of_set(theta_q[t] for t in cl.support)
+        v = T.join_of_set(theta[reps[t]] for t in cl.support)
         if v is None:
-            return False, "images of %s have no join in the target" % comp.D.name(c)
+            return False, "images of %s have no join in the target" % comp.names[c]
         theta_bar.append(v)
     D = comp.D
     fail = _first_failure(_hom_defects(D, T, theta_bar))

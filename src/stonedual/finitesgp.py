@@ -264,6 +264,7 @@ class MulTable:
         self._phi = None
         self._join = None
         self._supp = None
+        self._classes = None
         self._comp = None
         self._compat = None
 
@@ -367,6 +368,16 @@ class MulTable:
             self._supp = self._leq[self.zero_minimal()]
         return self._supp
 
+    def lenz_classes(self):
+        """(lam, reps): lam[s] numbers the Lenz class of s, the elements with
+        its support, by first appearance, and reps[c] is the first element of
+        class c; zero's is {zero}.  _boolean and the 0-minimal groupoid read it."""
+        if self._classes is None:
+            ranks, firsts = _row_labels(self.support_matrix().T)
+            reps = np.sort(firsts)
+            self._classes = np.searchsorted(reps, firsts[ranks]).tolist(), reps.tolist()
+        return self._classes
+
     def minimal_components(self):
         """_components of the groupoid of 0-minimal elements, taken in order:
         the endpoints d(z) and r(z) of a 0-minimal z are 0-minimal too."""
@@ -388,9 +399,8 @@ class MulTable:
         ident = self.find_identity()
         if ident is not None:
             head += " identity %d" % ident
-        lines = [head]
-        for i in range(self.m):
-            lines.append(" ".join(str(int(x)) for x in self.T[i]))
+        # one row at a time: the whole table as Python ints would outweigh it
+        lines = [head] + [" ".join(map(str, row.tolist())) for row in self.T]
         if self.names is not None:
             for i, nm in enumerate(self.names):
                 # from_text drops comments and collapses whitespace runs
@@ -668,7 +678,7 @@ def _boolean(S):
     if not _meet_semigroup(S):
         return False
     count = _bisection_count(*S.minimal_components(), S.is_idem[S.zero_minimal()])
-    return S.m == count and len(_row_labels(S.support_matrix().T)[1]) == S.m
+    return S.m == count and len(S.lenz_classes()[1]) == S.m
 
 
 def predicates(S):

@@ -131,6 +131,34 @@ def check_meet_semigroup(S, result):
     )
 
 
+# tables whose cached Lenz labelling was re-proved: it is computed once per
+# table, and tables are not changed after construction
+LABELLED = weakref.WeakSet()
+
+
+def check_lenz_classes(S, result):
+    if S in LABELLED:
+        return
+    LABELLED.add(S)
+    lam, reps = result
+    firsts = {}
+    for s, c in enumerate(lam):
+        firsts.setdefault(c, s)
+    assert list(firsts.items()) == list(enumerate(reps)), "classes go by first appearance"
+    assert [s for s in range(S.m) if lam[s] == lam[S.zero]] == [S.zero]
+    by_support = {}
+    for s in range(S.m):
+        assert by_support.setdefault(S.minset(s), lam[s]) == lam[s], "one class per support"
+    assert len(by_support) == len(reps), "one support per class"
+    if S.m > IDEAL_ROUTE_LIMIT or not F._meet_semigroup(S):
+        return
+    # by enumeration, the classes are exactly those of the symmetrized arrow
+    for s in S.nonzero():
+        for t in S.nonzero():
+            both = TS.arrow_enum(S, s, [t]) and TS.arrow_enum(S, t, [s])
+            assert (lam[s] == lam[t]) == both, "classes must be arrow-equivalence"
+
+
 def check_meet(S, a, b, result):
     want = int(_meets_by_counting(S)[a, b])
     assert result == (None if want < 0 else want), "phi(a b^-1) b must be the meet"
@@ -154,18 +182,11 @@ def check_lenz_congruence(S, result):
     for a in Q.nonzero():
         for b in range(Q.m):
             assert TS.arrow_enum(Q, a, [b]) == Q.leq(a, b)
-    # lam preserves meets
+    # lam preserves meets; its classes, S's cached labelling, are re-proved
+    # to be those of the symmetrized arrow by check_lenz_classes
     for s in range(S.m):
         for t in range(S.m):
             assert Q.meet(lam[s], lam[t]) == lam[S.meet(s, t)]
-    if S.m > IDEAL_ROUTE_LIMIT:
-        return
-    # lam compares supports; by enumeration, its classes are exactly the
-    # classes of the symmetrized arrow
-    for s in S.nonzero():
-        for t in S.nonzero():
-            both = TS.arrow_enum(S, s, [t]) and TS.arrow_enum(S, t, [s])
-            assert (lam[s] == lam[t]) == both, "classes must be arrow-equivalence"
 
 
 def check_fc_semigroup(S, result):
@@ -183,8 +204,10 @@ def check_distributive_completion(S, comp):
     Q, lam = TS.lenz_congruence(S)
     assert comp.lam == lam, "the completion's lam must be the Lenz quotient's"
     with RECHECKER.unchecked():
-        B, supports, phi = D._minimal_bisections(Q)
+        G, sets, supports, phi = D._minimal_bisections(Q)
+        B = D._bisection_table(G, sets)
     assert (B.T == Dm.T).all() and B.names == Dm.names, "Q's groupoid gives another table"
+    assert comp.names == Dm.names, "the classes must be named as D names them"
     assert supports == [cls.support for cls in comp.classes]
     assert delta == [phi[q] for q in lam], "delta must factor through Q"
     # `finite complete` prints boolean: true without testing it
@@ -222,6 +245,7 @@ def check_distributive_completion(S, comp):
 
 
 def check_part1_isomorphism(S, result):
+    ok, mapping = result
     E, emb = F.idempotent_subtable(S)
     with RECHECKER.unchecked():
         comp_s = FC.distributive_completion(S)
@@ -236,6 +260,14 @@ def check_part1_isomorphism(S, result):
     ED, embD = F.idempotent_subtable(comp_s.D)
     for i in range(ED.m):
         assert all(Q.is_idem[t] for t in comp_s.classes[embD[i]].support)
+    # part 1 holds on every inverse meet-semigroup, and the library matches
+    # supports without D's table: re-prove the match on the tables
+    assert ok and len(mapping) == comp_e.D.m == ED.m, "E(D(S)) and D(E(S)) must match"
+    for j, i in enumerate(mapping):
+        want = frozenset(trans[t] for t in comp_e.classes[j].support)
+        assert comp_s.classes[embD[i]].support == want, "the match must keep supports"
+    assert not F._hom_defects(comp_e.D, ED, mapping).any(), "the match must multiply"
+    assert mapping[comp_e.D.zero] == ED.zero, "the match must keep zero"
 
 
 def check_is_tight_filter(S, generator, result):
@@ -300,14 +332,13 @@ def check_universal_property(S, T, theta, result):
 # duality
 
 
-def check_groupoid_of_minimals(S, *args):
+def check_groupoid_of_minimals(S, result):
     # the library reads the groupoid off the table; rebuild it the old way,
     # every composite written out, so that the validating constructor
     # re-proves the groupoid axioms and finds the inverses by search
-    *given, (G, elems) = args
-    lam, labels = given or (None, None)
-    zm = S.zero_minimal()
-    assert elems == (zm if lam is None else sorted(zm, key=lam.__getitem__))
+    G, elems = result
+    lam, reps = S.lenz_classes()
+    assert elems == sorted(S.zero_minimal(), key=lam.__getitem__), "arrows go in class order"
     el = np.array(elems, dtype=np.intp)
     pos = np.full(S.m, -1)
     pos[el] = np.arange(len(el))
@@ -315,7 +346,7 @@ def check_groupoid_of_minimals(S, *args):
     prods = pos[S.T[np.ix_(el, el)]]
     comp = {(int(a), int(b)): int(prods[a, b]) for a, b in zip(*np.nonzero(composable))}
     objects = [a for a, s in enumerate(elems) if S.is_idem[s]]
-    names = [S.name(s) if lam is None else labels[lam[s]] for s in elems]
+    names = [S.name(reps[lam[s]]) for s in elems]
     ref = D.FiniteGroupoid(objects, pos[S.dom[el]], pos[S.ran[el]], comp, names)
     assert G.C.dtype == ref.C.dtype and (G.C == ref.C).all(), "composites differ"
     assert (G.dom, G.ran, G.objects) == (ref.dom, ref.ran, ref.objects), "endpoints differ"
@@ -552,6 +583,7 @@ RECHECKS = [
     (F, "_zero_disjunctive", check_zero_disjunctive),
     (F, "_meet_semigroup", check_meet_semigroup),
     (F.MulTable, "meet", check_meet),
+    (F.MulTable, "lenz_classes", check_lenz_classes),
     (TS, "all_ideals", check_all_ideals),
     (F, "tightly_closed_ideals", check_tightly_closed_ideals),
     (F, "is_congruence_free", check_is_congruence_free),

@@ -513,7 +513,11 @@ def test_complete_builds_no_quotient_table(capsys, monkeypatch, i3_file, theorem
     monkeypatch.setattr(MulTable, "__init__", counted)
     rc, out, _ = run(capsys, ["finite", "complete", i3_file])
     assert rc == 0 and out.startswith("completion size: 34\n")
-    assert built == [34, 34]
+    assert built == [34]  # the classes are printed from the local bisections
+    built.clear()
+    rc, out, _ = run(capsys, ["finite", "complete", "--dump", i3_file])
+    assert rc == 0 and out.startswith("completion size: 34\n")
+    assert built == [34, 34]  # the dump prints the completion's table
 
 
 def test_complete_and_dualize_state_their_theorems(
@@ -843,6 +847,66 @@ def test_table_route_runs_no_groupoid_reproof(monkeypatch, tmp_path, theorem_che
     for argv in [[sub] for sub in FINITE_SUBS] + [["complete", "--dump"], ["dualize", "--dump"]]:
         rc, out, err = quiet_main(["finite", *argv, str(z7)])
         assert (rc, err) == (0, ""), argv
+
+
+# (exit code, sha256 of stdout) of the --dump runs, as captured before either
+# dump was rendered a row at a time, and of `complete` on I(4)
+PINNED = {
+    "complete --dump chain2": (0, "3f5e53d191a5e46fa76300a30b49aa32641c0be580d976375052110e024a2da7"),
+    "complete --dump --json chain2": (0, "3d6eb8cd93684bc637af47db2415cfcec72a5ca2a097ba65595144b8f99d234b"),
+    "dualize --dump chain2": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "dualize --dump --json chain2": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "complete --dump i2": (0, "10a2b50bd748372e3d3313a194eb9e0b7e01fdeefe31be4ebb1e16ca481f9902"),
+    "complete --dump --json i2": (0, "e5966290ee8c5e4616af3ac290e6e6bae6f91c1ea655e4a8a33f918319365f10"),
+    "dualize --dump i2": (0, "5c19b89c31ab85b00df4c7610b8f91620342160b861fb14f0d579d83adc1ce75"),
+    "dualize --dump --json i2": (0, "73895c7a1953c6b9ecf8658a2de5da486d0b79fb64b055f9162dc47224781f94"),
+    "complete --dump i3": (0, "c6cc692ca34bcc634fca92ddb3f95fe6e141e202d887229db6d3af1fecd217aa"),
+    "complete --dump --json i3": (0, "1f849d17873bb77a77a7256ec6d35cd070bc2e1fd0cb2f8eeaf9cdeddb5c1baf"),
+    "dualize --dump i3": (0, "5af23dfe5a9becf370860c4ec149cc5234e8f459dee137f52c07f9f1531fc999"),
+    "dualize --dump --json i3": (0, "8b065ec546fc47da0b8dfb0c0c3ea50d2e63dce7fdd713c3148fc832f27c7823"),
+    "complete --dump i4": (0, "85a7ca67a17e6a3909ac9f41e83d1f73ce006716196fd81d454c4fe582574c85"),
+    "complete --dump --json i4": (0, "5cd1d47f757f27eba979c736c7e84a81cba757bce3a5f255ed017be589cb039b"),
+    "dualize --dump i4": (0, "46675c128dd7655159cbaf21b173419b5bb6f037e2372beb986d41c26ed4ecf5"),
+    "dualize --dump --json i4": (0, "d001aab44f780a261c421b1db5812c66e383772bd510ad81c312d1c0a1d332e3"),
+    "complete --dump z7": (0, "3054d723ec5a0f21fec3cf2c3973e7f1c1f6d04d1e484b9d47e2f2f6972beb4c"),
+    "complete --dump --json z7": (0, "a6ebd784fb1e4d0d38d9c91e0863ed017af51b118773a0ef93cc1aef2f9a6c04"),
+    "dualize --dump z7": (0, "0300ceb225819c2d24913d5c5b10b03b486eb0bd5d5ad2b7212489d357adca49"),
+    "dualize --dump --json z7": (0, "5d8c24415b6a5946b3bb2faad0d4a0216ab8ca7ae7f101b210e69bc3b275aaeb"),
+    "complete i4": (0, "815035616a11c5eb7bd25851d6b65e18e522086bfe799c68b6990b10be74f669"),
+}
+
+
+def pinned_tables(tmp_path):
+    """{label: path}: the tables/ corpus, I(4) and Z_7 with a zero."""
+    paths = {label: str(TABLES / ("%s.tbl" % label)) for label in ("chain2", "i2", "i3")}
+    for label, S in (("i4", symmetric_inverse_monoid(4)), ("z7", TS.cyclic_with_zero(7))):
+        paths[label] = str(tmp_path / ("%s.tbl" % label))
+        pathlib.Path(paths[label]).write_text(S.to_text())
+    return paths
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+@pytest.mark.parametrize("sub", ["complete", "dualize"])
+def test_dump_output_is_pinned(tmp_path, sub, flags, theorem_checks_off):
+    for label, path in pinned_tables(tmp_path).items():
+        rc, out, _ = quiet_main(["finite", sub, "--dump", *flags, path])
+        key = " ".join([sub, "--dump", *flags, label])
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == PINNED[key], key
+
+
+def test_complete_prints_without_the_completion_table(monkeypatch, tmp_path, theorem_checks_off):
+    def refuse(*args):
+        raise AssertionError("built the completion's table without --dump")
+
+    monkeypatch.setattr(duality, "_bisection_table", refuse)
+    golden = json.loads(GOLDEN.read_text())["ops"]
+    want = {label: (golden["complete " + label]["exit"], golden["complete " + label]["sha256"])
+            for label in ("chain2", "i2", "i3")}
+    want["i4"] = PINNED["complete i4"]
+    paths = pinned_tables(tmp_path)
+    for label, (code, digest) in want.items():
+        rc, out, err = quiet_main(["finite", "complete", paths[label]])
+        assert (rc, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, ""), label
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])

@@ -592,6 +592,20 @@ def test_groupoid_dump_shape():
         assert len(parts) == 4 and all(p.isdigit() for p in parts[1:])
 
 
+def test_groupoid_dump_is_joined_a_row_at_a_time(theorem_checks_off):
+    # Z_300^0's groupoid has 90000 composites; the text is joined from one
+    # string per row of them, not from a list of every line
+    G = D.ultrafilter_groupoid(TS.cyclic_with_zero(300))
+    tracemalloc.start()
+    try:
+        text = G.to_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\ncompose ") == 300 * 300
+    assert peak < 4 * len(text)
+
+
 def test_groupoid_dump_accepts_comments_and_rejects_junk():
     text = "# a pair of isolated points\nobject 0\n\nobject 1\ncompose 0 0 0\ncompose 1 1 1\n"
     G = D.FiniteGroupoid.from_text(text)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from stonedual import duality as D
 from stonedual import filtercomp as FC
 from stonedual import finitesgp as F
 import tests_support_tables as TS
@@ -19,6 +20,7 @@ from tests_support_tables import (
     i_k,
     meet_corpus,
     no_meet,
+    relabel,
     union_of_chains,
 )
 
@@ -370,9 +372,47 @@ def test_completion_takes_arrows_in_class_order():
     )
     comp = FC.distributive_completion(S)
     assert comp.lam == [0, 1, 2, 1]
-    assert comp.D.names == ["{}", "{x}", "{b}", "{x,b}"]
+    assert comp.D.names == comp.names == ["{}", "{x}", "{b}", "{x,b}"]
     assert comp.delta == [0, 1, 2, 1]
     assert [sorted(cl.support) for cl in comp.classes] == [[], [1], [2], [1, 2]]
+    # every route takes that one order: the round trip's verdict and witness
+    # do not depend on it, and part 1 matches the same supports
+    G, elems = D._groupoid_of_minimals(S)
+    assert elems == [3, 2] and G.names == ["x", "b"]
+    assert D.duality_roundtrip(S) == (False, "V_x = V_a but the elements differ")
+    assert FC.part1_isomorphism(S) == (True, [0, 1, 2, 3])
+
+
+def test_one_arrow_order_on_random_relabelled_tables():
+    # relabelling moves the first element of a class, so on some of these
+    # tables, the Clifford ones with classes of more than one element, the
+    # class order of the 0-minimal elements is not index order; the hooks
+    # re-prove each answer on each table
+    rng = random.Random(19)
+    tables = [TS.random_inverse_subsemigroup(i_k(3), rng, rng.randrange(1, 3)) for _ in range(8)]
+    tables += [TS.random_inverse_subsemigroup(i_k(4), rng, 1) for _ in range(4)]
+    tables += [TS.random_clifford(rng) for _ in range(22)]
+    reordered = 0
+    for S in tables:
+        sizes = set()
+        for T in (S, relabel(S, rng), relabel(S, rng)):
+            elems = D._groupoid_of_minimals(T)[1]
+            reordered += elems != sorted(elems)
+            boolean = F._meet_semigroup(T) and F._boolean(T)
+            assert D.duality_roundtrip(T)[0] == boolean
+            if boolean:
+                assert D.ultrafilter_groupoid(T).m == len(elems)
+            else:
+                with pytest.raises(F.TableError):
+                    D.ultrafilter_groupoid(T)
+            if not F._meet_semigroup(T):
+                with pytest.raises(F.TableError, match="every meet"):
+                    FC.distributive_completion(T)
+                continue
+            sizes.add(len(FC.distributive_completion(T).classes))
+            assert FC.part1_isomorphism(T)[0]
+        assert len(sizes) <= 1, "relabelling changed the completion's size"
+    assert reordered, "no table took its arrows out of index order"
 
 
 def test_completion_on_i5_allocates_under_two_tables(theorem_checks_off):
@@ -384,12 +424,28 @@ def test_completion_on_i5_allocates_under_two_tables(theorem_checks_off):
     tracemalloc.start()
     try:
         comp = FC.distributive_completion(S)
+        comp.D  # built on first read
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert comp.D.m == S.m and sorted(comp.delta) == list(range(S.m))
     assert comp.lam == list(range(S.m))
     assert peak <= 2 * S.T.nbytes
+
+
+def test_completion_on_i5_allocates_under_a_quarter_table_until_d_is_read(theorem_checks_off):
+    # the classes, their names and delta come from the local bisections;
+    # D's table waits for its first reader
+    S = i_k(5)
+    F._meet_semigroup(S), S.minimal_components(), S.lenz_classes()  # S's own vectors
+    tracemalloc.start()
+    try:
+        comp = FC.distributive_completion(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(comp.names) == len(comp.classes) == S.m
+    assert peak < S.T.nbytes / 4
 
 
 def test_delta_image_supports_are_minsets():

@@ -517,7 +517,9 @@ def lenz_congruence(S):
     {zero}, products and meets descend, and the quotient is separative: the
     arrow on Q agrees with its natural order.
     """
-    lam, reps = FC._lenz_classes(S)
+    if not F._meet_semigroup(S):
+        raise F.TableError("the Lenz quotient needs every meet to exist")
+    lam, reps = S.lenz_classes()
     QT = np.array(lam, dtype=np.int32)[S.T[np.ix_(reps, reps)]]
     fid = S.find_identity()
     identity = None if fid is None else lam[fid]
