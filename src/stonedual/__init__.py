@@ -22,3 +22,24 @@ __version__ = "0.1.0"
 class InternalError(Exception):
     """Raised when a computed result breaks an invariant that the theory
     guarantees: a defect in the library, not in the input."""
+
+
+SLICE = 1 << 20     # characters per step of the text readers
+
+
+def read_lines(text):
+    """(lineno, raw, line) for each line raw of text, numbered as
+    str.splitlines numbers them, whose line, raw without its '#' comment and
+    outer whitespace, is not empty.  The text is split one slice of about
+    SLICE characters at a time.  Each slice ends just after a newline, which
+    ends a line whatever precedes it, so no line break, CR LF included, is
+    cut in two; text without a newline is one slice."""
+    lineno, start = 0, 0
+    while start < len(text):
+        cut = text.find("\n", start + SLICE - 1)
+        end = len(text) if cut < 0 else cut + 1
+        for lineno, raw in enumerate(text[start:end].splitlines(), lineno + 1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, raw, line
+        start = end

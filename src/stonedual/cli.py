@@ -20,13 +20,32 @@ import sys
 from . import InternalError
 
 
-def _b(v):
-    return "true" if v else "false"
-
-
 def _read(path):
     with open(path) as handle:
         return handle.read()
+
+
+def _op(args):
+    """The op name of every record of a run: its family and subcommand."""
+    return "%s.%s" % (args.cmd, args.sub) if hasattr(args, "sub") else args.cmd
+
+
+def _show(v):
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, list):
+        return ",".join(v) if v else "none"
+    return v
+
+
+def _answer(args, value, label=None):
+    """(records, lines) of a one-value answer or a report.  A string prints as
+    is and a flag as true or false, after "label: " when given; a report, a
+    dict, prints "key: value" per field, a list joined by commas or none."""
+    if isinstance(value, dict):
+        return [dict(value, op=_op(args))], ["%s: %s" % (k, _show(v)) for k, v in value.items()]
+    line = _show(value) if label is None else "%s: %s" % (label, _show(value))
+    return [{"op": _op(args), "result": value}], [line]
 
 
 # ---------------------------------------------------------------------------
@@ -39,18 +58,12 @@ def cmd_poly(args):
     n = args.n
     a = pc.parse_poly(args.a, n)
     if args.sub == "arrow":
-        B = [pc.parse_poly(t, n) for t in args.b.split(",")]
-        val = pc.lenz_arrow(a, B)
-        return [{"op": "poly.arrow", "result": val}], [_b(val)]
+        return _answer(args, pc.lenz_arrow(a, [pc.parse_poly(t, n) for t in args.b.split(",")]))
     b = pc.parse_poly(args.b, n)
-    if args.sub == "mul":
-        out = pc.format_poly(pc.poly_mul(a, b))
-        return [{"op": "poly.mul", "result": out}], [out]
-    if args.sub == "meet":
-        out = pc.format_poly(pc.poly_meet(a, b))
-        return [{"op": "poly.meet", "result": out}], [out]
-    val = pc.poly_leq(a, b)
-    return [{"op": "poly.leq", "result": val}], [_b(val)]
+    if args.sub == "leq":
+        return _answer(args, pc.poly_leq(a, b))
+    product = pc.poly_mul if args.sub == "mul" else pc.poly_meet
+    return _answer(args, pc.format_poly(product(a, b)))
 
 
 def cmd_mpc(args):
@@ -59,18 +72,14 @@ def cmd_mpc(args):
     n, r = args.n, args.r
     code = [wd.parse_rooted(t, n, r) for t in args.code.split(",")]
     if args.sub == "check":
-        val = wd.is_rooted_maximal_prefix_code(code, n, r)
-        return (
-            [{"op": "mpc.check", "result": val}],
-            ["maximal prefix code: %s" % _b(val)],
-        )
+        return _answer(args, wd.is_rooted_maximal_prefix_code(code, n, r), "maximal prefix code")
     records, lines = [], []
     for root in range(1, r + 1):
         ws = [wd.Word(n, w.letters) for w in code if w.root == root]
         if not ws:
             raise ValueError("empty code at root %d" % root)
         total = wd.kraft_sum(ws, n)
-        records.append({"op": "mpc.kraft", "root": root, "sum": str(total)})
+        records.append({"op": _op(args), "root": root, "sum": str(total)})
         if r == 1:
             lines.append("kraft sum: %s" % total)
         else:
@@ -84,25 +93,13 @@ def cmd_graph(args):
 
     graph = wd.DirectedGraph.from_text(_read(args.graph))
     if args.sub == "analyze":
-        rep = graphisg.semilattice_predicates(graph)
-        lines = []
-        for key, val in rep.items():
-            if isinstance(val, list):
-                lines.append("%s: %s" % (key, ",".join(val) if val else "none"))
-            elif isinstance(val, bool):
-                lines.append("%s: %s" % (key, _b(val)))
-            else:
-                lines.append("%s: %s" % (key, val))
-        rep["op"] = "graph.analyze"
-        return [rep], lines
+        return _answer(args, graphisg.semilattice_predicates(graph))
     a = graphisg.parse_gisg(args.a, graph)
     if args.sub == "arrow":
         B = [graphisg.parse_gisg(t, graph) for t in args.b.split(",")]
-        val = graphisg.gisg_lenz_arrow(a, B)
-        return [{"op": "graph.arrow", "result": val}], [_b(val)]
+        return _answer(args, graphisg.gisg_lenz_arrow(a, B))
     b = graphisg.parse_gisg(args.b, graph)
-    out = graphisg.format_gisg(graphisg.gisg_mul(a, b))
-    return [{"op": "graph.mul", "result": out}], [out]
+    return _answer(args, graphisg.format_gisg(graphisg.gisg_mul(a, b)))
 
 
 def cmd_finite(args):
@@ -113,34 +110,24 @@ def cmd_finite(args):
     if sub == "validate":
         ident = S.find_identity()
         rec = {
-            "op": "finite.validate",
+            "op": _op(args),
             "elements": S.m,
             "zero": S.name(S.zero),
             "identity": None if ident is None else S.name(ident),
         }
         return [rec], ["valid table: %d elements" % S.m]
     if sub == "predicates":
-        rep = finitesgp.predicates(S)
-        lines = ["%s: %s" % (k, _b(v)) for k, v in rep.items()]
-        rec = {"op": "finite.predicates"}
-        rec.update(rep)
-        return [rec], lines
+        return _answer(args, finitesgp.predicates(S))
     if sub == "congfree":
-        val = finitesgp.is_congruence_free(S)
-        return [{"op": "finite.congfree", "result": val}], [
-            "congruence-free: %s" % _b(val)
-        ]
+        return _answer(args, finitesgp.is_congruence_free(S), "congruence-free")
     if sub == "simplifying":
-        val = finitesgp.is_zero_simplifying(S)
-        return [{"op": "finite.simplifying", "result": val}], [
-            "0-simplifying: %s" % _b(val)
-        ]
+        return _answer(args, finitesgp.is_zero_simplifying(S), "0-simplifying")
     if sub == "complete":
         from . import filtercomp
 
         comp = filtercomp.distributive_completion(S)
         # a distributive completion of a finite table is Boolean
-        head = {"op": "finite.complete", "size": len(comp.names), "boolean": True}
+        head = {"op": _op(args), "size": len(comp.names), "boolean": True}
         head.update(filtercomp.booleanization_report(S))
         lines = ["completion size: %d" % len(comp.names), "boolean: true"]
         records = [head]
@@ -157,33 +144,24 @@ def cmd_finite(args):
         # the groupoid accepts only Boolean meet tables, and on those the
         # round trip holds (Lawson's finite duality)
         G = duality.ultrafilter_groupoid(S)
-        rec = {
-            "op": "finite.dualize",
-            "objects": len(G.objects),
-            "arrows": G.m,
-            "roundtrip": True,
-        }
-        lines = [
-            "objects: %d" % len(G.objects),
-            "arrows: %d" % G.m,
-            "roundtrip: true",
-        ]
+        records, lines = _answer(args, {"objects": len(G.objects), "arrows": G.m,
+                                        "roundtrip": True})
         if args.dump:
-            rec["text"] = text = G.to_text()
+            records[0]["text"] = text = G.to_text()
             lines.append(text[:-1])
-        return [rec], lines
+        return records, lines
     if sub == "classify":
         from . import duality
 
         k, extra = duality.classify_symmetric(S)
         if k is None:
             return (
-                [{"op": "finite.classify", "result": None, "reason": extra}],
+                [{"op": _op(args), "result": None, "reason": extra}],
                 ["not symmetric: %s" % extra],
             )
-        return [{"op": "finite.classify", "result": "I(%d)" % k}], ["I(%d)" % k]
+        return _answer(args, "I(%d)" % k)
     ideals = finitesgp.tightly_closed_ideals(S)  # smallest first, then by members
-    records = [{"op": "finite.ideals", "count": len(ideals)}]
+    records = [{"op": _op(args), "count": len(ideals)}]
     lines = ["tightly closed ideals: %d" % len(ideals)]
     for ideal in ideals:
         names = [S.name(s) for s in sorted(ideal)]
@@ -197,25 +175,17 @@ def cmd_thompson(args):
 
     n, r = args.n, args.r
     if args.sub == "fromunit":
-        x = th.parse_cuntz(args.a, n, r)
-        out = th.format_tree_pair(th.tp_from_unit(x))
-        return [{"op": "thompson.fromunit", "result": out}], [out]
+        return _answer(args, th.format_tree_pair(th.tp_from_unit(th.parse_cuntz(args.a, n, r))))
     g = th.parse_tree_pair(args.a, n, r)
     if args.sub == "tounit":
-        out = th.format_cuntz(th.tp_to_unit(g))
-        return [{"op": "thompson.tounit", "result": out}], [out]
-    if args.sub == "inv":
-        out = th.format_tree_pair(th.tp_inv(g))
-        return [{"op": "thompson.inv", "result": out}], [out]
-    if args.sub == "reduce":
-        out = th.format_tree_pair(th.tp_reduce(g))
-        return [{"op": "thompson.reduce", "result": out}], [out]
+        return _answer(args, th.format_cuntz(th.tp_to_unit(g)))
+    if args.sub in ("inv", "reduce"):
+        step = th.tp_inv if args.sub == "inv" else th.tp_reduce
+        return _answer(args, th.format_tree_pair(step(g)))
     h = th.parse_tree_pair(args.b, n, r)
     if args.sub == "eq":
-        val = th.tp_eq(g, h)
-        return [{"op": "thompson.eq", "result": val}], [_b(val)]
-    out = th.format_tree_pair(th.tp_mul(g, h))
-    return [{"op": "thompson.mul", "result": out}], [out]
+        return _answer(args, th.tp_eq(g, h))
+    return _answer(args, th.format_tree_pair(th.tp_mul(g, h)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +377,7 @@ def cmd_selftest(args):
             raise ValueError("selftest %s: %s" % (name, exc)) from None
         records.append(
             {
-                "op": "selftest",
+                "op": _op(args),
                 "suite": name,
                 "seed": args.seed,
                 "checks": checks,

@@ -15,6 +15,7 @@ and of a table's 0-minimal elements there, for its ideals and 0-simplicity.
 import numpy as np
 
 from . import finitesgp as F
+from . import read_lines
 from .finitesgp import InternalError, TableError, _check_size, _first_failure, _hom_defects
 
 
@@ -139,10 +140,7 @@ class FiniteGroupoid:
     @classmethod
     def from_text(cls, text):
         objects, dom, ran, comp, ids = [], {}, {}, {}, []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, raw, line in read_lines(text):
             parts = line.split()
             try:
                 args = [int(x) for x in parts[1:]]

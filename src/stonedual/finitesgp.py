@@ -17,8 +17,7 @@ Lines may carry '#' comments. A line that does not fit raises TableError
 naming the line.
 
 The m x m kernels of construction step through BLOCK rows at a time, so
-their scratch is O(BLOCK m) beside the table; the reader takes the text one
-slice of about SLICE characters at a time.
+their scratch is O(BLOCK m) beside the table.
 """
 
 import itertools
@@ -28,10 +27,10 @@ import os
 import numpy as np
 
 from . import InternalError  # noqa: F401  (re-exported for the table layers)
+from . import read_lines
 
 INT32_MAX = np.iinfo(np.int32).max
 BLOCK = 64          # rows per step of an m x m kernel
-SLICE = 1 << 20     # characters per step of the table reader
 
 
 class TableError(ValueError):
@@ -416,10 +415,7 @@ class MulTable:
         rows, nrows, overflow_line = None, 0, None   # the int32 table, filled row by row
         header = None
         names = {}
-        for lineno, raw in enumerate(_lines(text), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, _, line in read_lines(text):
             row = _digit_row(line) if header is not None else None
             if row is None:
                 parts = line.split()
@@ -474,19 +470,6 @@ class MulTable:
             name_list = [names.get(i, "s%d" % i) for i in range(header["m"])]
         rows = [] if rows is None else rows
         return cls(rows, header["zero"], header["identity"], name_list)
-
-
-def _lines(text):
-    """The lines of text, as str.splitlines gives them, split one slice of
-    about SLICE characters at a time.  Each slice ends just after a newline,
-    which ends a line whatever precedes it, so no line break, CR LF included,
-    is cut in two; text without a newline is one slice."""
-    start = 0
-    while start < len(text):
-        cut = text.find("\n", start + SLICE - 1)
-        end = len(text) if cut < 0 else cut + 1
-        yield from text[start:end].splitlines()
-        start = end
 
 
 def _digit_row(line):

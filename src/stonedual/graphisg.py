@@ -84,10 +84,10 @@ def gisg_leq(s, t):
 
 def gisg_act(s, p):
     """Apply the partial path substitution: defined iff v is a prefix of p."""
-    if gisg_is_zero(s):
-        return None
     if s.graph is not p.graph:
         raise ValueError("path from a different graph")
+    if gisg_is_zero(s):
+        return None
     z = _strip_prefix(s.v.edges, p.edges) if s.v.anchor == p.anchor else None
     return None if z is None else s.u._replace(edges=s.u.edges + z)
 

@@ -14,6 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import InternalError  # noqa: F401  (re-exported: one class for every layer)
+from . import read_lines
 
 
 Word = namedtuple("Word", ["n", "letters"])
@@ -149,9 +150,9 @@ def is_prefix_code(code):
     return True
 
 
-def is_maximal_prefix_code(code, n=None):
-    """True iff `code` (a nonempty set of Words) is a prefix code and every word
-    of length L = max length in the code has a prefix in it."""
+def _checked_code(code, n):
+    """The words of code as a list, and n, or the first word's alphabet size
+    when n is None; ValueError unless there is a word and all are over n."""
     ws = list(code)
     if not ws:
         raise ValueError("empty code")
@@ -160,6 +161,13 @@ def is_maximal_prefix_code(code, n=None):
     for w in ws:
         if w.n != n:
             raise ValueError("alphabet mismatch inside code")
+    return ws, n
+
+
+def is_maximal_prefix_code(code, n=None):
+    """True iff `code` (a nonempty set of Words) is a prefix code and every word
+    of length L = max length in the code has a prefix in it."""
+    ws, n = _checked_code(code, n)
     if not is_prefix_code(ws):
         return False
     depth = max(len(w.letters) for w in ws)
@@ -168,11 +176,7 @@ def is_maximal_prefix_code(code, n=None):
 
 def kraft_sum(code, n=None):
     """Exact sum of n^{-|w|} over the code. Errors unless the input is a prefix code."""
-    ws = list(code)
-    if not ws:
-        raise ValueError("empty code")
-    if n is None:
-        n = ws[0].n
+    ws, n = _checked_code(code, n)
     if not is_prefix_code(ws):
         raise ValueError("not a prefix code")
     return sum(Fraction(1, n ** len(w.letters)) for w in ws)
@@ -299,10 +303,7 @@ class DirectedGraph:
     def from_text(cls, text):
         vertices = []
         edges = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, raw, line in read_lines(text):
             parts = line.split()
             if parts[0] == "vertex" and len(parts) == 2:
                 vertices.append(parts[1])

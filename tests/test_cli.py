@@ -552,7 +552,7 @@ def test_complete_and_dualize_state_their_theorems(
     assert built and all(T is not comp.D for comp in built for T in tested)
 
 
-def test_json_records_round_trip(capsys, i3_file, i2_file):
+def test_json_records_round_trip(capsys, i3_file, i2_file, rose_file):
     rc, out, _ = run(capsys, ["poly", "mul", "-n", "2", "--json", "ab.b^-1", "b.a^-1"])
     assert rc == 0
     rec = json.loads(out)
@@ -582,6 +582,38 @@ def test_json_records_round_trip(capsys, i3_file, i2_file):
 
     rc, out, _ = run(capsys, ["mpc", "kraft", "-n", "2", "--json", "a,ba"])
     assert json.loads(out) == {"op": "mpc.kraft", "root": 1, "sum": "3/4"}
+
+    # one record each, written out: the op is the family and subcommand
+    unit = "{(1|aa,a|1), (1|ab,ba|1), (1|b,bb|1)}"
+    predicates = {"boolean": True, "distributive": True, "e_star_unitary": True,
+                  "fundamental": True, "meet_semigroup": True, "unambiguous": True,
+                  "zero_disjunctive": True, "zero_simple": False}
+    for argv, record in (
+        (["poly", "meet", "-n", "2", "ab.ab^-1", "a.a^-1"],
+         {"op": "poly.meet", "result": "ab.ab^-1"}),
+        (["poly", "leq", "-n", "2", "ab.ab^-1", "a.a^-1"], {"op": "poly.leq", "result": True}),
+        (["poly", "arrow", "-n", "2", "1", "a.a^-1,ba.ba^-1,bb.bb^-1"],
+         {"op": "poly.arrow", "result": True}),
+        (["graph", "analyze", rose_file],
+         {"op": "graph.analyze", "in_degree_zero_vertices": [], "no_zero_minimal": True,
+          "pre_boolean": True, "pseudofinite": True, "zero_disjunctive": True}),
+        (["graph", "arrow", rose_file, "@*/@*", "a/a"], {"op": "graph.arrow", "result": False}),
+        (["graph", "mul", rose_file, "a/b", "b/a"], {"op": "graph.mul", "result": "a/a"}),
+        (["mpc", "check", "-n", "2", "a,ba,bb"], {"op": "mpc.check", "result": True}),
+        (["thompson", "eq", "{a,b}->{a,b}:perm=[1,0]", "{a,b}->{a,b}:perm=[0,1]"],
+         {"op": "thompson.eq", "result": False}),
+        (["thompson", "inv", g3],
+         {"op": "thompson.inv", "result": "{aa,ab,b}->{a,ba,bb}:perm=[0,1,2]"}),
+        (["thompson", "reduce", "{aa,ab,b}->{aa,ab,b}:perm=[0,1,2]"],
+         {"op": "thompson.reduce", "result": "{1}->{1}:perm=[0]"}),
+        (["thompson", "fromunit", unit], {"op": "thompson.fromunit", "result": g3}),
+        (["finite", "predicates", i2_file], dict(predicates, op="finite.predicates")),
+        (["finite", "congfree", i2_file], {"op": "finite.congfree", "result": False}),
+        (["finite", "simplifying", i2_file], {"op": "finite.simplifying", "result": True}),
+    ):
+        rc, out, _ = run(capsys, argv + ["--json"])
+        assert rc == 0 and out.count("\n") == 1, argv
+        assert json.loads(out) == record, argv
 
 
 def test_output_is_deterministic(capsys, i2_file):

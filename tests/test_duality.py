@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import stonedual
 from stonedual import duality as D
 from stonedual import finitesgp as F
 import tests_support_tables as TS
@@ -631,3 +632,29 @@ def test_groupoid_dump_accepts_comments_and_rejects_junk():
             D.FiniteGroupoid.from_text(text)
     with pytest.raises(F.TableError, match="outside 0..0"):
         D.FiniteGroupoid([0], [0], [0], {(0, 5): 0})
+
+
+def test_sliced_reader_reads_groupoids_alike(monkeypatch):
+    # the dump reader goes through the shared sliced line reader: every
+    # slice size gives the same groupoid, and the same numbered errors, as
+    # one slice of the whole text
+    dump = D.ultrafilter_groupoid(i_k(2)).to_text()
+    text = "# I(2)\r\n\x0c" + dump.replace("\n", " # row\r\n\r\n")
+    texts = [text, text.replace("compose 1 1 1", "compose 1 1 x", 1),
+             text.replace("compose 1 1 1", "compose 1 1 9", 1)]
+
+    def outcome(t):
+        try:
+            G = D.FiniteGroupoid.from_text(t)
+        except F.TableError as exc:
+            return str(exc)
+        return G.objects, G.dom, G.ran, G.C.tolist()
+
+    whole = [outcome(t) for t in texts]
+    H = D.FiniteGroupoid.from_text(dump)
+    assert whole[0] == (H.objects, H.dom, H.ran, H.C.tolist())
+    assert whole[1:] == ["line 15: cannot parse 'compose 1 1 x # row'",
+                         "line 15: arrow 9 is not in 0..3"]
+    for size in (1, 2, 5, 64):
+        monkeypatch.setattr(stonedual, "SLICE", size)
+        assert [outcome(t) for t in texts] == whole

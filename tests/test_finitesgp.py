@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stonedual
 from stonedual import finitesgp as F
 import tests_support_tables as TS
 from tests_support_tables import (
@@ -283,16 +284,20 @@ LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\x1c", "\x85", "\u2028"]
 
 def test_sliced_reader_splits_as_splitlines(monkeypatch):
     # every slice size puts a cut at every position of the text, so each
-    # line break falls at, just before and just after some cut
+    # line break falls at, just before and just after some cut; the reader
+    # numbers lines as splitlines does and skips those only a comment fills
     rng = random.Random(31)
-    pieces = LINE_BREAKS + ["7", "0 1", " "]
-    texts = ["", "\n", "\r\n\r\n", "a\r\nb", "\r\n\n\r"]
+    pieces = LINE_BREAKS + ["7", "0 1", " ", "# c"]
+    texts = ["", "\n", "\r\n\r\n", "a\r\nb", "\r\n\n\r", "#\n a # b\r\n"]
     texts += ["".join(rng.choice(pieces) for _ in range(rng.randrange(1, 16)))
               for _ in range(150)]
     for text in texts:
+        whole = [(i, raw, raw.split("#", 1)[0].strip())
+                 for i, raw in enumerate(text.splitlines(), 1)]
+        whole = [item for item in whole if item[2]]
         for size in range(1, len(text) + 2):
-            monkeypatch.setattr(F, "SLICE", size)
-            assert list(F._lines(text)) == text.splitlines(), (text, size)
+            monkeypatch.setattr(stonedual, "SLICE", size)
+            assert list(stonedual.read_lines(text)) == whole, (text, size)
 
 
 def test_sliced_reader_reads_tables_alike(monkeypatch):
@@ -301,7 +306,7 @@ def test_sliced_reader_reads_tables_alike(monkeypatch):
     whole = [from_text_outcome(t) for t in (text, bad)]
     assert whole[0][0] == "ok" and whole[1][0] == "TableError"
     for size in (1, 2, 5, 64, 1000):
-        monkeypatch.setattr(F, "SLICE", size)
+        monkeypatch.setattr(stonedual, "SLICE", size)
         assert [from_text_outcome(t) for t in (text, bad)] == whole
 
 

@@ -66,6 +66,17 @@ def act_oracle(s, p):
     return W.Path(p.graph, u.anchor, u.edges + rest)
 
 
+def test_act_checks_the_graph_of_the_path_first():
+    # zero acts on the paths of its own graph only, as every other element
+    # does, and as the polycyclic zero acts on words of its own alphabet only
+    g, h = two_vertex_graph(), fan_graph()
+    p = random_path(random.Random(7), h, 3)
+    for s in (G.gisg_zero(g), rand_elt(random.Random(8), g, 2, zero_frac=0)):
+        with pytest.raises(ValueError, match="path from a different graph"):
+            G.gisg_act(s, p)
+    assert G.gisg_act(G.gisg_zero(h), p) is None
+
+
 def test_mul_matches_action_composition():
     rng = random.Random(30)
     for g in (two_vertex_graph(), fan_graph()):

@@ -329,3 +329,60 @@ def test_library_imports_no_test_module():
             found += ["%s:%d %s" % (path.name, node.lineno, target) for target in targets
                       if target.split(".", 1)[0] in test_modules]
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# text I/O: one op namer in the command line, one line reader in src/
+
+
+def op_literals(text):
+    """Each string literal of text, the source of a cli.py, that names an op:
+    one spelled family.subcommand, or one given as the value of an "op" key,
+    as "cli.py:line literal"."""
+    from stonedual import cli
+
+    spelled = re.compile(r"(%s)\.\w+" % "|".join(cli.DISPATCH))
+    tree = ast.parse(text)
+    keyed = {id(v) for node in ast.walk(tree) if isinstance(node, ast.Dict)
+             for k, v in zip(node.keys, node.values)
+             if isinstance(k, ast.Constant) and k.value == "op"}
+    named = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and (id(node) in keyed or spelled.fullmatch(node.value))]
+    return ["cli.py:%d %s" % (node.lineno, node.value)
+            for node in sorted(named, key=lambda node: node.lineno)]
+
+
+def test_cli_names_no_op_by_hand():
+    # every "op" of a record comes from the run's family and subcommand
+    text = (SRC / "cli.py").read_text()
+    assert op_literals(text) == []
+    planted = text + 'REC = {"op": "selftest"}\nNAME = "thompson.mul"\n'
+    end = len(text.splitlines())
+    assert op_literals(planted) == ["cli.py:%d selftest" % (end + 1),
+                                    "cli.py:%d thompson.mul" % (end + 2)]
+
+
+def splitlines_calls(sources):
+    """Each call of splitlines in sources, {module: text} of the package,
+    outside the shared line reader read_lines, as "module.py:line"."""
+    found = []
+    for mod, text in sorted(sources.items()):
+        for top in ast.parse(text).body:
+            if mod == "__init__" and getattr(top, "name", None) == "read_lines":
+                continue
+            found += ["%s.py:%d" % (mod, node.lineno) for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "splitlines"]
+    return found
+
+
+def test_only_the_shared_reader_splits_lines():
+    # tables, groupoid dumps and graphs are read through read_lines, which
+    # bounds the memory of a split and numbers lines one way for all three
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert "splitlines" in sources["__init__"] and splitlines_calls(sources) == []
+    end = len(sources["__init__"].splitlines())
+    sources["__init__"] += "LINES = 'a'.splitlines()\n"
+    sources["words"] = "def lines(text):\n    return text.splitlines()\n"
+    assert splitlines_calls(sources) == ["__init__.py:%d" % (end + 1), "words.py:2"]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stonedual
 from stonedual import graphisg as G
 from stonedual import words as W
 
@@ -99,6 +100,11 @@ def test_kraft_values():
     assert W.kraft_sum({w(2, "1")}) == 1
     with pytest.raises(ValueError):
         W.kraft_sum({w(2, "a"), w(2, "ab")})
+    # three one-letter words over 3 letters are no code over 2 letters, for
+    # the Kraft sum as for maximality
+    for check in (W.kraft_sum, W.is_maximal_prefix_code):
+        with pytest.raises(ValueError, match="alphabet mismatch inside code"):
+            check([w(3, "a"), w(3, "b"), w(3, "c")], 2)
 
 
 def random_complete_code(rng, n, max_len):
@@ -201,6 +207,29 @@ def test_graph_text_roundtrip():
     assert g3.edges == {"e": ("v", "v")}
     with pytest.raises(ValueError):
         W.DirectedGraph.from_text("vertex v\nbogus line\n")
+
+
+def test_sliced_reader_reads_graphs_alike(monkeypatch):
+    # the graph reader goes through the shared sliced line reader: every
+    # slice size gives the same graph, and the same numbered error, as one
+    # slice of the whole text
+    text = ("# two vertices\r\nvertex v\r\n\r\n\x0cvertex w # second\r\n"
+            "edge e v w\r\n  \r\nedge f w w\r\n")
+    bad = text.replace("edge f w w", "edge f w", 1)
+
+    def outcome(t):
+        try:
+            g = W.DirectedGraph.from_text(t)
+        except ValueError as exc:
+            return str(exc)
+        return g.vertices, g.edges
+
+    whole = [outcome(text), outcome(bad)]
+    assert whole == [(["v", "w"], {"e": ("v", "w"), "f": ("w", "w")}),
+                     "line 8: cannot parse 'edge f w'"]
+    for size in (1, 2, 5, 64):
+        monkeypatch.setattr(stonedual, "SLICE", size)
+        assert [outcome(text), outcome(bad)] == whole
 
 
 def compose(p, q):
