@@ -16,6 +16,8 @@ tests call, and the operations listed under "Library API" in README.md;
 fixtures and reference routes that only tests call live in tests/.
 """
 
+import re
+
 __version__ = "0.1.0"
 
 
@@ -25,19 +27,20 @@ class InternalError(Exception):
 
 
 SLICE = 1 << 20     # characters per step of the text readers
+_BREAK = re.compile(r"\r\n?|[\n\v\f\x1c-\x1e\x85\u2028\u2029]")  # as str.splitlines
 
 
 def read_lines(text):
     """(lineno, raw, line) for each line raw of text, numbered as
     str.splitlines numbers them, whose line, raw without its '#' comment and
     outer whitespace, is not empty.  The text is split one slice of about
-    SLICE characters at a time.  Each slice ends just after a newline, which
-    ends a line whatever precedes it, so no line break, CR LF included, is
-    cut in two; text without a newline is one slice."""
+    SLICE characters at a time.  Each slice ends just after a line break of
+    any kind, and never between CR and LF, so no break is cut in two; text
+    without a break is one slice."""
     lineno, start = 0, 0
     while start < len(text):
-        cut = text.find("\n", start + SLICE - 1)
-        end = len(text) if cut < 0 else cut + 1
+        cut = _BREAK.search(text, start + SLICE - 1)
+        end = cut.end() if cut else len(text)
         for lineno, raw in enumerate(text[start:end].splitlines(), lineno + 1):
             line = raw.split("#", 1)[0].strip()
             if line:

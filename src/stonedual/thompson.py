@@ -13,7 +13,9 @@ form with nothing left to glue, so equality of elements is equality of leaf
 maps, which agrees with the arrow test on generating sets.  The leaf map of
 a reduced tree pair is the same data.  Products compose leaf maps, inverses
 swap them and reduction glues them, whichever view they come from; each
-tree pair is built, and its codes checked, once.
+tree pair is built, and its codes checked, once.  An element built here, by
+`cuntz` or an operation, carries its normal form's leaf map, so no operation
+scans it again; any other, a deep copy or a pickle too, is scanned once.
 """
 
 import bisect
@@ -34,6 +36,20 @@ from .words import (
 
 CuntzElement = namedtuple("CuntzElement", ["n", "r", "parts"])
 TreePair = namedtuple("TreePair", ["n", "r", "domain", "range", "perm"])
+
+
+class _NormalParts(frozenset):
+    """The parts of an element built here, with the leaf map of its normal
+    form; a copy or a pickle of them is a plain frozenset."""
+    __slots__ = ("leaf",)
+
+    def __new__(cls, parts, leaf):
+        self = super().__new__(cls, parts)
+        self.leaf = leaf
+        return self
+
+    def __reduce__(self):
+        return frozenset, (list(self),)
 
 
 def _part_key(p):
@@ -128,8 +144,7 @@ def cuntz(n, r, parts):
         if not pc.ext_is_zero(p):
             kept.append(p)
     kept = dict.fromkeys(kept)  # input order names the incompatible pair
-    _leaf_map(kept)
-    return CuntzElement(n, r, frozenset(kept))
+    return CuntzElement(n, r, _NormalParts(kept, _glued(n, _leaf_map(kept))))
 
 
 def cuntz_zero(n, r):
@@ -167,15 +182,17 @@ def _leaf_map(parts):
 def _normal(x):
     """The leaf map of the normal form of x: its maximal parts, which are
     orthogonal, so that a complete sibling family of parts is a reducible
-    leaf family, glued until none remain."""
+    leaf family, glued until none remain; a carried map is only copied."""
+    if isinstance(x.parts, _NormalParts):
+        return dict(x.parts.leaf)
     nonzero = [p for p in x.parts if not pc.ext_is_zero(p)]
     return _glued(x.n, _leaf_map(sorted(nonzero, key=_part_key)))
 
 
 def _from_leaf_map(n, r, pairs):
-    return CuntzElement(n, r, frozenset(
+    return CuntzElement(n, r, _NormalParts((
         pc.ExtPolyElement(n, r, w.root, pc.PolyElement(n, w.letters, d.letters), d.root)
-        for d, w in pairs.items()))
+        for d, w in pairs.items()), pairs))
 
 
 def cuntz_normalize(x):

@@ -508,7 +508,25 @@ def check_gisg_act(s, p, image):
 # thompson
 
 
+def _plain(x):
+    """x with its parts in a plain frozenset, which carries no leaf map, so
+    that the library scans them afresh."""
+    return TH.CuntzElement(x.n, x.r, frozenset(x.parts))
+
+
+def _check_carried(x):
+    # an element the library builds carries the leaf map of its normal form,
+    # which no operation scans again: it is the map a fresh scan gives
+    assert isinstance(x.parts, TH._NormalParts), "no leaf map carried"
+    assert x.parts.leaf == TH._normal(_plain(x)), "carried leaf map is stale"
+
+
+def check_cuntz(n, r, parts, x):
+    _check_carried(x)
+
+
 def check_cuntz_normalize(x, nf):
+    _check_carried(nf)
     # gluing keeps the set orthogonal: a glued part is the join of parts that
     # were orthogonal to everything else, and that survives the join
     for a, b in itertools.combinations(nf.parts, 2):
@@ -529,11 +547,13 @@ def _check_against_parts(x, parts, result):
 
 
 def check_cuntz_mul(x, y, xy):
+    _check_carried(xy)
     # the product of two joins is the join of the products of their parts
     _check_against_parts(x, [pc.ext_mul(a, b) for a in x.parts for b in y.parts], xy)
 
 
 def check_cuntz_inv(x, inv):
+    _check_carried(inv)
     _check_against_parts(x, [pc.ext_inv(a) for a in x.parts], inv)
 
 
@@ -541,7 +561,7 @@ def check_is_unit(x, unit):
     # a set of words glues down to the roots iff it is an r-rooted maximal
     # prefix code; the codes are read off the parts of the normal form
     with RECHECKER.unchecked():
-        parts = TH.cuntz_normalize(x).parts
+        parts = TH.cuntz_normalize(_plain(x)).parts
     codes = (
         [wd.RootedWord(p.j, p.m.x) for p in parts],
         [wd.RootedWord(p.i, p.m.y) for p in parts],
@@ -552,17 +572,18 @@ def check_is_unit(x, unit):
 
 def check_cuntz_eq(x, y, same):
     with RECHECKER.unchecked():
-        nx, ny = TH.cuntz_normalize(x), TH.cuntz_normalize(y)
+        nx, ny = TH.cuntz_normalize(_plain(x)), TH.cuntz_normalize(_plain(y))
     fwd = all(pc.ext_lenz_arrow(a, ny.parts) for a in nx.parts)
     bwd = all(pc.ext_lenz_arrow(b, nx.parts) for b in ny.parts)
     assert same == (fwd and bwd)
 
 
 def check_tp_to_unit(g, x):
+    _check_carried(x)
     assert TH.is_unit(x)
     # the leaves of a reduced pair leave nothing to discard or glue
     with RECHECKER.unchecked():
-        assert TH.cuntz_normalize(x).parts == x.parts
+        assert TH.cuntz_normalize(_plain(x)).parts == x.parts
 
 
 def check_tp_from_unit(x, g):
@@ -606,6 +627,7 @@ RECHECKS = [
     (TS, "principal_criterion", check_principal_criterion),
     (gi, "gisg_mul", check_gisg_mul),
     (gi, "gisg_act", check_gisg_act),
+    (TH, "cuntz", check_cuntz),
     (TH, "cuntz_normalize", check_cuntz_normalize),
     (TH, "cuntz_mul", check_cuntz_mul),
     (TH, "cuntz_inv", check_cuntz_inv),

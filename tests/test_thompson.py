@@ -11,12 +11,15 @@ Independent oracles, defined before use:
     composition of actions decides products in the unit group
 """
 
+import copy
 import itertools
+import pickle
 import random
 from collections import Counter
 
 import pytest
 
+from stonedual import cli
 from stonedual import polycyclic as pc
 from stonedual import thompson as th
 from stonedual.words import RootedWord, is_rooted_maximal_prefix_code
@@ -649,33 +652,133 @@ def test_operations_preserve_rooted_codes():
             assert is_rooted_maximal_prefix_code(range_, n, r)
 
 
-def test_each_factor_is_scanned_once(monkeypatch, theorem_checks_off):
-    # the product composes the leaf maps of the factors, so the pairwise
-    # compatibility scan runs once on each factor and never on a product,
-    # and a reduced tree pair is a normal form without one
+def count_scans(monkeypatch):
+    """The pairs ext_compatible is asked about from now on, as sets."""
     calls = []
     compatible = pc.ext_compatible
 
     def counted(a, b):
-        calls.append((a, b))
+        calls.append(frozenset((a, b)))
         return compatible(a, b)
 
     monkeypatch.setattr(pc, "ext_compatible", counted)
+    return calls
+
+
+def pairwise_scan(x):
+    return Counter(map(frozenset, itertools.combinations(x.parts, 2)))
+
+
+def plain(x):
+    """x with its parts in a plain frozenset: an element the library did not
+    build, which carries no leaf map."""
+    return th.CuntzElement(x.n, x.r, frozenset(x.parts))
+
+
+def test_each_factor_is_scanned_once(monkeypatch, theorem_checks_off):
+    # an element the library builds carries the leaf map of its normal form,
+    # so no operation scans it; any other argument gets exactly its pairwise
+    # scan, and a reduced tree pair is a normal form without one
+    calls = count_scans(monkeypatch)
     rng = random.Random(58)
     for n, r in PARAMS:
         for _ in range(5):
-            g = random_tree_pair(n, r, rng, rng.randrange(1, 5))
-            h = random_tree_pair(n, r, rng, rng.randrange(1, 5))
-            xg, xh = th.tp_to_unit(g), th.tp_to_unit(h)
-            assert calls == []
-            for x, y in ((xg, xh), (random_element(n, r, rng), xh)):
-                calls.clear()
-                th.cuntz_mul(x, y)
-                scans = [pair for z in (x, y)
-                         for pair in itertools.combinations(z.parts, 2)]
-                assert Counter(map(frozenset, calls)) == Counter(
-                    map(frozenset, scans))
             calls.clear()
+            xg = th.tp_to_unit(random_tree_pair(n, r, rng, rng.randrange(1, 5)))
+            assert calls == []
+            y = random_element(n, r, rng)
+            assert Counter(calls) == pairwise_scan(y)
+            z = th.cuntz_mul(xg, y)
+            for op, args in [
+                (th.cuntz_mul, (xg, y)),
+                (th.cuntz_mul, (z, th.cuntz_inv(z))),
+                (th.cuntz_inv, (y,)),
+                (th.cuntz_eq, (xg, y)),
+                (th.cuntz_eq, (z, th.cuntz_normalize(z))),
+                (th.is_unit, (xg,)),
+                (th.is_unit, (y,)),
+                (th.tp_from_unit, (xg,)),
+            ]:
+                calls.clear()
+                op(*args)
+                assert calls == [], op.__name__
+                for k, x in enumerate(args):
+                    calls.clear()
+                    op(*args[:k], plain(x), *args[k + 1:])
+                    assert Counter(calls) == pairwise_scan(x), op.__name__
+
+
+def test_cli_scans_each_literal_once(monkeypatch, capsys, theorem_checks_off):
+    # a tree-pair literal has its two codes checked once and no part scan; a
+    # Cuntz literal gets one pairwise scan, when it is parsed
+    calls = count_scans(monkeypatch)
+    codes = []
+    is_code = th.is_rooted_maximal_prefix_code
+
+    def counted(code, n, r):
+        codes.append(code)
+        return is_code(code, n, r)
+
+    monkeypatch.setattr(th, "is_rooted_maximal_prefix_code", counted)
+    g3 = "{a,ba,bb}->{aa,ab,b}:perm=[0,1,2]"
+    assert cli.main(["thompson", "mul", g3, g3]) == 0
+    assert calls == [] and len(codes) == 3 * 2  # two literals and the product
+    unit = "{(1|aa,a|1), (1|ab,ba|1), (1|b,bb|1)}"
+    scan = pairwise_scan(th.parse_cuntz(unit, 2, 1))
+    calls.clear()
+    codes.clear()
+    assert cli.main(["thompson", "fromunit", unit]) == 0
+    assert Counter(calls) == scan and len(codes) == 2
+    capsys.readouterr()
+
+
+def test_a_carried_map_changes_no_answer(monkeypatch, capsys):
+    # equality, hashing, formatting and the command line see only the parts
+    rng = random.Random(60)
+    for n, r in PARAMS:
+        for _ in range(5):
+            for x in (random_element(n, r, rng),
+                      th.tp_to_unit(random_tree_pair(n, r, rng, rng.randrange(0, 4)))):
+                assert x == plain(x) and plain(x) == x
+                assert hash(x) == hash(plain(x))
+                assert th.format_cuntz(x) == th.format_cuntz(plain(x))
+    g3 = "{a,ba,bb}->{aa,ab,b}:perm=[0,1,2]"
+    unit = "{(1|aa,a|1), (1|ab,ba|1), (1|b,bb|1)}"
+    argvs = [[sub, "-n", "2", lit, *json] for sub, lit in (("tounit", g3), ("fromunit", unit))
+             for json in ([], ["--json"])]
+
+    def outputs():
+        return [(cli.main(["thompson", *argv]), capsys.readouterr()) for argv in argvs]
+
+    carried = outputs()
+    for name in ("tp_to_unit", "parse_cuntz"):
+        build = getattr(th, name)
+        monkeypatch.setattr(th, name, lambda *a, build=build: plain(build(*a)))
+    assert outputs() == carried
+
+
+def test_a_lost_map_costs_one_scan(monkeypatch, theorem_checks_off):
+    # a deep copy or a pickle of an element gets its parts back as a plain
+    # frozenset, so the map is scanned afresh, once; a shallow copy, or
+    # _replace with carried parts, takes the map along with the parts
+    calls = count_scans(monkeypatch)
+    rng = random.Random(61)
+    for n, r in PARAMS:
+        for _ in range(5):
+            x = random_element(n, r, rng)
+            z = th.tp_to_unit(random_tree_pair(n, r, rng, rng.randrange(0, 4)))
+            want, one = th.cuntz_mul(x, z), th.cuntz_one(n, r)
+            for lost in (copy.deepcopy(x), pickle.loads(pickle.dumps(x)),
+                         x._replace(parts=copy.copy(x.parts))):
+                assert lost == x and type(lost.parts) is frozenset
+                calls.clear()
+                assert th.cuntz_mul(lost, z) == want
+                assert Counter(calls) == pairwise_scan(x)
+            calls.clear()
+            assert th.cuntz_mul(copy.copy(x), z) == want
+            moved = one._replace(parts=x.parts)
+            assert th.cuntz_mul(moved, z) == want and th.cuntz_eq(moved, x)
+            assert calls == []
 
 
 def test_each_tree_pair_is_checked_once(monkeypatch, theorem_checks_off):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -230,6 +231,23 @@ def test_sliced_reader_reads_graphs_alike(monkeypatch):
     for size in (1, 2, 5, 64):
         monkeypatch.setattr(stonedual, "SLICE", size)
         assert [outcome(text), outcome(bad)] == whole
+
+
+def test_sliced_reader_cuts_after_every_kind_of_line_break(monkeypatch):
+    # a slice ends after any break str.splitlines knows, never between CR and
+    # LF: text broken by bare CRs is read in slices, in as little memory as
+    # text broken by LFs, and a bad line gets the same numbered error
+    monkeypatch.setattr(stonedual, "SLICE", 1024)
+    for brk in ("\n", "\r", "\r\n", "\u2028"):
+        text = ("vertex v" + brk) * 100_000
+        tracemalloc.start()
+        count = sum(1 for _ in stonedual.read_lines(text))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert count == 100_000 and peak < 1_000_000, (brk, peak)
+        lines = ["vertex v%d" % i for i in range(3000)] + ["edge e v0"]
+        with pytest.raises(ValueError, match="^line 3001: cannot parse 'edge e v0'$"):
+            W.DirectedGraph.from_text(brk.join(lines) + brk)
 
 
 def compose(p, q):
