@@ -2,11 +2,12 @@
 
 One subcommand family per module: poly (polycyclic elements), mpc (prefix
 codes), graph (graph inverse semigroup elements), finite (multiplication
-tables), thompson (Cuntz monoid units as tree pairs), selftest (seeded
-randomized cross-checks).  Results print as stable human text, or as JSON
-lines with --json, one record per result so long enumerations stream.  Exit
-codes: 0 success, 1 domain error with a diagnostic on stderr, 2 usage error,
-3 internal error (a result that breaks a proven invariant).
+tables), thompson (Cuntz monoid units as tree pairs), selftest (the seeded
+randomized cross-checks of stonedual.selftest).  Results print as stable
+human text, or as JSON lines with --json, one record per result so long
+enumerations stream.  Exit codes: 0 success, 1 domain error with a
+diagnostic on stderr, 2 usage error, 3 internal error (a result that breaks
+a proven invariant).
 Table sizes are capped by the STONEDUAL_MAX_ELEMENTS environment variable
 (default 2000).
 Each handler imports the layers it uses, so a run loads only its own: the
@@ -188,185 +189,10 @@ def cmd_thompson(args):
     return _answer(args, th.format_tree_pair(th.tp_mul(g, h)))
 
 
-# ---------------------------------------------------------------------------
-# selftest suites: seeded randomized cross-checks between modules
-
-
-def _check(ok, what, *args):
-    # an explicit raise: a bare assert would vanish under python -O
-    if not ok:
-        raise ValueError(what % args)
-
-
-def _selftest_words(rng):
-    from . import words as wd
-
-    checks = 0
-    for _ in range(50):
-        n = rng.randrange(2, 4)
-        code = [()]
-        for _ in range(rng.randrange(1, 5)):
-            w = code.pop(rng.randrange(len(code)))
-            code.extend(w + (k,) for k in range(n))
-        ws = [wd.Word(n, t) for t in code]
-        shown = ",".join(map(wd.format_word, ws))
-        _check(wd.is_maximal_prefix_code(ws, n), "code %s not maximal", shown)
-        _check(wd.kraft_sum(ws, n) == 1, "code %s has Kraft sum != 1", shown)
-        checks += 2
-        if len(ws) > 1:
-            ws.pop(rng.randrange(len(ws)))
-            shown = ",".join(map(wd.format_word, ws))
-            _check(not wd.is_maximal_prefix_code(ws, n), "code %s maximal", shown)
-            _check(wd.kraft_sum(ws, n) < 1, "code %s has Kraft sum >= 1", shown)
-            checks += 2
-    return checks
-
-
-def _random_poly(n, rng):
-    from . import polycyclic as pc
-
-    y = tuple(rng.randrange(n) for _ in range(rng.randrange(0, 3)))
-    x = tuple(rng.randrange(n) for _ in range(rng.randrange(0, 3)))
-    return pc.poly(n, y, x)
-
-
-def _selftest_poly(rng):
-    from . import polycyclic as pc
-
-    checks = 0
-    for _ in range(100):
-        n = rng.randrange(2, 4)
-        a, b, c = (_random_poly(n, rng) for _ in range(3))
-        lhs = pc.poly_mul(pc.poly_mul(a, b), c)
-        rhs = pc.poly_mul(a, pc.poly_mul(b, c))
-        _check(lhs == rhs, "product of %s not associative", (a, b, c))
-        aa_a = pc.poly_mul(pc.poly_mul(a, pc.poly_inv(a)), a)
-        _check(aa_a == a, "a a^-1 a != a for %s", a)
-        checks += 2
-        if not pc.poly_is_zero(a):
-            sibs = [
-                pc.poly_mul(a, pc.poly(n, (k,), (k,))) for k in range(n)
-            ]
-            children = [s for s in sibs if not pc.poly_is_zero(s)]
-            _check(pc.lenz_arrow(a, children), "%s -/-> its children", a)
-            checks += 1
-    return checks
-
-
-def _selftest_graph(rng):
-    # on the one-vertex graph with n loops, path pairs are polycyclic elements
-    from . import graphisg
-    from . import polycyclic as pc
-    from . import words as wd
-
-    checks = 0
-    for _ in range(80):
-        n = rng.randrange(2, 4)
-        graph = wd.one_vertex_graph(n)
-
-        def lift(m):
-            return graphisg.gisg(
-                wd.word_to_path(m.y, n, graph), wd.word_to_path(m.x, n, graph)
-            )
-
-        a, b = _random_poly(n, rng), _random_poly(n, rng)
-        p = pc.poly_mul(a, b)
-        q = graphisg.gisg_mul(lift(a), lift(b))
-        if pc.poly_is_zero(p):
-            _check(graphisg.gisg_is_zero(q), "graph product of %s not zero", (a, b))
-        else:
-            _check(q == lift(p), "graph product of %s differs", (a, b))
-        leq = graphisg.gisg_leq(lift(a), lift(b))
-        _check(pc.poly_leq(a, b) == leq, "graph order on %s differs", (a, b))
-        checks += 2
-    return checks
-
-
-def _relabeled(S, rng):
-    import numpy as np
-
-    from .finitesgp import MulTable
-
-    perm = list(range(S.m))
-    rng.shuffle(perm)
-    p = np.array(perm)
-    T2 = np.empty_like(S.T)
-    T2[np.ix_(p, p)] = p[S.T]
-    ident = S.find_identity()
-    names = None if S.names is None else [S.names[i] for i in np.argsort(p)]
-    return MulTable(
-        T2, perm[S.zero], None if ident is None else perm[ident], names
-    )
-
-
-def _selftest_finite(rng):
-    from . import duality, finitesgp
-
-    checks = 0
-    for k in (2, 3):
-        S = finitesgp.symmetric_inverse_monoid(k)
-        rep = finitesgp.predicates(S)
-        _check(rep["boolean"] and rep["fundamental"], "I(%d) predicates %s", k, rep)
-        got, _ = duality.classify_symmetric(S)
-        _check(got == k, "I(%d) classified as %s", k, got)
-        ok, _ = duality.duality_roundtrip(S)
-        _check(ok, "I(%d) fails the duality round trip", k)
-        _check(finitesgp.is_zero_simplifying(S), "I(%d) not 0-simplifying", k)
-        ideals = finitesgp.tightly_closed_ideals(S)
-        _check(len(ideals) == 2, "I(%d) has %d tightly closed ideals", k, len(ideals))
-        checks += 6
-        R = _relabeled(S, rng)
-        got, _ = duality.classify_symmetric(R)
-        _check(got == k, "relabelled I(%d) classified as %s", k, got)
-        checks += 1
-    return checks
-
-
-def _random_tree_pair(n, r, rng, splits):
-    from . import thompson as th
-    from . import words as wd
-
-    dom = [wd.RootedWord(i, ()) for i in range(1, r + 1)]
-    ran = [wd.RootedWord(i, ()) for i in range(1, r + 1)]
-    for code in (dom, ran):
-        for _ in range(splits):
-            p = rng.randrange(len(code))
-            w = code.pop(p)
-            code.extend(wd.RootedWord(w.root, w.letters + (k,)) for k in range(n))
-    perm = list(range(len(dom)))
-    rng.shuffle(perm)
-    return th.tree_pair(n, r, dom, ran, perm)
-
-
-def _selftest_thompson(rng):
-    from . import thompson as th
-
-    checks = 0
-    for n, r in ((2, 1), (2, 2), (3, 1)):
-        ident = th.tp_identity(n, r)
-        for _ in range(10):
-            g = _random_tree_pair(n, r, rng, rng.randrange(1, 4))
-            h = _random_tree_pair(n, r, rng, rng.randrange(1, 4))
-            _check(th.tp_mul(g, th.tp_inv(g)) == ident, "g g^-1 != 1 for %s", g)
-            gh = th.tp_mul(g, h)
-            unit_gh = th.cuntz_mul(th.tp_to_unit(g), th.tp_to_unit(h))
-            _check(th.tp_from_unit(unit_gh) == gh, "Cuntz product is not %s", gh)
-            _check(th.is_unit(th.tp_to_unit(gh)), "%s is not a unit", gh)
-            checks += 3
-    return checks
-
-
-SELFTESTS = {
-    "words": _selftest_words,
-    "poly": _selftest_poly,
-    "graph": _selftest_graph,
-    "finite": _selftest_finite,
-    "thompson": _selftest_thompson,
-}
-
-
 def cmd_selftest(args):
     import random
+
+    from .selftest import SELFTESTS
 
     names = list(SELFTESTS) if args.suite == "all" else [args.suite]
     records, lines = [], []
@@ -375,15 +201,8 @@ def cmd_selftest(args):
             checks = SELFTESTS[name](random.Random(args.seed))
         except ValueError as exc:
             raise ValueError("selftest %s: %s" % (name, exc)) from None
-        records.append(
-            {
-                "op": _op(args),
-                "suite": name,
-                "seed": args.seed,
-                "checks": checks,
-                "ok": True,
-            }
-        )
+        records.append({"op": _op(args), "suite": name, "seed": args.seed,
+                        "checks": checks, "ok": True})
         lines.append("selftest %s: ok (%d checks)" % (name, checks))
     return records, lines
 
@@ -449,16 +268,8 @@ def build_parser(argv=None):
     finite = family("finite", "finite inverse semigroup tables")
     if finite is not None:
         fsub = finite.add_subparsers(dest="sub", required=True)
-        for name in (
-            "validate",
-            "predicates",
-            "congfree",
-            "simplifying",
-            "complete",
-            "dualize",
-            "classify",
-            "ideals",
-        ):
+        for name in ("validate", "predicates", "congfree", "simplifying",
+                     "complete", "dualize", "classify", "ideals"):
             p = fsub.add_parser(name, parents=[common])
             p.add_argument("table", help="table file (elements/zero header)")
             if name in ("complete", "dualize"):
@@ -469,14 +280,8 @@ def build_parser(argv=None):
     tp = family("thompson", "Cuntz monoid units as tree pairs")
     if tp is not None:
         tsub = tp.add_subparsers(dest="sub", required=True)
-        for name, two in (
-            ("mul", True),
-            ("eq", True),
-            ("inv", False),
-            ("reduce", False),
-            ("fromunit", False),
-            ("tounit", False),
-        ):
+        for name, two in (("mul", True), ("eq", True), ("inv", False),
+                          ("reduce", False), ("fromunit", False), ("tounit", False)):
             p = tsub.add_parser(name, parents=[common])
             p.add_argument("-n", type=int, default=2, help="alphabet size")
             p.add_argument("-r", type=int, default=1, help="number of roots")
@@ -486,6 +291,8 @@ def build_parser(argv=None):
 
     st = family("selftest", "seeded cross-checks", [common])
     if st is not None:
+        from .selftest import SELFTESTS
+
         st.add_argument("suite", choices=sorted(SELFTESTS) + ["all"])
         st.add_argument("--seed", type=int, default=0, help="random seed")
 

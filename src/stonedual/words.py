@@ -359,14 +359,18 @@ def parse_path(text, graph):
     return make_path(graph, anchor, names)
 
 
-def one_vertex_graph(n, vertex="*"):
-    """Graph with a single vertex and n loops named like the letters of an
-    n-letter alphabet; its path algebra matches words over that alphabet."""
-    return DirectedGraph([vertex], [(letter_name(i, n), vertex, vertex) for i in range(n)])
+ROSE_VERTEX = "*"
 
 
-def word_to_path(letters, n, graph, vertex="*"):
-    return make_path(graph, vertex, tuple(letter_name(a, n) for a in letters))
+def one_vertex_graph(n):
+    """The rose: the vertex ROSE_VERTEX with n loops named like the letters
+    of an n-letter alphabet; its path algebra matches words over it."""
+    loops = [(letter_name(i, n), ROSE_VERTEX, ROSE_VERTEX) for i in range(n)]
+    return DirectedGraph([ROSE_VERTEX], loops)
+
+
+def word_to_path(letters, n, graph):
+    return make_path(graph, ROSE_VERTEX, tuple(letter_name(a, n) for a in letters))
 
 
 # ---------------------------------------------------------------------------

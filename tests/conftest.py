@@ -557,6 +557,17 @@ def check_cuntz_inv(x, inv):
     _check_against_parts(x, [pc.ext_inv(a) for a in x.parts], inv)
 
 
+def check_cuntz_meet(x, y, meet):
+    _check_carried(meet)
+    # the meet of two joins is the join of the meets of their parts
+    _check_against_parts(x, [pc.ext_meet(a, b) for a in x.parts for b in y.parts], meet)
+
+
+def check_cuntz_join(x, y, join):
+    _check_carried(join)
+    _check_against_parts(x, [*x.parts, *y.parts], join)
+
+
 def check_is_unit(x, unit):
     # a set of words glues down to the roots iff it is an r-rooted maximal
     # prefix code; the codes are read off the parts of the normal form
@@ -631,6 +642,8 @@ RECHECKS = [
     (TH, "cuntz_normalize", check_cuntz_normalize),
     (TH, "cuntz_mul", check_cuntz_mul),
     (TH, "cuntz_inv", check_cuntz_inv),
+    (TH, "cuntz_meet", check_cuntz_meet),
+    (TH, "cuntz_join", check_cuntz_join),
     (TH, "cuntz_eq", check_cuntz_eq),
     (TH, "is_unit", check_is_unit),
     (TH, "tp_to_unit", check_tp_to_unit),

@@ -13,7 +13,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stonedual import cli, duality, filtercomp, finitesgp
+from stonedual import cli, duality, filtercomp, finitesgp, selftest
 from stonedual import polycyclic as pc
 from stonedual import thompson as th
 from stonedual import words as wd
@@ -629,11 +629,31 @@ def test_selftest_suites(capsys):
     rc, out, _ = run(capsys, ["selftest", "all"])
     assert rc == 0
     lines = out.splitlines()
-    assert len(lines) == len(cli.SELFTESTS)
+    assert len(lines) == len(selftest.SELFTESTS)
     assert all(": ok (" in line for line in lines)
     rc, out, _ = run(capsys, ["selftest", "words", "--seed", "7", "--json"])
     rec = json.loads(out)
     assert rec["ok"] is True and rec["checks"] > 0 and rec["seed"] == 7
+
+
+# (suite, checks) of `selftest all`, the same at every seed: each words and
+# poly draw adds the same checks, and the other suites draw fixed counts
+SELFTEST_CHECKS = [("words", 200), ("poly", 300), ("graph", 160), ("finite", 14),
+                   ("thompson", 90)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_selftest_checks_are_pinned(capsys, seed, theorem_checks_off):
+    argv = ["selftest", "all", "--seed", str(seed)]
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == ["selftest %s: ok (%d checks)" % sc for sc in SELFTEST_CHECKS]
+    rc, out, err = run(capsys, argv + ["--json"])
+    assert (rc, err) == (0, "")
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"op": "selftest", "suite": suite, "seed": seed, "checks": checks, "ok": True}
+        for suite, checks in SELFTEST_CHECKS
+    ]
 
 
 def test_selftest_failure_survives_optimize():
@@ -757,20 +777,24 @@ def test_run_without_stdout_answers_quietly():
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (["poly", "mul", "ab.b^-1", "b"], ["numpy"]),
+        (["poly", "mul", "ab.b^-1", "b"], ["numpy", "stonedual.selftest"]),
         (["mpc", "check", "a,b"], ["numpy"]),
         (["graph", "mul", str(ROOT / "graphs" / "rose2.graph"), "a.b/a", "a/b"], ["numpy"]),
-        (["thompson", "mul", SWAP, SWAP], ["numpy"]),
+        (["thompson", "mul", SWAP, SWAP], ["numpy", "stonedual.selftest"]),
         (["finite", "validate", str(ROOT / "tables" / "i2.tbl")], NOT_IN_TABLE_RUNS),
         (["finite", "predicates", str(ROOT / "tables" / "i2.tbl")], NOT_IN_TABLE_RUNS),
         (["finite", "ideals", str(ROOT / "tables" / "i2.tbl")], NOT_IN_TABLE_RUNS),
+        (["selftest", "words"], ["numpy", "stonedual.thompson"]),
     ],
-    ids=["poly", "mpc", "graph", "thompson", "finite", "finite-predicates", "finite-ideals"],
+    ids=["poly", "mpc", "graph", "thompson", "finite", "finite-predicates", "finite-ideals",
+         "selftest-words"],
 )
 def test_run_loads_only_its_layers(argv, absent):
     # each CLI run pays start-up for its own layers only: the element
     # subcommands run without numpy, a table run without the element layers,
-    # words (InternalError lives in the package) or np.unique's numpy.ma
+    # words (InternalError lives in the package) or np.unique's numpy.ma, and
+    # the words selftest without numpy or the Cuntz layer; only a selftest
+    # run loads the suites
     code = (
         "import sys; from stonedual import cli; rc = cli.main(sys.argv[1:]); "
         "print(sorted(set(%r) & set(sys.modules))); sys.exit(rc)" % absent

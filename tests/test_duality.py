@@ -7,6 +7,7 @@ import pytest
 import stonedual
 from stonedual import duality as D
 from stonedual import finitesgp as F
+from stonedual.selftest import relabeled
 import tests_support_tables as TS
 from tests_support_tables import (
     adjoined_z2,
@@ -21,7 +22,6 @@ from tests_support_tables import (
     i_k,
     meet_corpus,
     no_meet,
-    relabel,
     union_of_chains,
 )
 
@@ -414,7 +414,7 @@ def test_roundtrip_is_relabeling_invariant():
         if S.m > 40:
             continue
         for _ in range(3):
-            ok, _ = D.duality_roundtrip(relabel(S, rng))
+            ok, _ = D.duality_roundtrip(relabeled(S, rng))
             assert ok, name
 
 
@@ -499,7 +499,7 @@ def test_classify_symmetric_positive():
 def test_classify_symmetric_on_relabelings():
     rng = random.Random(5)
     for k in (2, 3):
-        S = relabel(F.symmetric_inverse_monoid(k), rng)
+        S = relabeled(F.symmetric_inverse_monoid(k), rng)
         got, phi = D.classify_symmetric(S)
         assert got == k
         I = F.symmetric_inverse_monoid(k)

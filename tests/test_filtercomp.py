@@ -7,6 +7,7 @@ import pytest
 from stonedual import duality as D
 from stonedual import filtercomp as FC
 from stonedual import finitesgp as F
+from stonedual.selftest import relabeled
 import tests_support_tables as TS
 from tests_support_tables import (
     adjoined_z2,
@@ -20,7 +21,6 @@ from tests_support_tables import (
     i_k,
     meet_corpus,
     no_meet,
-    relabel,
     union_of_chains,
 )
 
@@ -395,7 +395,7 @@ def test_one_arrow_order_on_random_relabelled_tables():
     reordered = 0
     for S in tables:
         sizes = set()
-        for T in (S, relabel(S, rng), relabel(S, rng)):
+        for T in (S, relabeled(S, rng), relabeled(S, rng)):
             elems = D._groupoid_of_minimals(T)[1]
             reordered += elems != sorted(elems)
             boolean = F._meet_semigroup(T) and F._boolean(T)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import stonedual
 from stonedual import finitesgp as F
+from stonedual.selftest import relabeled
 import tests_support_tables as TS
 from tests_support_tables import (
     adjoined_z2,
@@ -22,7 +23,6 @@ from tests_support_tables import (
     meet_corpus,
     no_meet,
     principal_congruence,
-    relabel,
     union_of_chains,
 )
 
@@ -88,7 +88,7 @@ def perturbed_tables(draw):
         corpus.update({"no_meet": no_meet(), "I(3)": i_k(3)})
         S = corpus[draw(st.sampled_from(sorted(corpus)))]
         if draw(st.booleans()):
-            S = relabel(S, random.Random(draw(st.integers(0, 9))))
+            S = relabeled(S, random.Random(draw(st.integers(0, 9))))
         table, zero, identity = S.T.copy(), S.zero, S.find_identity()
         m = S.m
     else:
@@ -138,23 +138,26 @@ def test_validate_finds_defects_in_every_row_block(seed):
     # the kernels step through BLOCK rows at a time: a defect in the second
     # and in the last, partial, block must be named as the whole-table scan
     # names it, with its row counted from the top of the table
-    S = relabel(i_k(4), random.Random(seed))
+    S = relabeled(i_k(4), random.Random(seed))
     m = S.m
     assert m > 3 * F.BLOCK and m % F.BLOCK
     rng = random.Random(seed)
     for lo in (F.BLOCK, m - m % F.BLOCK):
-        rows = set()
-        for _ in range(8):
+        # a defect is often witnessed from an earlier row: draw at least 8,
+        # and on until one is witnessed inside the block
+        rows, drawn = set(), 0
+        while drawn < 8 or not any(lo <= x < lo + F.BLOCK for x in rows):
+            assert drawn < 64, "no defect witnessed in rows %d.." % lo
             i, j = rng.randrange(lo, min(lo + F.BLOCK, m)), rng.randrange(m)
             if S.zero in (i, j):
                 continue
+            drawn += 1
             table = S.T.copy()
             table[i, j] = (table[i, j] + rng.randrange(1, m)) % m
             diag = TS.validate_by_index_order(table, S.zero)
             assert TS.validate(table, S.zero) == diag
             if diag.startswith("not associative: witness ("):
                 rows.add(int(diag.split("(")[1].split(",")[0]))
-        assert any(lo <= x < lo + F.BLOCK for x in rows)
 
 
 def test_reading_i5_allocates_under_two_tables(theorem_checks_off):
@@ -335,7 +338,7 @@ def oracle_join(f, g):
 
 
 def test_ik_order_meet_join_match_oracle():
-    I4 = relabel(i_k(4), random.Random(5))
+    I4 = relabeled(i_k(4), random.Random(5))
     for k, S in ((2, i_k(2)), (3, i_k(3)), (4, i_k(4)), (4, I4)):
         # element ids are arbitrary: read each element's map off its name
         by_name = {F._map_name(f): f for f in F._maps_of_partial_injections(k)}
@@ -738,7 +741,7 @@ def test_predicates_match_their_definitions():
     corpus = dict(meet_corpus())
     corpus.update({
         "no_meet": no_meet(), "I(3)": i_k(3), "I(2)xI(2)": i2_x_i2(),
-        "relabelled I(3)": relabel(i_k(3), random.Random(2)),
+        "relabelled I(3)": relabeled(i_k(3), random.Random(2)),
         "M3": TS.m3(), "N5": TS.n5(),
     })
     for name, S in corpus.items():
@@ -831,7 +834,7 @@ def fixture_tables():
     tables = dict(meet_corpus())
     tables.update(TS.boolean_corpus())
     tables["I(3)"], tables["I(4)"] = i_k(3), i_k(4)
-    tables["relabelled I(4)"] = relabel(i_k(4), random.Random(3))
+    tables["relabelled I(4)"] = relabeled(i_k(4), random.Random(3))
     for path in sorted(TABLES.glob("*.tbl")):
         tables[path.name] = F.MulTable.from_text(path.read_text())
     return tables
@@ -989,7 +992,7 @@ def parity_tables(seed):
     named = {
         "no_meet": no_meet(), "M3": TS.m3(), "N5": TS.n5(), "trivial": TS.trivial_monoid(),
         "chain1": chain(1), "cube1": cube(1), "I(2)xI(2)": i2_x_i2(),
-        "relabelled I(3)": relabel(i_k(3), random.Random(seed)),
+        "relabelled I(3)": relabeled(i_k(3), random.Random(seed)),
     }
     yield from named.items()
     for k in range(1, 5):

@@ -5,6 +5,7 @@ import pytest
 from stonedual import graphisg as G
 from stonedual import polycyclic as P
 from stonedual import words as W
+from tests_support_codes import random_path
 
 
 def two_vertex_graph():
@@ -20,20 +21,6 @@ def fan_graph():
         ["p", "q", "o", "o2"],
         [("x", "q", "p"), ("y", "o", "p"), ("w", "o2", "o")],
     )
-
-
-def random_path(rng, g, max_len):
-    v = rng.choice(g.vertices)
-    edges = []
-    cur = v
-    for _ in range(rng.randrange(0, max_len + 1)):
-        ins = g.in_edges[cur]
-        if not ins:
-            break
-        e = rng.choice(ins)
-        edges.append(e)
-        cur = g.edge_src(e)
-    return W.make_path(g, v, tuple(edges))
 
 
 def rand_elt(rng, g, max_len, zero_frac=0.05):

@@ -4,16 +4,13 @@ import pytest
 
 from stonedual import polycyclic as P
 from stonedual import words as W
-
-
-def rand_word(rng, n, max_len):
-    return tuple(rng.randrange(n) for _ in range(rng.randrange(0, max_len + 1)))
+from stonedual.selftest import random_word
 
 
 def rand_elt(rng, n, max_len, zero_frac=0.05):
     if rng.random() < zero_frac:
         return P.poly_zero(n)
-    return P.poly(n, rand_word(rng, n, max_len), rand_word(rng, n, max_len))
+    return P.poly(n, random_word(rng, n, max_len), random_word(rng, n, max_len))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +127,7 @@ def test_order_and_meet_fuzz():
         assert m in (s, t) or P.poly_is_zero(m)
         # greatest: anything below both is below m (elements below s form a chain tree)
         if not P.poly_is_zero(s) and not P.poly_is_zero(t):
-            w = rand_word(rng, n, 3)
+            w = random_word(rng, n, 3)
             below = P.poly(n, s.y + w, s.x + w)
             if P.poly_leq(below, t):
                 assert P.poly_leq(below, m)
@@ -157,7 +154,7 @@ def test_e_star_unitary_fuzz():
     for trial in range(20000):
         n = rng.choice([2, 3])
         s = rand_elt(rng, n, 4, zero_frac=0)
-        w = rand_word(rng, n, 3)
+        w = random_word(rng, n, 3)
         below = P.poly(n, s.y + w, s.x + w)
         assert P.poly_leq(below, s)
         if P.poly_is_idempotent(below):
@@ -194,7 +191,7 @@ def rand_arrow_instance(rng, n, max_len):
     B = []
     for _ in range(rng.randrange(0, 5)):
         if rng.random() < 0.7:
-            w = rand_word(rng, n, 3)
+            w = random_word(rng, n, 3)
             B.append(P.poly(n, a.y + w, a.x + w))
         else:
             B.append(rand_elt(rng, n, max_len))
@@ -228,7 +225,7 @@ def test_leq_implies_arrow():
     for trial in range(5000):
         n = rng.choice([2, 3])
         b = rand_elt(rng, n, 4, zero_frac=0)
-        w = rand_word(rng, n, 3)
+        w = random_word(rng, n, 3)
         a = P.poly(n, b.y + w, b.x + w)  # a <= b
         assert P.lenz_arrow(a, [b])
 
@@ -285,7 +282,7 @@ def test_ext_laws_fuzz():
         assert P.ext_mul(e, f) == P.ext_mul(f, e)
         # order: restriction of s sits below s
         if not P.ext_is_zero(s):
-            w = rand_word(rng, n, 2)
+            w = random_word(rng, n, 2)
             below = P.ext(n, r, s.i, P.poly(n, s.m.y + w, s.m.x + w), s.j)
             assert P.ext_leq(below, s)
             assert P.ext_meet(below, s) == below
@@ -297,7 +294,7 @@ def test_ext_laws_fuzz():
         assert P.ext_compatible(ep, eq) == P.poly_compatible(p, q)
         assert P.ext_orthogonal(ep, eq) == P.poly_orthogonal(p, q)
         if not P.poly_is_zero(p):
-            w = rand_word(rng, n, 2)
+            w = random_word(rng, n, 2)
             B = [q, P.poly_mul(p, P.poly(n, w, w))]
             got = P.ext_lenz_arrow(ep, [rooted(b) for b in B])
             assert got == P.lenz_arrow(p, B)

@@ -1,6 +1,7 @@
 """The library states its invariants with raises that survive python -O, its
-element layers do not import the table layers built on them, and the command
-line states theorems instead of re-proving them."""
+element layers do not import the table layers built on them, the command
+line states theorems instead of re-proving them, and no function body is
+written twice."""
 
 import ast
 import pathlib
@@ -70,13 +71,11 @@ def test_element_arithmetic_runs_on_the_tuple_rule():
 
 def test_subcommands_do_not_reprove_theorems():
     # the finite duality theorems are re-proved by tests/conftest.py and by
-    # the selftest suites; nothing else in cli.py names a re-proof
+    # the suites of stonedual.selftest; nothing in cli.py names a re-proof
     banned = {"duality_roundtrip", "part1_isomorphism", "check_universal_property", "_boolean"}
     path = SRC / "cli.py"
     found = []
     for top in ast.parse(path.read_text(), filename=str(path)).body:
-        if isinstance(top, ast.FunctionDef) and top.name.startswith("_selftest_"):
-            continue
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
                 used = node.id
@@ -386,3 +385,51 @@ def test_only_the_shared_reader_splits_lines():
     sources["__init__"] += "LINES = 'a'.splitlines()\n"
     sources["words"] = "def lines(text):\n    return text.splitlines()\n"
     assert splitlines_calls(sources) == ["__init__.py:%d" % (end + 1), "words.py:2"]
+
+
+# ---------------------------------------------------------------------------
+# one implementation per idea: no function body is written twice
+
+
+def duplicate_bodies(sources):
+    """Each function of sources, {path: text}, whose body after its docstring
+    has at least 2 statements and is, as an AST, the body of a function met
+    before, as "path:line name = path:line name"."""
+    seen, found = {}, []
+    for path, text in sorted(sources.items()):
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            if len(body) < 2:
+                continue
+            key = ast.dump(ast.Module(body=body, type_ignores=[]))
+            here = "%s:%d %s" % (path, node.lineno, node.name)
+            if key in seen:
+                found.append("%s = %s" % (here, seen[key]))
+            else:
+                seen[key] = here
+    return found
+
+
+def test_no_function_body_is_written_twice():
+    # a seeded input generator, a reference route or a helper has one home,
+    # which the others import; the acceptance tests keep their own text
+    paths = sorted(SRC.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in paths
+               if p.name != "test_acceptance.py"}
+    assert duplicate_bodies(sources) == []
+    # a copy under another name and docstring is still a copy; a one-line
+    # body is not counted
+    planted = textwrap.dedent('''
+        def draw(rng, n):
+            """Another docstring."""
+            k = rng.randrange(n)
+            return k + 1
+
+        def one(x):
+            return x
+    ''')
+    copy = planted.replace("draw", "pick").replace("Another", "Some")
+    sources["tests/planted.py"] = copy + planted
+    assert duplicate_bodies(sources) == ["tests/planted.py:10 draw = tests/planted.py:2 pick"]

@@ -22,6 +22,7 @@ import pytest
 from stonedual import cli
 from stonedual import polycyclic as pc
 from stonedual import thompson as th
+from stonedual.selftest import random_tree_pair
 from stonedual.words import RootedWord, is_rooted_maximal_prefix_code
 
 
@@ -110,19 +111,6 @@ def check_action_oracle(g, h, gh):
     length = max(tp_depth(g), tp_depth(h), tp_depth(gh)) + 2
     for w in all_rooted(g.n, g.r, length):
         assert act(gh, w) == act(g, act(h, w))
-
-
-def random_tree_pair(n, r, rng, splits):
-    dom = [RootedWord(i, ()) for i in range(1, r + 1)]
-    ran = [RootedWord(i, ()) for i in range(1, r + 1)]
-    for code in (dom, ran):
-        for _ in range(splits):
-            p = rng.randrange(len(code))
-            w = code.pop(p)
-            code.extend(RootedWord(w.root, w.letters + (k,)) for k in range(n))
-    perm = list(range(len(dom)))
-    rng.shuffle(perm)
-    return th.tree_pair(n, r, dom, ran, perm)
 
 
 def random_element(n, r, rng, splits=3):
@@ -689,8 +677,14 @@ def test_each_factor_is_scanned_once(monkeypatch, theorem_checks_off):
             y = random_element(n, r, rng)
             assert Counter(calls) == pairwise_scan(y)
             z = th.cuntz_mul(xg, y)
+            half = th.cuntz(n, r, [p for p in xg.parts if rng.random() < 0.5])
+            below = th.cuntz_meet(y, z)
             for op, args in [
                 (th.cuntz_mul, (xg, y)),
+                (th.cuntz_meet, (xg, y)),
+                (th.cuntz_meet, (y, z)),
+                (th.cuntz_join, (xg, half)),
+                (th.cuntz_join, (y, below)),
                 (th.cuntz_mul, (z, th.cuntz_inv(z))),
                 (th.cuntz_inv, (y,)),
                 (th.cuntz_eq, (xg, y)),
@@ -706,6 +700,40 @@ def test_each_factor_is_scanned_once(monkeypatch, theorem_checks_off):
                     calls.clear()
                     op(*args[:k], plain(x), *args[k + 1:])
                     assert Counter(calls) == pairwise_scan(x), op.__name__
+
+
+def test_meet_and_join_of_a_large_unit_scan_nothing(monkeypatch, theorem_checks_off):
+    # the meet of a 64-leaf unit with itself, and its join with 32 of its
+    # parts, read the carried leaf maps: no pair of the 64 parts is scanned
+    calls = count_scans(monkeypatch)
+    u = th.tp_to_unit(random_tree_pair(2, 1, random.Random(5), 63))
+    half = th.cuntz(2, 1, sorted(u.parts, key=th._part_key)[:32])
+    assert len(u.parts) == 64
+    calls.clear()
+    assert th.cuntz_meet(u, u) == u and th.cuntz_join(u, half) == u
+    assert calls == []
+
+
+def test_join_refusal_names_the_pair_the_scan_names():
+    # incompatible elements are refused with the first incompatible pair of
+    # the sorted pairwise scan of all their parts
+    rng = random.Random(61)
+    refused = 0
+    for n, r in PARAMS:
+        for _ in range(20):
+            x, y = random_element(n, r, rng), random_element(n, r, rng)
+            scan = th.CuntzElement(n, r, frozenset([*x.parts, *y.parts]))
+            try:
+                expected = th.cuntz_normalize(scan).parts
+            except ValueError as exc:
+                expected = str(exc)
+                refused += 1
+            try:
+                got = th.cuntz_join(x, y).parts
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected
+    assert refused > 0
 
 
 def test_cli_scans_each_literal_once(monkeypatch, capsys, theorem_checks_off):

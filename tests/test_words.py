@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 import stonedual
 from stonedual import graphisg as G
 from stonedual import words as W
+from stonedual.selftest import random_word
+from tests_support_codes import random_complete_code, random_path
 
 
 def w(n, text):
@@ -81,10 +83,7 @@ def test_prefix_code_matches_pairwise_definition():
     for trial in range(500):
         n = rng.choice([2, 3])
         # short words over a small alphabet, so prefixes and repeats are common
-        ws = [
-            W.Word(n, tuple(rng.randrange(n) for _ in range(rng.randrange(4))))
-            for _ in range(rng.randrange(6))
-        ]
+        ws = [W.Word(n, random_word(rng, n, 3)) for _ in range(rng.randrange(6))]
         pairwise = all(
             W.prefix_compare(a, b).kind == W.INCOMPARABLE
             for i, a in enumerate(ws)
@@ -106,19 +105,6 @@ def test_kraft_values():
     for check in (W.kraft_sum, W.is_maximal_prefix_code):
         with pytest.raises(ValueError, match="alphabet mismatch inside code"):
             check([w(3, "a"), w(3, "b"), w(3, "c")], 2)
-
-
-def random_complete_code(rng, n, max_len):
-    """Split leaves of the n-ary tree at random: always a maximal prefix code."""
-    code = {()}
-    for _ in range(rng.randrange(0, 12)):
-        splittable = [c for c in code if len(c) < max_len]
-        if not splittable:
-            break
-        leaf = rng.choice(sorted(splittable))
-        code.remove(leaf)
-        code.update(leaf + (a,) for a in range(n))
-    return code
 
 
 def test_maximality_iff_kraft_one():
@@ -168,7 +154,7 @@ def test_word_roundtrip():
     rng = random.Random(3)
     for _ in range(200):
         n = rng.choice([2, 3, 26, 30])
-        ls = tuple(rng.randrange(n) for _ in range(rng.randrange(0, 6)))
+        ls = random_word(rng, n, 5)
         word = W.make_word(n, ls)
         assert W.parse_word(W.format_word(word), n) == word
     assert W.format_word(W.make_word(2, ())) == "1"
@@ -284,20 +270,6 @@ def test_path_compose_order_matches_edge_direction():
     assert comp.edges == ("x", "z")
 
 
-def random_path(rng, g, max_len):
-    v = rng.choice(g.vertices)
-    edges = []
-    cur = v
-    for _ in range(rng.randrange(0, max_len + 1)):
-        ins = g.in_edges[cur]
-        if not ins:
-            break
-        e = rng.choice(ins)
-        edges.append(e)
-        cur = g.edge_src(e)
-    return W.make_path(g, v, tuple(edges))
-
-
 def test_path_compose_associative_fuzz():
     rng = random.Random(4)
     g = sample_graph()
@@ -318,7 +290,7 @@ def test_one_vertex_graph_mirrors_words():
     g = W.one_vertex_graph(2)
     for ls in W.all_letter_tuples(2, 3):
         p = W.word_to_path(ls, 2, g)
-        assert W.path_dom(p) == p.anchor == "*"
+        assert W.path_dom(p) == p.anchor == W.ROSE_VERTEX
     p = W.word_to_path((0, 1), 2, g)
     q = W.word_to_path((0,), 2, g)
     # q is a prefix of p, as the word a is of ab: the idempotent at p lies

@@ -1,4 +1,7 @@
-"""Shared generators for randomized tests."""
+"""Shared generators for randomized tests; the seeded inputs that selftest
+also draws come from stonedual.selftest."""
+
+from stonedual import words as W
 
 
 def random_complete_code(rng, n, max_len, max_splits=12):
@@ -21,3 +24,19 @@ def random_prefix_code(rng, n, max_len, max_splits=12):
         if len(code) > 1 and rng.random() < 0.2:
             code.discard(c)
     return code
+
+
+def random_path(rng, g, max_len):
+    """A path of at most max_len edges that ends at a random vertex of g,
+    drawn backwards: each edge among those into the current source."""
+    v = rng.choice(g.vertices)
+    edges = []
+    cur = v
+    for _ in range(rng.randrange(0, max_len + 1)):
+        ins = g.in_edges[cur]
+        if not ins:
+            break
+        e = rng.choice(ins)
+        edges.append(e)
+        cur = g.edge_src(e)
+    return W.make_path(g, v, tuple(edges))

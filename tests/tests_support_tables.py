@@ -18,18 +18,6 @@ def i_k(k):
     return F.symmetric_inverse_monoid(k)
 
 
-def relabel(S, rng):
-    """The same table under a random permutation of the element ids."""
-    perm = list(range(S.m))
-    rng.shuffle(perm)
-    inv = [0] * S.m
-    for i, p in enumerate(perm):
-        inv[p] = i
-    table = [[inv[S.mul(perm[i], perm[j])] for j in range(S.m)] for i in range(S.m)]
-    names = [S.name(perm[i]) for i in range(S.m)]
-    return F.MulTable(table, inv[S.zero], None, names)
-
-
 def chain(c):
     """Semilattice 0 < 1 < ... < c-1 with product = min."""
     table = [[min(i, j) for j in range(c)] for i in range(c)]
