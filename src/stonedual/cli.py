@@ -201,8 +201,15 @@ def cmd_selftest(args):
             checks = SELFTESTS[name](random.Random(args.seed))
         except ValueError as exc:
             raise ValueError("selftest %s: %s" % (name, exc)) from None
-        records.append({"op": _op(args), "suite": name, "seed": args.seed,
-                        "checks": checks, "ok": True})
+        records.append(
+            {
+                "op": _op(args),
+                "suite": name,
+                "seed": args.seed,
+                "checks": checks,
+                "ok": True,
+            }
+        )
         lines.append("selftest %s: ok (%d checks)" % (name, checks))
     return records, lines
 
@@ -268,8 +275,16 @@ def build_parser(argv=None):
     finite = family("finite", "finite inverse semigroup tables")
     if finite is not None:
         fsub = finite.add_subparsers(dest="sub", required=True)
-        for name in ("validate", "predicates", "congfree", "simplifying",
-                     "complete", "dualize", "classify", "ideals"):
+        for name in (
+            "validate",
+            "predicates",
+            "congfree",
+            "simplifying",
+            "complete",
+            "dualize",
+            "classify",
+            "ideals",
+        ):
             p = fsub.add_parser(name, parents=[common])
             p.add_argument("table", help="table file (elements/zero header)")
             if name in ("complete", "dualize"):
@@ -280,8 +295,14 @@ def build_parser(argv=None):
     tp = family("thompson", "Cuntz monoid units as tree pairs")
     if tp is not None:
         tsub = tp.add_subparsers(dest="sub", required=True)
-        for name, two in (("mul", True), ("eq", True), ("inv", False),
-                          ("reduce", False), ("fromunit", False), ("tounit", False)):
+        for name, two in (
+            ("mul", True),
+            ("eq", True),
+            ("inv", False),
+            ("reduce", False),
+            ("fromunit", False),
+            ("tounit", False),
+        ):
             p = tsub.add_parser(name, parents=[common])
             p.add_argument("-n", type=int, default=2, help="alphabet size")
             p.add_argument("-r", type=int, default=1, help="number of roots")

@@ -2,13 +2,10 @@
 each kind of seeded input, which the suites and the tests draw from.
 
 Each suite takes a random.Random, returns its number of checks and raises
-ValueError on a failed one.  The element layers load with this module; the
-Cuntz and table layers, and numpy, only in the suites that use them.
+ValueError on a failed one.  Each suite and generator imports the layers it
+uses, so a suite run loads only its own: the element suites run without
+numpy.
 """
-
-from . import graphisg
-from . import polycyclic as pc
-from . import words as wd
 
 
 # ---------------------------------------------------------------------------
@@ -22,16 +19,20 @@ def random_word(rng, n, max_len):
 
 def random_poly(n, rng):
     """A nonzero element of P_n whose two words have at most 2 letters."""
+    from . import polycyclic as pc
+
     return pc.poly(n, random_word(rng, n, 2), random_word(rng, n, 2))
 
 
 def random_code(n, r, rng, splits):
     """An r-rooted maximal prefix code, as a list of rooted words: the r
     roots, with a random leaf split into its n children splits times."""
-    code = [wd.RootedWord(i, ()) for i in range(1, r + 1)]
+    from .words import RootedWord
+
+    code = [RootedWord(i, ()) for i in range(1, r + 1)]
     for _ in range(splits):
         w = code.pop(rng.randrange(len(code)))
-        code.extend(wd.RootedWord(w.root, w.letters + (k,)) for k in range(n))
+        code.extend(RootedWord(w.root, w.letters + (k,)) for k in range(n))
     return code
 
 
@@ -74,6 +75,8 @@ def _check(ok, what, *args):
 
 
 def _words(rng):
+    from . import words as wd
+
     checks = 0
     for _ in range(50):
         n = rng.randrange(2, 4)
@@ -92,6 +95,8 @@ def _words(rng):
 
 
 def _poly(rng):
+    from . import polycyclic as pc
+
     checks = 0
     for _ in range(100):
         n = rng.randrange(2, 4)
@@ -112,6 +117,10 @@ def _poly(rng):
 
 def _graph(rng):
     # on the one-vertex graph with n loops, path pairs are polycyclic elements
+    from . import graphisg
+    from . import polycyclic as pc
+    from . import words as wd
+
     checks = 0
     for _ in range(80):
         n = rng.randrange(2, 4)

@@ -158,24 +158,21 @@ def cuntz_one(n, r):
 
 def _leaf_map(parts):
     """Check the parts pairwise for compatibility, in the order given, and
-    return the leaf map of the maximal ones: domain word -> range word."""
-    for a, b in itertools.combinations(parts, 2):
-        if not pc.ext_compatible(a, b):
-            raise ValueError("parts are not pairwise compatible: %s, %s"
-                             % (pc.format_ext(a), pc.format_ext(b)))
-    return _maximal((RootedWord(p.j, p.m.x), RootedWord(p.i, p.m.y)) for p in parts)
-
-
-def _maximal(leaves):
-    """The maximal ones of pairwise compatible (domain, range) leaves.
+    return the leaf map of the maximal ones: domain word -> range word.
 
     Compatible parts with comparable domain words are comparable, and the one
     with the shorter domain word is the larger.  So in domain order a part
     lies under another exactly when its domain word extends the domain word
     of the last part kept.
     """
+    for a, b in itertools.combinations(parts, 2):
+        if not pc.ext_compatible(a, b):
+            raise ValueError("parts are not pairwise compatible: %s, %s"
+                             % (pc.format_ext(a), pc.format_ext(b)))
     pairs, last = {}, RootedWord(0, ())  # roots run 1..r: no part is under it
-    for d, w in sorted(leaves):
+    for d, w in sorted(
+        (RootedWord(p.j, p.m.x), RootedWord(p.i, p.m.y)) for p in parts
+    ):
         if (d.root, d.letters[: len(last.letters)]) != last:
             pairs[d] = w
             last = d
@@ -222,26 +219,15 @@ def cuntz_inv(x):
 
 
 def cuntz_meet(x, y):
-    """x restricted to where x and y agree: x times the largest idempotent
-    under x^-1 y, whose leaves are those of x^-1 y that fix their domain
-    word, since a leaf d -> w with w != d fixes no word."""
     _check_pair(x, y)
-    lx = _normal(x)
-    fixed = {d: w for d, w in _compose(_swap(lx), _normal(y)).items() if d == w}
-    return _from_leaf_map(x.n, x.r, _glued(x.n, _compose(lx, fixed)))
+    meets = frozenset(pc.ext_meet(a, b) for a in x.parts for b in y.parts)
+    return cuntz_normalize(CuntzElement(x.n, x.r, meets))
 
 
 def cuntz_join(x, y):
-    """The join, which exists iff x^-1 y and x y^-1 are idempotents; its
-    leaves are the maximal ones of the two normal forms."""
     _check_pair(x, y)
-    lx, ly = _normal(x), _normal(y)
-    for pairs in (_compose(_swap(lx), ly), _compose(lx, _swap(ly))):
-        if any(d != w for d, w in pairs.items()):
-            # the pairwise scan names the incompatible pair that sorts first
-            _normal(CuntzElement(x.n, x.r, frozenset([*x.parts, *y.parts])))
-            raise InternalError("incompatible elements with compatible parts")
-    return _from_leaf_map(x.n, x.r, _glued(x.n, _maximal([*lx.items(), *ly.items()])))
+    parts = frozenset([*x.parts, *y.parts])
+    return cuntz_normalize(CuntzElement(x.n, x.r, parts))
 
 
 def cuntz_eq(x, y):

@@ -785,16 +785,17 @@ def test_run_without_stdout_answers_quietly():
         (["finite", "predicates", str(ROOT / "tables" / "i2.tbl")], NOT_IN_TABLE_RUNS),
         (["finite", "ideals", str(ROOT / "tables" / "i2.tbl")], NOT_IN_TABLE_RUNS),
         (["selftest", "words"], ["numpy", "stonedual.thompson"]),
+        (["selftest", "finite"], NOT_IN_TABLE_RUNS),
     ],
     ids=["poly", "mpc", "graph", "thompson", "finite", "finite-predicates", "finite-ideals",
-         "selftest-words"],
+         "selftest-words", "selftest-finite"],
 )
 def test_run_loads_only_its_layers(argv, absent):
     # each CLI run pays start-up for its own layers only: the element
     # subcommands run without numpy, a table run without the element layers,
-    # words (InternalError lives in the package) or np.unique's numpy.ma, and
-    # the words selftest without numpy or the Cuntz layer; only a selftest
-    # run loads the suites
+    # words (InternalError lives in the package) or np.unique's numpy.ma; the
+    # words selftest runs without numpy or the Cuntz layer, the finite one
+    # as a table run, and only a selftest run loads the suites
     code = (
         "import sys; from stonedual import cli; rc = cli.main(sys.argv[1:]); "
         "print(sorted(set(%r) & set(sys.modules))); sys.exit(rc)" % absent

@@ -499,7 +499,9 @@ def test_classify_symmetric_positive():
 def test_classify_symmetric_on_relabelings():
     rng = random.Random(5)
     for k in (2, 3):
-        S = relabeled(F.symmetric_inverse_monoid(k), rng)
+        R = relabeled(F.symmetric_inverse_monoid(k), rng)
+        # dropping the identity leaves classify to find it by a scan
+        S = F.MulTable(R.T, R.zero, None, R.names)
         got, phi = D.classify_symmetric(S)
         assert got == k
         I = F.symmetric_inverse_monoid(k)

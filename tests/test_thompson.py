@@ -677,14 +677,8 @@ def test_each_factor_is_scanned_once(monkeypatch, theorem_checks_off):
             y = random_element(n, r, rng)
             assert Counter(calls) == pairwise_scan(y)
             z = th.cuntz_mul(xg, y)
-            half = th.cuntz(n, r, [p for p in xg.parts if rng.random() < 0.5])
-            below = th.cuntz_meet(y, z)
             for op, args in [
                 (th.cuntz_mul, (xg, y)),
-                (th.cuntz_meet, (xg, y)),
-                (th.cuntz_meet, (y, z)),
-                (th.cuntz_join, (xg, half)),
-                (th.cuntz_join, (y, below)),
                 (th.cuntz_mul, (z, th.cuntz_inv(z))),
                 (th.cuntz_inv, (y,)),
                 (th.cuntz_eq, (xg, y)),
@@ -700,40 +694,6 @@ def test_each_factor_is_scanned_once(monkeypatch, theorem_checks_off):
                     calls.clear()
                     op(*args[:k], plain(x), *args[k + 1:])
                     assert Counter(calls) == pairwise_scan(x), op.__name__
-
-
-def test_meet_and_join_of_a_large_unit_scan_nothing(monkeypatch, theorem_checks_off):
-    # the meet of a 64-leaf unit with itself, and its join with 32 of its
-    # parts, read the carried leaf maps: no pair of the 64 parts is scanned
-    calls = count_scans(monkeypatch)
-    u = th.tp_to_unit(random_tree_pair(2, 1, random.Random(5), 63))
-    half = th.cuntz(2, 1, sorted(u.parts, key=th._part_key)[:32])
-    assert len(u.parts) == 64
-    calls.clear()
-    assert th.cuntz_meet(u, u) == u and th.cuntz_join(u, half) == u
-    assert calls == []
-
-
-def test_join_refusal_names_the_pair_the_scan_names():
-    # incompatible elements are refused with the first incompatible pair of
-    # the sorted pairwise scan of all their parts
-    rng = random.Random(61)
-    refused = 0
-    for n, r in PARAMS:
-        for _ in range(20):
-            x, y = random_element(n, r, rng), random_element(n, r, rng)
-            scan = th.CuntzElement(n, r, frozenset([*x.parts, *y.parts]))
-            try:
-                expected = th.cuntz_normalize(scan).parts
-            except ValueError as exc:
-                expected = str(exc)
-                refused += 1
-            try:
-                got = th.cuntz_join(x, y).parts
-            except ValueError as exc:
-                got = str(exc)
-            assert got == expected
-    assert refused > 0
 
 
 def test_cli_scans_each_literal_once(monkeypatch, capsys, theorem_checks_off):
