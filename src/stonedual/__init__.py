@@ -16,6 +16,7 @@ tests call, and the operations listed under "Library API" in README.md;
 fixtures and reference routes that only tests call live in tests/.
 """
 
+import itertools
 import re
 
 __version__ = "0.1.0"
@@ -26,23 +27,38 @@ class InternalError(Exception):
     guarantees: a defect in the library, not in the input."""
 
 
-SLICE = 1 << 20     # characters per step of the text readers
-_BREAK = re.compile(r"\r\n?|[\n\v\f\x1c-\x1e\x85\u2028\u2029]")  # as str.splitlines
+SLICE = 1 << 20     # characters per piece of the text readers
+# a piece through its last line break (as str.splitlines), short of a CR at its end
+_WHOLE = re.compile(r"(?s).*(?:\r\n|\r(?=.)|[\n\v\f\x1c-\x1e\x85\u2028\u2029])")
 
 
-def read_lines(text):
-    """(lineno, raw, line) for each line raw of text, numbered as
-    str.splitlines numbers them, whose line, raw without its '#' comment and
-    outer whitespace, is not empty.  The text is split one slice of about
-    SLICE characters at a time.  Each slice ends just after a line break of
-    any kind, and never between CR and LF, so no break is cut in two; text
-    without a break is one slice."""
-    lineno, start = 0, 0
-    while start < len(text):
-        cut = _BREAK.search(text, start + SLICE - 1)
-        end = cut.end() if cut else len(text)
-        for lineno, raw in enumerate(text[start:end].splitlines(), lineno + 1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, raw, line
-        start = end
+def read_lines(source):
+    """(lineno, raw, line) for each line raw of source, a str or an open text
+    file, numbered as str.splitlines numbers the whole text, whose line, raw
+    without its '#' comment and outer whitespace, is not empty.  The source
+    comes in pieces of at most SLICE characters, str slices or file lines,
+    split through their last line break and never inside a CRLF: a file is
+    never held whole, only its longest line.  On a bad byte a seekable file
+    is read whole once, so the error gives the byte's offset in the file."""
+    if isinstance(source, str):
+        pieces = (source[i:i + SLICE] for i in range(0, len(source), SLICE))
+    else:
+        pieces = iter(lambda: source.readline(SLICE), "")
+    lineno, held = 0, [""]
+    try:
+        for piece in itertools.chain(pieces, [""]):  # "" flushes what is held
+            whole = _WHOLE.match(piece)
+            cut = whole.end() if whole else 0  # or after a CR held from before
+            if piece and not cut and not held[-1].endswith("\r"):
+                held.append(piece)
+                continue
+            text, held = "".join(held) + piece[:cut], [piece[cut:]]
+            for lineno, raw in enumerate(text.splitlines(), lineno + 1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    yield lineno, raw, line
+    except UnicodeDecodeError:
+        if source.seekable():
+            source.seek(0)
+            source.read()
+        raise

@@ -21,11 +21,6 @@ import sys
 from . import InternalError
 
 
-def _read(path):
-    with open(path) as handle:
-        return handle.read()
-
-
 def _op(args):
     """The op name of every record of a run: its family and subcommand."""
     return "%s.%s" % (args.cmd, args.sub) if hasattr(args, "sub") else args.cmd
@@ -92,7 +87,8 @@ def cmd_graph(args):
     from . import graphisg
     from . import words as wd
 
-    graph = wd.DirectedGraph.from_text(_read(args.graph))
+    with open(args.graph) as handle:
+        graph = wd.DirectedGraph.from_text(handle)
     if args.sub == "analyze":
         return _answer(args, graphisg.semilattice_predicates(graph))
     a = graphisg.parse_gisg(args.a, graph)
@@ -106,7 +102,8 @@ def cmd_graph(args):
 def cmd_finite(args):
     from . import finitesgp
 
-    S = finitesgp.MulTable.from_text(_read(args.table))
+    with open(args.table) as handle:
+        S = finitesgp.MulTable.from_text(handle)
     sub = args.sub
     if sub == "validate":
         ident = S.find_identity()

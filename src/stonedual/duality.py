@@ -139,6 +139,7 @@ class FiniteGroupoid:
 
     @classmethod
     def from_text(cls, text):
+        """The groupoid written in text, a str or an open text file (see read_lines)."""
         objects, dom, ran, comp, ids = [], {}, {}, {}, []
         for lineno, raw, line in read_lines(text):
             parts = line.split()

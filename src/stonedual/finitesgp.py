@@ -412,6 +412,7 @@ class MulTable:
 
     @classmethod
     def from_text(cls, text):
+        """The table written in text, a str or an open text file (see read_lines)."""
         rows, nrows, overflow_line = None, 0, None   # the int32 table, filled row by row
         header = None
         names = {}
@@ -449,9 +450,10 @@ class MulTable:
             m = header["m"]
             if len(row) != m:
                 raise TableError("line %d: expected %d entries" % (lineno, m))
-            if rows is None:  # rows are only counted when the checks below refuse
-                keep = m <= max_elements() and m * m <= len(text)  # m rows fit
-                rows = np.empty((m if keep else 0, m), np.int32)
+            if rows is None:  # grown by doubling as rows come: a short body stays small
+                rows = np.empty((0, m), np.int32)
+            if nrows == len(rows) < m <= max_elements():  # past the limit, only counted
+                rows.resize((min(2 * nrows + 1, m), m), refcheck=False)
             if nrows < len(rows):
                 try:
                     rows[nrows] = row
@@ -465,11 +467,8 @@ class MulTable:
         _check_size(header["m"])
         if overflow_line:
             raise TableError("line %d: entries must fit in int32" % overflow_line)
-        name_list = None
-        if names:
-            name_list = [names.get(i, "s%d" % i) for i in range(header["m"])]
-        rows = [] if rows is None else rows
-        return cls(rows, header["zero"], header["identity"], name_list)
+        name_list = [names.get(i, "s%d" % i) for i in range(header["m"])] if names else None
+        return cls([] if rows is None else rows, header["zero"], header["identity"], name_list)
 
 
 def _digit_row(line):

@@ -301,6 +301,7 @@ class DirectedGraph:
 
     @classmethod
     def from_text(cls, text):
+        """The graph written in text, a str or an open text file (see read_lines)."""
         vertices = []
         edges = []
         for lineno, raw, line in read_lines(text):

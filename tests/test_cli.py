@@ -774,6 +774,47 @@ def test_run_without_stdout_answers_quietly():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def cli_process(argv, stdin=None):
+    """(exit code, stdout, stderr) of python -m stonedual.cli argv, fed stdin
+    through a pipe."""
+    proc = subprocess.run([sys.executable, "-m", "stonedual.cli"] + argv, input=stdin,
+                          capture_output=True, env=dict(BUFFERED, PYTHONUTF8="1"))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["finite", "validate"], b"elements 1 zero 0\n0\n"),
+        (["finite", "predicates"], (ROOT / "tables" / "i3.tbl").read_bytes()),
+        (["graph", "analyze"], (ROOT / "graphs" / "rose2.graph").read_bytes()),
+    ],
+    ids=["one-element", "i3", "rose2"],
+)
+def test_piped_input_answers_as_its_file(tmp_path, argv, text):
+    # a pipe has no size to read ahead of time; /dev/stdin on one reads as
+    # the file with the same bytes does
+    path = tmp_path / "input"
+    path.write_bytes(text)
+    want = cli_process(argv + [str(path)])
+    assert want[0] == 0 and cli_process(argv + ["/dev/stdin"], text) == want
+
+
+def test_bad_byte_past_the_first_buffer_names_its_file_offset(tmp_path):
+    # the file is decoded 8 KiB at a time as it is read; a byte that does not
+    # decode is still reported at its offset in the whole file, and on a
+    # pipe, which cannot be read again, as one error line all the same
+    text = bytearray(symmetric_inverse_monoid(4).to_text().encode())
+    text[20018] = 0xFF
+    path = tmp_path / "bad.tbl"
+    path.write_bytes(text)
+    message = b"error: 'utf-8' codec can't decode byte 0xff in position %d: invalid start byte\n"
+    assert cli_process(["finite", "validate", str(path)]) == (1, b"", message % 20018)
+    rc, out, err = cli_process(["finite", "validate", "/dev/stdin"], bytes(text))
+    assert (rc, out, err.count(b"\n")) == (1, b"", 1)
+    assert err.startswith(message.split(b" in position")[0])
+
+
 @pytest.mark.parametrize(
     "argv, absent",
     [

@@ -1,3 +1,4 @@
+import io
 import pathlib
 import random
 import tracemalloc
@@ -300,6 +301,10 @@ def test_sliced_reader_splits_as_splitlines(monkeypatch):
         for size in range(1, len(text) + 2):
             monkeypatch.setattr(stonedual, "SLICE", size)
             assert list(stonedual.read_lines(text)) == whole, (text, size)
+            # an open file comes one readline(SLICE) at a time, which can
+            # end between CR and LF; it reads as the text does
+            with io.StringIO(text, newline="") as fh:
+                assert list(stonedual.read_lines(fh)) == whole, (text, size)
 
 
 def test_sliced_reader_reads_tables_alike(monkeypatch):
@@ -310,6 +315,23 @@ def test_sliced_reader_reads_tables_alike(monkeypatch):
     for size in (1, 2, 5, 64, 1000):
         monkeypatch.setattr(stonedual, "SLICE", size)
         assert [from_text_outcome(t) for t in (text, bad)] == whole
+
+
+def test_short_body_holds_no_table(tmp_path):
+    # a header that promises 2000 rows before a body of one is refused by the
+    # row count, from a str and from a file alike, without an m x m table:
+    # the table grows with the rows that come
+    text = "elements 2000 zero 0\n" + " ".join(["0"] * 2000) + "\n"
+    path = tmp_path / "short.tbl"
+    path.write_text(text)
+    with open(path) as fh:
+        for source in (text, fh):
+            tracemalloc.start()
+            with pytest.raises(F.TableError, match="^expected 2000 rows, got 1$"):
+                F.MulTable.from_text(source)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 1_000_000, (source, peak)
 
 
 # ---------------------------------------------------------------------------

@@ -362,9 +362,9 @@ def test_cli_names_no_op_by_hand():
                                     "cli.py:%d thompson.mul" % (end + 2)]
 
 
-def splitlines_calls(sources):
-    """Each call of splitlines in sources, {module: text} of the package,
-    outside the shared line reader read_lines, as "module.py:line"."""
+def reader_bypasses(sources, wanted):
+    """Each method call c with wanted(c) in sources, {module: text} of the
+    package, outside the shared line reader read_lines, as "module.py:line"."""
     found = []
     for mod, text in sorted(sources.items()):
         for top in ast.parse(text).body:
@@ -372,19 +372,41 @@ def splitlines_calls(sources):
                 continue
             found += ["%s.py:%d" % (mod, node.lineno) for node in ast.walk(top)
                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                      and node.func.attr == "splitlines"]
+                      and wanted(node)]
     return found
+
+
+def splits_lines(call):
+    return call.func.attr == "splitlines"
+
+
+def reads_whole(call):
+    """A whole file read into one str: .read() with no argument, or .read_text()."""
+    no_args = not call.args and not call.keywords
+    return call.func.attr == "read_text" or (call.func.attr == "read" and no_args)
 
 
 def test_only_the_shared_reader_splits_lines():
     # tables, groupoid dumps and graphs are read through read_lines, which
     # bounds the memory of a split and numbers lines one way for all three
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
-    assert "splitlines" in sources["__init__"] and splitlines_calls(sources) == []
+    assert "splitlines" in sources["__init__"] and reader_bypasses(sources, splits_lines) == []
     end = len(sources["__init__"].splitlines())
     sources["__init__"] += "LINES = 'a'.splitlines()\n"
     sources["words"] = "def lines(text):\n    return text.splitlines()\n"
-    assert splitlines_calls(sources) == ["__init__.py:%d" % (end + 1), "words.py:2"]
+    assert reader_bypasses(sources, splits_lines) == ["__init__.py:%d" % (end + 1), "words.py:2"]
+
+
+def test_no_input_file_is_read_whole():
+    # every table and graph file goes to read_lines open, which takes it in
+    # pieces; only read_lines reads a file whole, to word a decode error
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert reader_bypasses(sources, reads_whole) == []
+    end = len(sources["cli"].splitlines())
+    sources["cli"] += "def _read(path):\n    with open(path) as handle:\n        return handle.read()\n"
+    sources["words"] = ("import pathlib\nTEXT = pathlib.Path('g').read_text()\n"
+                        "HEAD = open('g').read(64)\n")
+    assert reader_bypasses(sources, reads_whole) == ["cli.py:%d" % (end + 3), "words.py:2"]
 
 
 # ---------------------------------------------------------------------------

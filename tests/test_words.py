@@ -236,6 +236,28 @@ def test_sliced_reader_cuts_after_every_kind_of_line_break(monkeypatch):
             W.DirectedGraph.from_text(brk.join(lines) + brk)
 
 
+@pytest.mark.parametrize("newline", [None, ""], ids=["universal", "kept"])
+def test_sliced_file_reader_cuts_after_every_kind_of_line_break(monkeypatch, tmp_path, newline):
+    # an open file comes in pieces of at most SLICE characters, one readline
+    # each, with its breaks turned into LFs as the CLI opens it or kept: it
+    # is never held whole, and a bad line gets the error the str gets
+    monkeypatch.setattr(stonedual, "SLICE", 1024)
+    path = tmp_path / "lines.graph"
+    for brk in ("\n", "\r", "\r\n", "\u2028"):
+        path.write_text(("vertex v" + brk) * 100_000, newline="")
+        with open(path, newline=newline) as fh:
+            tracemalloc.start()
+            count = sum(1 for _ in stonedual.read_lines(fh))
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert count == 100_000 and peak < 1_000_000, (brk, peak)
+        lines = ["vertex v%d" % i for i in range(3000)] + ["edge e v0"]
+        path.write_text(brk.join(lines) + brk, newline="")
+        with open(path, newline=newline) as fh:
+            with pytest.raises(ValueError, match="^line 3001: cannot parse 'edge e v0'$"):
+                W.DirectedGraph.from_text(fh)
+
+
 def compose(p, q):
     """p then q (q hangs off the domain end of p), or None on mismatch: the
     graph product (p, d(p)) (q, d(q)) is (pq, d(q)), or zero when d(p) != r(q)."""
