@@ -16,6 +16,7 @@ tests call, and the operations listed under "Library API" in README.md;
 fixtures and reference routes that only tests call live in tests/.
 """
 
+import codecs
 import itertools
 import re
 
@@ -38,27 +39,46 @@ def read_lines(source):
     without its '#' comment and outer whitespace, is not empty.  The source
     comes in pieces of at most SLICE characters, str slices or file lines,
     split through their last line break and never inside a CRLF: a file is
-    never held whole, only its longest line.  On a bad byte a seekable file
-    is read whole once, so the error gives the byte's offset in the file."""
+    never held whole, only its longest line.  A file's bytes are decoded by
+    _decoded, which reports a bad byte at its offset in the file."""
     if isinstance(source, str):
         pieces = (source[i:i + SLICE] for i in range(0, len(source), SLICE))
+    elif hasattr(source, "buffer"):
+        pieces = _decoded(source)
     else:
         pieces = iter(lambda: source.readline(SLICE), "")
     lineno, held = 0, [""]
-    try:
-        for piece in itertools.chain(pieces, [""]):  # "" flushes what is held
-            whole = _WHOLE.match(piece)
-            cut = whole.end() if whole else 0  # or after a CR held from before
-            if piece and not cut and not held[-1].endswith("\r"):
-                held.append(piece)
-                continue
-            text, held = "".join(held) + piece[:cut], [piece[cut:]]
-            for lineno, raw in enumerate(text.splitlines(), lineno + 1):
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    yield lineno, raw, line
-    except UnicodeDecodeError:
-        if source.seekable():
-            source.seek(0)
-            source.read()
-        raise
+    for piece in itertools.chain(pieces, [""]):  # "" flushes what is held
+        whole = _WHOLE.match(piece)
+        cut = whole.end() if whole else 0  # or after a CR held from before
+        if piece and not cut and not held[-1].endswith("\r"):
+            held.append(piece)
+            continue
+        text, held = "".join(held) + piece[:cut], [piece[cut:]]
+        for lineno, raw in enumerate(text.splitlines(), lineno + 1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, raw, line
+
+
+def _decoded(source):
+    """The text of an open text file, decoded here from the bytes beneath it
+    one readline(SLICE) at a time, so that a byte that does not decode is
+    reported at its offset in the whole stream, from a path or a pipe."""
+    decoder = codecs.getincrementaldecoder(source.encoding)(source.errors)
+    read, decode = source.buffer.readline, decoder.decode
+    offset, data = 0, True  # bytes decoded before data
+    while data:
+        data = read(SLICE)
+        try:
+            text = decode(data, not data)
+        except UnicodeDecodeError as exc:  # exc.object: the bytes held, then data
+            at = offset - len(decoder.getstate()[0]) + exc.start
+            end = at + exc.end - exc.start - 1
+            bad = ("byte 0x%02x in position %d" % (exc.object[exc.start], at)
+                   if at == end else "bytes in position %d-%d" % (at, end))
+            raise ValueError("'%s' codec can't decode %s: %s"
+                             % (exc.encoding, bad, exc.reason)) from None
+        offset += len(data)
+        if text:  # "" would end the text early while a character is cut
+            yield text

@@ -182,6 +182,24 @@ class FiniteGroupoid:
         )
 
 
+def pair_groupoid(k):
+    """The groupoid k x k: one arrow (i,j) per ordered pair, sending j to i."""
+
+    def aid(i, j):
+        return i * k + j
+
+    objects = [aid(i, i) for i in range(k)]
+    dom = [aid(a % k, a % k) for a in range(k * k)]
+    ran = [aid(a // k, a // k) for a in range(k * k)]
+    comp = {}
+    for i in range(k):
+        for j in range(k):
+            for l in range(k):
+                comp[(aid(i, j), aid(j, l))] = aid(i, l)
+    names = ["(%d,%d)" % (i, j) for i in range(k) for j in range(k)]
+    return FiniteGroupoid(objects, dom, ran, comp, names)
+
+
 # ---------------------------------------------------------------------------
 # from tables to groupoids
 
@@ -269,8 +287,8 @@ def bisection_semigroup(G):
 
 
 def _bisection_table(G, sets):
-    """The setwise products of sets, the local bisections of G in the order
-    local_bisections lists them, as a table named by its sets.
+    """The setwise products of sets, all the local bisections of G in any
+    order, as a table named by its sets.
 
     A bisection is held as the row sending each object to its arrow with
     that source, or -1.  In A B the arrow b meets the arrow of A whose
@@ -390,7 +408,8 @@ def classify_symmetric(S):
     I(k) table exactly when S is a Boolean inverse meet-monoid that is
     fundamental and 0-simplifying; otherwise (None, reason) naming the first
     property that fails.  phi[s] is read off the conjugation action of s on
-    the atom idempotents."""
+    the atom idempotents: the map sending p to q when s e_p s^-1 = e_q,
+    ranked among the maps of I(k)."""
     if S.m == 1:
         return None, "zero monoid (0 = 1)"
     if S.find_identity() is None:
@@ -411,9 +430,13 @@ def classify_symmetric(S):
     action = apos[S.T[S.T[:, atoms], S.inv[:, None]]]  # s e s^-1 as an atom, or -1
     if (action == -2).any():
         raise InternalError("a conjugate of an atom is not an atom")
-    index = {f: i for i, f in enumerate(F._maps_of_partial_injections(k))}
-    phi = [index.get(tuple(f)) for f in action.tolist()]
-    if None in phi:
-        name = S.name(phi.index(None))
-        raise InternalError("the atom action of %s is not injective" % name)
-    return k, phi
+    # sorted, the rows are I(k)'s maps in its order when they are |I(k)|
+    # distinct partial injections; phi[s] is then the rank of row s
+    images = np.sort(action, axis=1)
+    clash = ((images[:, 1:] == images[:, :-1]) & (images[:, 1:] >= 0)).any(axis=1)
+    if clash.any():
+        raise InternalError("the atom action of %s is not injective" % S.name(clash.argmax()))
+    phi, firsts = F._row_labels(action)
+    if len(firsts) != S.m or S.m != F._brandt(k, 1):
+        raise InternalError("the atom actions are not the %d maps of I(%d)" % (F._brandt(k, 1), k))
+    return k, phi.tolist()

@@ -223,12 +223,14 @@ def _bisection_count(label, c, objects):
     Brandt's theorem a component with n objects is its local group, of order
     h = arrows / n^2, times the pair groupoid on n, whose local bisections
     number sum_k C(n, k)^2 k! h^k; the components' counts multiply."""
-    count = 1
     arrows = np.bincount(label, minlength=c).tolist()
-    for n, a in zip(np.bincount(label[objects], minlength=c).tolist(), arrows):
-        h = a // (n * n)
-        count *= sum(math.comb(n, k) ** 2 * math.factorial(k) * h**k for k in range(n + 1))
-    return count
+    objs = np.bincount(label[objects], minlength=c).tolist()
+    return math.prod(_brandt(n, a // (n * n)) for n, a in zip(objs, arrows))
+
+
+def _brandt(n, h):
+    """Brandt's count for one component of n objects and local groups of order h."""
+    return sum(math.comb(n, k) ** 2 * math.factorial(k) * h**k for k in range(n + 1))
 
 
 class MulTable:
@@ -493,51 +495,26 @@ def _index(token, lineno):
 # ---------------------------------------------------------------------------
 # constructions
 
-def _maps_of_partial_injections(k):
-    """All partial injective maps {0..k-1} -> {0..k-1} as tuples, -1 undefined."""
-    maps = []
-    universe = range(k)
-    for dom_size in range(k + 1):
-        for dom in itertools.combinations(universe, dom_size):
-            for img in itertools.permutations(universe, dom_size):
-                f = [-1] * k
-                for p, q in zip(dom, img):
-                    f[p] = q
-                maps.append(tuple(f))
-    maps.sort()
-    return maps
-
-
-def _map_name(f):
-    pairs = ["%d>%d" % (p, q) for p, q in enumerate(f) if q >= 0]
-    return "[" + ",".join(pairs) + "]" if pairs else "[]"
-
-
 def symmetric_inverse_monoid(k):
-    """The monoid of partial injections on k points; product f*g applies g first."""
-    if not 1 <= k <= 5:
-        raise ValueError("k must be in 1..5")
-    maps = _maps_of_partial_injections(k)
-    m = len(maps)
-    _check_size(m, "symmetric inverse monoid")
-    index = {f: i for i, f in enumerate(maps)}
-    arr = np.array(maps, dtype=np.int64)  # (m, k)
-    # encode each map as an integer key for lookup
-    powers = (k + 1) ** np.arange(k, dtype=np.int64)
-    keys = (arr + 1) @ powers
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    table = np.empty((m, m), dtype=np.int32)
-    for fi, f in enumerate(maps):
-        fv = np.array(list(f) + [-1], dtype=np.int64)
-        comp = fv[arr]                      # comp[g, p] = f[g[p]] (or -1)
-        comp_keys = (comp + 1) @ powers
-        pos = np.searchsorted(sorted_keys, comp_keys)
-        table[fi, :] = order[pos]
-    zero = index[tuple([-1] * k)]
-    identity = index[tuple(range(k))]
-    names = [_map_name(f) for f in maps]
-    return MulTable(table, zero, identity, names)
+    """I(k), the partial injections on k points, f*g applying g first: the
+    local bisections of the pair groupoid on k points, each the map sending
+    j to i for its arrows (i,j), ordered by image tuple and named [j>i,...].
+    Brandt's count of them meets the element limit before any is listed."""
+    from . import duality
+
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    G = duality.pair_groupoid(k)
+    image = {}
+    for A in duality.local_bisections(G):
+        image[A] = f = [-1] * k
+        for a in A:  # the arrow (i,j) is i*k + j
+            f[a % k] = a // k
+    sets = sorted(image, key=image.get)
+    S = duality._bisection_table(G, sets)
+    S.names = ["[%s]" % ",".join("%d>%d" % p for p in enumerate(image[A]) if p[1] >= 0)
+               for A in sets]
+    return S
 
 
 def idempotent_subtable(S):

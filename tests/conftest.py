@@ -457,7 +457,7 @@ def check_classify_symmetric(S, result):
     k, phi = result
     if k is None:
         return
-    I = F.symmetric_inverse_monoid(k)
+    I = TS.i_k(k)
     arr = np.asarray(phi)
     assert sorted(phi) == list(range(I.m)), "the atom action must be a bijection"
     assert (arr[S.T] == I.T[arr[:, None], arr[None, :]]).all(), (

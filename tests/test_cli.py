@@ -801,18 +801,17 @@ def test_piped_input_answers_as_its_file(tmp_path, argv, text):
 
 
 def test_bad_byte_past_the_first_buffer_names_its_file_offset(tmp_path):
-    # the file is decoded 8 KiB at a time as it is read; a byte that does not
-    # decode is still reported at its offset in the whole file, and on a
-    # pipe, which cannot be read again, as one error line all the same
+    # the file is decoded a piece at a time as it is read; a byte that does
+    # not decode is still reported at its offset in the whole file, from a
+    # path and from a pipe alike
     text = bytearray(symmetric_inverse_monoid(4).to_text().encode())
     text[20018] = 0xFF
     path = tmp_path / "bad.tbl"
     path.write_bytes(text)
     message = b"error: 'utf-8' codec can't decode byte 0xff in position %d: invalid start byte\n"
     assert cli_process(["finite", "validate", str(path)]) == (1, b"", message % 20018)
-    rc, out, err = cli_process(["finite", "validate", "/dev/stdin"], bytes(text))
-    assert (rc, out, err.count(b"\n")) == (1, b"", 1)
-    assert err.startswith(message.split(b" in position")[0])
+    assert cli_process(["finite", "validate", "/dev/stdin"], bytes(text)) == (
+        1, b"", message % 20018)
 
 
 @pytest.mark.parametrize(
@@ -996,12 +995,12 @@ def test_complete_prints_without_the_completion_table(monkeypatch, tmp_path, the
     def refuse(*args):
         raise AssertionError("built the completion's table without --dump")
 
-    monkeypatch.setattr(duality, "_bisection_table", refuse)
     golden = json.loads(GOLDEN.read_text())["ops"]
     want = {label: (golden["complete " + label]["exit"], golden["complete " + label]["sha256"])
             for label in ("chain2", "i2", "i3")}
     want["i4"] = PINNED["complete i4"]
-    paths = pinned_tables(tmp_path)
+    paths = pinned_tables(tmp_path)  # I(4) is itself a bisection table
+    monkeypatch.setattr(duality, "_bisection_table", refuse)
     for label, (code, digest) in want.items():
         rc, out, err = quiet_main(["finite", "complete", paths[label]])
         assert (rc, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, ""), label
@@ -1267,7 +1266,7 @@ def test_fuzz_graph_format(tmp_path_factory, text, sub, a, b):
     assert_clean_exit(["graph", sub, "--", str(path)] + args)
 
 
-GROUPOIDS = [TS.pair_groupoid(2).to_text(), TS.discrete_groupoid(2).to_text()]
+GROUPOIDS = [duality.pair_groupoid(2).to_text(), TS.discrete_groupoid(2).to_text()]
 _arrow_id = st.one_of(st.integers(-1, 4), st.sampled_from([99999999999, -(10**30)]))
 
 

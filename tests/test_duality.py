@@ -58,15 +58,15 @@ def z2_times_pair2():
 
 def groupoid_corpus():
     return {
-        "pair1": TS.pair_groupoid(1),
-        "pair2": TS.pair_groupoid(2),
-        "pair3": TS.pair_groupoid(3),
+        "pair1": D.pair_groupoid(1),
+        "pair2": D.pair_groupoid(2),
+        "pair3": D.pair_groupoid(3),
         "disc1": TS.discrete_groupoid(1),
         "disc3": TS.discrete_groupoid(3),
         "z2": z2_groupoid(),
         "z3": z3_groupoid(),
-        "pair2+disc1": TS.disjoint_union(TS.pair_groupoid(2), TS.discrete_groupoid(1)),
-        "z2+pair2": TS.disjoint_union(z2_groupoid(), TS.pair_groupoid(2)),
+        "pair2+disc1": TS.disjoint_union(D.pair_groupoid(2), TS.discrete_groupoid(1)),
+        "z2+pair2": TS.disjoint_union(z2_groupoid(), D.pair_groupoid(2)),
         "z2xpair2": z2_times_pair2(),
     }
 
@@ -120,7 +120,7 @@ def oracle_components(G):
 
 def test_groupoid_builders():
     for k in (1, 2, 3):
-        G = TS.pair_groupoid(k)
+        G = D.pair_groupoid(k)
         assert G.m == k * k and len(G.objects) == k
         assert TS.is_principal(G)
         assert len(TS.components(G)) == 1
@@ -135,7 +135,7 @@ def test_groupoid_builders():
     G = z2_groupoid()
     assert G.m == 2 and len(G.objects) == 1
     assert not TS.is_principal(G)
-    mixed = TS.disjoint_union(z2_groupoid(), TS.pair_groupoid(2))
+    mixed = TS.disjoint_union(z2_groupoid(), D.pair_groupoid(2))
     assert mixed.m == 6 and len(TS.components(mixed)) == 2
     assert not TS.is_principal(mixed)
     bundle = z2_times_pair2()
@@ -153,7 +153,7 @@ def test_groupoid_inverse_laws():
 
 
 def test_groupoid_validation_rejections():
-    good = TS.pair_groupoid(2)
+    good = D.pair_groupoid(2)
 
     def comp_dict(G):
         return {
@@ -218,7 +218,7 @@ def test_local_bisections_against_definition():
 def test_bisection_counts():
     # |Bi(k x k)| = sum_i C(k,i)^2 i! = |I(k)|: 2, 7, 34, 209
     for k, count in [(1, 2), (2, 7), (3, 34), (4, 209)]:
-        assert len(D.local_bisections(TS.pair_groupoid(k))) == count
+        assert len(D.local_bisections(D.pair_groupoid(k))) == count
     # discrete groupoid: bisections = subsets of the objects
     for k in (1, 2, 3):
         assert len(D.local_bisections(TS.discrete_groupoid(k))) == 2 ** k
@@ -229,7 +229,7 @@ def test_bisection_counts():
     assert len(D.local_bisections(z2_times_pair2())) == 17
     # disjoint union multiplies the counts: 7 * 2
     assert len(D.local_bisections(
-        TS.disjoint_union(TS.pair_groupoid(2), TS.discrete_groupoid(1)))) == 14
+        TS.disjoint_union(D.pair_groupoid(2), TS.discrete_groupoid(1)))) == 14
 
 
 def test_local_bisections_stop_at_the_size_cap():
@@ -248,11 +248,11 @@ def test_bisection_count_numbers_the_local_bisections():
     for name, G in groupoid_corpus().items():
         assert bisection_count(G) == len(D.local_bisections(G)) == len(oracle_bisections(G)), name
     assert bisection_count(TS.discrete_groupoid(1100)) == 2**1100
-    assert bisection_count(TS.pair_groupoid(4)) == 209  # the rook monoid I(4)
+    assert bisection_count(D.pair_groupoid(4)) == 209  # the rook monoid I(4)
 
 
 def test_bisection_semigroup_examples():
-    B = D.bisection_semigroup(TS.pair_groupoid(2))
+    B = D.bisection_semigroup(D.pair_groupoid(2))
     assert B.m == 7
     assert D.bisection_semigroup(TS.discrete_groupoid(1)).m == 2
     B4 = D.bisection_semigroup(TS.discrete_groupoid(2))
@@ -277,7 +277,7 @@ def test_bisection_semigroup_meet_join_are_intersection_union():
 
 
 def test_bisection_names_track_arrow_sets():
-    G = TS.pair_groupoid(2)
+    G = D.pair_groupoid(2)
     B = D.bisection_semigroup(G)
     assert B.name(B.zero) == "{}"
     ident = B.find_identity()

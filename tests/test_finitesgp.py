@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 import pathlib
 import random
 import tracemalloc
@@ -302,9 +304,26 @@ def test_sliced_reader_splits_as_splitlines(monkeypatch):
             monkeypatch.setattr(stonedual, "SLICE", size)
             assert list(stonedual.read_lines(text)) == whole, (text, size)
             # an open file comes one readline(SLICE) at a time, which can
-            # end between CR and LF; it reads as the text does
+            # end between CR and LF, or inside a character of its bytes; it
+            # reads as the text does
             with io.StringIO(text, newline="") as fh:
                 assert list(stonedual.read_lines(fh)) == whole, (text, size)
+            with io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8") as fh:
+                assert list(stonedual.read_lines(fh)) == whole, (text, size)
+
+
+def test_file_reader_names_a_bad_byte_at_its_offset(monkeypatch):
+    # a file's bytes are decoded a readline(SLICE) at a time; one that does
+    # not decode is reported as bytes.decode reports it in the whole file
+    for data in (b"0 1\n\xff 2", "\u20ac\r\n".encode() * 3 + b"\xe2\x82", b"7\n\xed\xa0\x80"):
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode()
+        for size in range(1, len(data) + 2):
+            monkeypatch.setattr(stonedual, "SLICE", size)
+            with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+                with pytest.raises(ValueError) as got:
+                    list(stonedual.read_lines(fh))
+            assert str(got.value) == str(whole.value), (data, size)
 
 
 def test_sliced_reader_reads_tables_alike(monkeypatch):
@@ -358,13 +377,19 @@ def oracle_join(f, g):
     return tuple(h)
 
 
+def map_of_name(name, k):
+    """The map that an I(k) element's name [p>q,...] writes, -1 where undefined."""
+    pairs = dict(map(int, pair.split(">")) for pair in name[1:-1].split(",") if pair)
+    return tuple(pairs.get(p, -1) for p in range(k))
+
+
 def test_ik_order_meet_join_match_oracle():
     I4 = relabeled(i_k(4), random.Random(5))
     for k, S in ((2, i_k(2)), (3, i_k(3)), (4, i_k(4)), (4, I4)):
         # element ids are arbitrary: read each element's map off its name
-        by_name = {F._map_name(f): f for f in F._maps_of_partial_injections(k)}
-        maps = [by_name[S.name(a)] for a in range(S.m)]
+        maps = [map_of_name(S.name(a), k) for a in range(S.m)]
         index = {f: i for i, f in enumerate(maps)}
+        assert len(index) == S.m, "each element names its own map"
         for a, f in enumerate(maps):
             for b, g in enumerate(maps):
                 assert S.leq(a, b) == oracle_leq(f, g)
@@ -375,7 +400,7 @@ def test_ik_order_meet_join_match_oracle():
 
 def test_ik_mul_inv_dom_ran_match_oracle():
     S = i_k(3)
-    maps = F._maps_of_partial_injections(3)
+    maps = [map_of_name(S.name(a), 3) for a in range(S.m)]
     index = {f: i for i, f in enumerate(maps)}
     rng = random.Random(0)
     for _ in range(2000):
@@ -570,12 +595,32 @@ def test_set_cover():
 # ---------------------------------------------------------------------------
 # constructions
 
-def test_symmetric_inverse_monoid_sizes():
+def test_symmetric_inverse_monoid_sizes(monkeypatch):
     assert [i_k(k).m for k in (1, 2, 3, 4)] == [2, 7, 34, 209]
     with pytest.raises(ValueError):
         F.symmetric_inverse_monoid(0)
-    with pytest.raises(ValueError):
-        F.symmetric_inverse_monoid(6)
+    # the element limit bounds k: Brandt's count refuses I(6) before any of
+    # its 13327 bisections is listed, in a few small arrays
+    monkeypatch.delenv("STONEDUAL_MAX_ELEMENTS", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(F.SizeLimitError, match=r"13327 elements.*STONEDUAL_MAX_ELEMENTS"):
+            F.symmetric_inverse_monoid(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000, peak
+
+
+def test_symmetric_inverse_monoid_text_matches_the_corpus(theorem_checks_off):
+    # I(2) and I(3) as tables/ holds them, and I(4) and I(5) as the
+    # benchmark's own generator writes them, byte for byte
+    for k in (2, 3):
+        assert i_k(k).to_text() == (TABLES / ("i%d.tbl" % k)).read_text()
+    golden = json.loads((TABLES.parent / "perfbench" / "golden.json").read_text())
+    for k in (4, 5):
+        digest = hashlib.sha256(i_k(k).to_text().encode()).hexdigest()
+        assert digest == golden["generated"]["i%d" % k]
 
 
 def test_symmetric_inverse_monoid_five():

@@ -399,7 +399,7 @@ def test_only_the_shared_reader_splits_lines():
 
 def test_no_input_file_is_read_whole():
     # every table and graph file goes to read_lines open, which takes it in
-    # pieces; only read_lines reads a file whole, to word a decode error
+    # pieces and decodes them itself
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert reader_bypasses(sources, reads_whole) == []
     end = len(sources["cli"].splitlines())

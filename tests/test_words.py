@@ -238,9 +238,9 @@ def test_sliced_reader_cuts_after_every_kind_of_line_break(monkeypatch):
 
 @pytest.mark.parametrize("newline", [None, ""], ids=["universal", "kept"])
 def test_sliced_file_reader_cuts_after_every_kind_of_line_break(monkeypatch, tmp_path, newline):
-    # an open file comes in pieces of at most SLICE characters, one readline
-    # each, with its breaks turned into LFs as the CLI opens it or kept: it
-    # is never held whole, and a bad line gets the error the str gets
+    # an open file, opened as the CLI opens it or with its breaks kept, comes
+    # in pieces of at most SLICE characters, one readline of its bytes each:
+    # it is never held whole, and a bad line gets the error the str gets
     monkeypatch.setattr(stonedual, "SLICE", 1024)
     path = tmp_path / "lines.graph"
     for brk in ("\n", "\r", "\r\n", "\u2028"):

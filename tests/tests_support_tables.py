@@ -273,24 +273,6 @@ def principal_congruence(S, a, b):
 # ---------------------------------------------------------------------------
 # groupoids
 
-def pair_groupoid(k):
-    """The groupoid k x k: one arrow (i,j) per ordered pair, sending j to i."""
-
-    def aid(i, j):
-        return i * k + j
-
-    objects = [aid(i, i) for i in range(k)]
-    dom = [aid(a % k, a % k) for a in range(k * k)]
-    ran = [aid(a // k, a // k) for a in range(k * k)]
-    comp = {}
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                comp[(aid(i, j), aid(j, l))] = aid(i, l)
-    names = ["(%d,%d)" % (i, j) for i in range(k) for j in range(k)]
-    return D.FiniteGroupoid(objects, dom, ran, comp, names)
-
-
 def discrete_groupoid(k):
     """k isolated identities and nothing else."""
     comp = {(e, e): e for e in range(k)}
@@ -791,12 +773,12 @@ def bisection_table_by_sets(G, sets):
     table = np.zeros((m, m), dtype=np.int32)
     for i, A in enumerate(sets):
         by_source = {G.dom[a]: a for a in A}
-        for j, B in enumerate(sets):
-            prod = frozenset(
-                int(G.C[by_source[G.ran[b]], b]) for b in B if G.ran[b] in by_source
-            )
-            assert prod in index, "setwise product escaped the bisections"
-            table[i, j] = index[prod]
+        # b meets the arrow of A whose source is b's target, if A has one
+        after = {b: int(G.C[by_source[r], b]) for b, r in enumerate(G.ran) if r in by_source}
+        meets = frozenset(after)
+        row = [index.get(frozenset(map(after.__getitem__, B & meets))) for B in sets]
+        assert None not in row, "setwise product escaped the bisections"
+        table[i] = row
     zero = index[frozenset()]
     identity = index[frozenset(G.objects)]
     names = ["{" + ",".join(G.name(a) for a in sorted(A)) + "}" for A in sets]
