@@ -12,6 +12,7 @@ vertices), and the extension tree of the arrow decision then has dead branches.
 from collections import namedtuple
 
 from .words import (
+    Path,
     _strip_prefix,
     element_ops,
     format_path,
@@ -52,11 +53,11 @@ def gisg_mul(s, t):
     z = _strip_prefix(s.v.edges, t.u.edges)
     if z is not None:
         # t.u = s.v z: slide z over to the range side
-        return GraphISGElement(s.graph, s.u._replace(edges=s.u.edges + z), t.v)
+        return GraphISGElement(s.graph, Path(s.graph, s.u.anchor, s.u.edges + z), t.v)
     z = _strip_prefix(t.u.edges, s.v.edges)
     if z is not None:
         # s.v = t.u z: slide z onto the domain side
-        return GraphISGElement(s.graph, s.u, t.v._replace(edges=t.v.edges + z))
+        return GraphISGElement(s.graph, s.u, Path(s.graph, t.v.anchor, t.v.edges + z))
     return gisg_zero(s.graph)
 
 
@@ -89,7 +90,7 @@ def gisg_act(s, p):
     if gisg_is_zero(s):
         return None
     z = _strip_prefix(s.v.edges, p.edges) if s.v.anchor == p.anchor else None
-    return None if z is None else s.u._replace(edges=s.u.edges + z)
+    return None if z is None else Path(p.graph, s.u.anchor, s.u.edges + z)
 
 
 gisg_compatible, gisg_orthogonal, gisg_meet, gisg_lenz_arrow = element_ops(

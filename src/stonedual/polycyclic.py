@@ -12,6 +12,7 @@ This module holds the primitives of both; meet, compatibility, orthogonality,
 the arrow relation and covers are the shared ones of `words.element_ops`.
 """
 
+import functools
 import re
 from collections import namedtuple
 
@@ -38,6 +39,7 @@ def poly(n, y, x):
     return PolyElement(n, y, x)
 
 
+@functools.cache  # one shared zero per n: zero products allocate nothing
 def poly_zero(n):
     return PolyElement(n, None, None)
 
@@ -119,7 +121,7 @@ def format_poly(s):
 
 
 def parse_poly(text, n):
-    if n < 1:  # checked here, not in poly_zero, which every zero product calls
+    if n < 1:  # checked on input: poly_zero trusts the n of the elements it zeroes
         raise ValueError("alphabet size must be >= 1")
     text = text.strip()
     if text == "0":
@@ -146,6 +148,7 @@ def ext(n, r, i, m, j):
     return ExtPolyElement(n, r, i, m, j)
 
 
+@functools.cache  # one shared zero per (n, r), around the shared poly_zero(n)
 def ext_zero(n, r):
     return ExtPolyElement(n, r, 0, poly_zero(n), 0)
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -317,3 +319,28 @@ def test_ext_roundtrip_and_matrix_meets():
     assert not P.ext_lenz_arrow(
         P.parse_ext("(1|1,1|1)", 2, 2), [P.parse_ext("(2|a,a|2)", 2, 2)]
     )
+
+
+def test_each_parameter_set_shares_one_zero():
+    # zero products, meets and inverses return the one zero of their (n) or
+    # (n, r), which is equal by value to a freshly built one
+    for n, r in [(1, 1), (2, 1), (2, 3), (3, 2)]:
+        zero, ezero = P.poly_zero(n), P.ext_zero(n, r)
+        assert zero is P.poly_zero(n) and ezero is P.ext_zero(n, r)
+        assert ezero.m is zero
+        a, b = P.poly(n, (0,), (0,)), P.poly(n, (0,), ())
+        ea, eb = P.ext(n, r, 1, a, 1), P.ext(n, r, r, a, r)
+        if n > 1:
+            c = P.poly(n, (1,), (1,))
+            assert P.poly_mul(a, c) is zero and P.poly_meet(a, c) is zero
+            assert P.ext_mul(ea, P.ext(n, r, 1, c, 1)) is ezero
+        assert P.poly_mul(zero, b) is zero and P.poly_meet(b, zero) is zero
+        assert P.poly_inv(zero) is zero and P.ext_inv(ezero) is ezero
+        assert P.ext_mul(ezero, ea) is ezero and P.ext_meet(ea, ezero) is ezero
+        if r > 1:
+            assert P.ext_mul(ea, eb) is ezero and P.ext_meet(ea, eb) is ezero
+        assert zero == P.PolyElement(n, None, None)
+        assert ezero == P.ExtPolyElement(n, r, 0, P.PolyElement(n, None, None), 0)
+        assert P.format_poly(zero) == "0" and P.format_ext(ezero) == "0"
+        for z in (zero, ezero):
+            assert pickle.loads(pickle.dumps(z)) == z and copy.deepcopy(z) == z
