@@ -12,6 +12,8 @@ One labelling, finitesgp._components, finds the components of a groupoid here
 and of a table's 0-minimal elements there, for its ideals and 0-simplicity.
 """
 
+import itertools
+
 import numpy as np
 
 from . import finitesgp as F
@@ -182,21 +184,27 @@ class FiniteGroupoid:
         )
 
 
-def pair_groupoid(k):
-    """The groupoid k x k: one arrow (i,j) per ordered pair, sending j to i."""
-
-    def aid(i, j):
-        return i * k + j
-
-    objects = [aid(i, i) for i in range(k)]
-    dom = [aid(a % k, a % k) for a in range(k * k)]
-    ran = [aid(a // k, a // k) for a in range(k * k)]
-    comp = {}
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                comp[(aid(i, j), aid(j, l))] = aid(i, l)
-    names = ["(%d,%d)" % (i, j) for i in range(k) for j in range(k)]
+def shape_groupoid(shape):
+    """The disjoint union of the groupoids n x H for the (n, H) in shape, H a
+    group table with identity 0, checked by the validating constructor.
+    The arrow (i,g,j) goes from object j to object i through g; it is
+    offset + (i*n + j)*|H| + g, named (i,j) when H is trivial and (i,g,j)
+    otherwise, with objects numbered across the shape.  [(k, [[0]])] is
+    the pair groupoid on k points, whose bisections are I(k)."""
+    if not shape:
+        raise ValueError("a shape needs at least one factor")
+    objects, dom, ran, comp, names = [], [], [], {}, []
+    for n, H in shape:
+        if n < 1 or not H or any(len(row) != len(H) for row in H):
+            raise ValueError("a factor needs an object and a non-empty square table")
+        h, off, o = len(H), len(dom), len(objects)
+        objects += [off + (i * n + i) * h for i in range(n)]
+        for i, j, g in itertools.product(range(n), range(n), range(h)):
+            dom.append(off + (j * n + j) * h)
+            ran.append(off + (i * n + i) * h)
+            names.append("(%d,%s%d)" % (o + i, "%d," % g if h > 1 else "", o + j))
+            for l, x in itertools.product(range(n), range(h)):
+                comp[len(dom) - 1, off + (j * n + l) * h + x] = off + (i * n + l) * h + H[g][x]
     return FiniteGroupoid(objects, dom, ran, comp, names)
 
 

@@ -499,12 +499,13 @@ def symmetric_inverse_monoid(k):
     """I(k), the partial injections on k points, f*g applying g first: the
     local bisections of the pair groupoid on k points, each the map sending
     j to i for its arrows (i,j), ordered by image tuple and named [j>i,...].
-    Brandt's count of them meets the element limit before any is listed."""
+    Brandt's count of them meets the element limit before the groupoid is built."""
     from . import duality
 
     if k < 1:
         raise ValueError("k must be at least 1")
-    G = duality.pair_groupoid(k)
+    _check_size(_brandt(k, 1), "bisection semigroup")
+    G = duality.shape_groupoid([(k, [[0]])])
     image = {}
     for A in duality.local_bisections(G):
         image[A] = f = [-1] * k

@@ -14,6 +14,7 @@ from collections import namedtuple
 from .words import (
     Path,
     _strip_prefix,
+    covers_to_depth,
     element_ops,
     format_path,
     parse_path,
@@ -96,7 +97,7 @@ def gisg_act(s, p):
 gisg_compatible, gisg_orthogonal, gisg_meet, gisg_lenz_arrow = element_ops(
     gisg_mul, gisg_inv, gisg_is_zero, gisg_is_idempotent, gisg_leq,
     lambda s: gisg_zero(s.graph), lambda s: s.v.edges,
-    lambda a: (path_dom(a.v), a.graph.branches),
+    lambda a, tails, depth: covers_to_depth(tails, path_dom(a.v), a.graph.branches, depth),
 )[:4]
 
 

@@ -20,8 +20,8 @@ from .words import (
     Word,
     element_ops,
     format_word,
-    letter_branches,
     parse_word,
+    prefix_covers_depth,
     _check_same_alphabet,
     _strip_prefix,
 )
@@ -103,7 +103,8 @@ def poly_act(s, w):
 
 poly_compatible, poly_orthogonal, poly_meet, lenz_arrow, is_cover = element_ops(
     poly_mul, poly_inv, poly_is_zero, poly_is_idempotent, poly_leq,
-    lambda s: poly_zero(s.n), lambda s: s.x, lambda a: (0, letter_branches(a.n)),
+    lambda s: poly_zero(s.n), lambda s: s.x,
+    lambda a, tails, depth: prefix_covers_depth(tails, a.n, depth),
 )
 
 
@@ -195,7 +196,8 @@ def ext_leq(s, t):
 
 ext_compatible, ext_orthogonal, ext_meet, ext_lenz_arrow = element_ops(
     ext_mul, ext_inv, ext_is_zero, ext_is_idempotent, ext_leq,
-    lambda s: ext_zero(s.n, s.r), lambda s: s.m.x, lambda a: (0, letter_branches(a.n)),
+    lambda s: ext_zero(s.n, s.r), lambda s: s.m.x,
+    lambda a, tails, depth: prefix_covers_depth(tails, a.n, depth),
 )[:4]
 
 

@@ -136,8 +136,11 @@ def letter_branches(n):
 def prefix_covers_depth(letters_set, n, depth):
     """True iff every word of length `depth` has a prefix in letters_set.
 
-    letters_set is a set of letter tuples, all of length <= depth.
+    letters_set is a set of letter tuples, all of length <= depth. With
+    more letters than tuples some first letter begins none: no branch is built.
     """
+    if () in letters_set or n > len(letters_set):
+        return () in letters_set
     return covers_to_depth(letters_set, 0, letter_branches(n), depth)
 
 
@@ -379,11 +382,12 @@ def word_to_path(letters, n, graph):
 # inverse semigroups
 
 
-def element_ops(mul, inv, is_zero, is_idempotent, leq, zero, dom_word, tree):
+def element_ops(mul, inv, is_zero, is_idempotent, leq, zero, dom_word, covered):
     """(compatible, orthogonal, meet, lenz_arrow, is_cover) for one element
     type, as closures over its primitives. zero(s) is the zero next to s,
-    dom_word(s) the domain-side word or edge tuple of a nonzero s, and tree(a)
-    the (start, branches) of the extension tree below a, for covers_to_depth.
+    dom_word(s) the domain-side word or edge tuple of a nonzero s, and
+    covered(a, tails, depth) whether every extension of length depth below a
+    has a prefix in tails, a set of tuples without the empty one.
     The types are unambiguous: elements with a nonzero common lower bound are
     comparable, so a meet is the smaller one or zero.
     """
@@ -421,8 +425,7 @@ def element_ops(mul, inv, is_zero, is_idempotent, leq, zero, dom_word, tree):
             return True
         if not tails:
             return False
-        start, branches = tree(a)
-        return covers_to_depth(tails, start, branches, max(map(len, tails)))
+        return covered(a, tails, max(map(len, tails)))
 
     def is_cover(a, A):
         """A finite subset of the lower set of a that every nonzero x <= a meets."""

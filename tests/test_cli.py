@@ -706,7 +706,7 @@ def test_readme_examples_print_what_readme_shows(capsys, monkeypatch):
     # the examples name tables/ and graphs/ relative to the repository
     monkeypatch.chdir(ROOT)
     examples = readme_examples()
-    assert len(examples) == 12 and all(shown for _, shown in examples)
+    assert len(examples) == 13 and all(shown for _, shown in examples)
     for command, shown in examples:
         rc, out, err = run(capsys, shlex.split(command))
         assert (command, rc, out, err) == (command, 0, shown, "")
@@ -971,6 +971,34 @@ PINNED = {
     "dualize --dump --json z7": (0, "5d8c24415b6a5946b3bb2faad0d4a0216ab8ca7ae7f101b210e69bc3b275aaeb"),
     "complete i4": (0, "815035616a11c5eb7bd25851d6b65e18e522086bfe799c68b6990b10be74f669"),
 }
+
+
+# (exit code, sha256 of stdout) of each finite subcommand on tables/r2_z2.tbl,
+# R_2(Z2): the bisections of the groupoid 2 x Z2
+R2_Z2_PINNED = {
+    "validate": (0, "6883999ec904724d8fbab0d03db318720007fc085083b8d88c5739fb161e96c9"),
+    "predicates": (0, "ccc27e8ae51e5c352dc069aacf8c203f4c63efef552636866ea0ba049fc53487"),
+    "congfree": (0, "9562ae6109c6a598696b3793717848c046e098d1f04228aa8d1697a7f0cb0d85"),
+    "simplifying": (0, "228152d74c0259e8af6669e8967b4ea349a65e77e9c636ec7998adaa33c23bb5"),
+    "complete": (0, "a62f97a5e1d06c0584bf10bb4375b9d2aa4ba2a95ad147aa71ae3cc574a8d16d"),
+    "dualize": (0, "e16c202f5f63c9bf9426e88c5eeb07261c8473edb882225ae87b0c851e899110"),
+    "classify": (0, "3c2116fc92da82bf9e1ec4b9abb2deab39060b89afa3dc2011f3eb10131e8bdf"),
+    "ideals": (0, "c4debc631c202c54174ac781469832387b0024be9d169c3b020245b5b4dc9512"),
+}
+
+
+def test_r2_z2_table_is_the_library_s_and_its_output_is_pinned():
+    path = TABLES / "r2_z2.tbl"
+    G = duality.shape_groupoid([(2, TS.GROUPS["Z2"])])
+    assert path.read_text() == duality.bisection_semigroup(G).to_text()
+    outs = {}
+    for sub in FINITE_SUBS:
+        rc, outs[sub], err = quiet_main(["finite", sub, str(path)])
+        digest = hashlib.sha256(outs[sub].encode()).hexdigest()
+        assert (rc, digest, err) == (*R2_Z2_PINNED[sub], ""), sub
+    # a Boolean inverse monoid with nontrivial local groups: not some I(k)
+    assert outs["classify"] == "not symmetric: not fundamental\n"
+    assert outs["dualize"] == "objects: 2\narrows: 8\nroundtrip: true\n"
 
 
 def pinned_tables(tmp_path):
@@ -1266,7 +1294,7 @@ def test_fuzz_graph_format(tmp_path_factory, text, sub, a, b):
     assert_clean_exit(["graph", sub, "--", str(path)] + args)
 
 
-GROUPOIDS = [duality.pair_groupoid(2).to_text(), TS.discrete_groupoid(2).to_text()]
+GROUPOIDS = [duality.shape_groupoid(shape).to_text() for shape in ([(2, [[0]])], [(1, [[0]])] * 2)]
 _arrow_id = st.one_of(st.integers(-1, 4), st.sampled_from([99999999999, -(10**30)]))
 
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import tracemalloc
 
@@ -29,45 +31,22 @@ from tests_support_tables import (
 # ---------------------------------------------------------------------------
 # groupoid corpus
 
-def z2_groupoid():
-    return TS.group_groupoid([[0, 1], [1, 0]], ["1", "g"])
-
-
-def z3_groupoid():
-    return TS.group_groupoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]], ["1", "w", "ww"])
-
-
-def z2_times_pair2():
-    """Connected, two objects, Z/2 local groups: arrows (sign, i, j)."""
-
-    def aid(s, i, j):
-        return s * 4 + i * 2 + j
-
-    objects = [aid(0, i, i) for i in range(2)]
-    dom = [aid(0, j, j) for s in range(2) for i in range(2) for j in range(2)]
-    ran = [aid(0, i, i) for s in range(2) for i in range(2) for j in range(2)]
-    comp = {}
-    for s in range(2):
-        for t in range(2):
-            for i in range(2):
-                for j in range(2):
-                    for l in range(2):
-                        comp[(aid(s, i, j), aid(t, j, l))] = aid((s + t) % 2, i, l)
-    return D.FiniteGroupoid(objects, dom, ran, comp)
+def shape(*factors):
+    """The groupoid of a shape given as factors (n, name of H in TS.GROUPS)."""
+    return D.shape_groupoid([(n, TS.GROUPS[g]) for n, g in factors])
 
 
 def groupoid_corpus():
     return {
-        "pair1": D.pair_groupoid(1),
-        "pair2": D.pair_groupoid(2),
-        "pair3": D.pair_groupoid(3),
-        "disc1": TS.discrete_groupoid(1),
-        "disc3": TS.discrete_groupoid(3),
-        "z2": z2_groupoid(),
-        "z3": z3_groupoid(),
-        "pair2+disc1": TS.disjoint_union(D.pair_groupoid(2), TS.discrete_groupoid(1)),
-        "z2+pair2": TS.disjoint_union(z2_groupoid(), D.pair_groupoid(2)),
-        "z2xpair2": z2_times_pair2(),
+        "pair1": shape((1, "1")),
+        "pair2": shape((2, "1")),
+        "pair3": shape((3, "1")),
+        "disc3": shape((1, "1"), (1, "1"), (1, "1")),
+        "z2": shape((1, "Z2")),
+        "z3": shape((1, "Z3")),
+        "pair2+disc1": shape((2, "1"), (1, "1")),
+        "z2+pair2": shape((1, "Z2"), (2, "1")),
+        "z2xpair2": shape((2, "Z2")),
     }
 
 
@@ -119,28 +98,46 @@ def oracle_components(G):
 # FiniteGroupoid construction and validation
 
 def test_groupoid_builders():
-    for k in (1, 2, 3):
-        G = D.pair_groupoid(k)
+    for k in (1, 2, 3, 4):
+        G = shape((k, "1"))
         assert G.m == k * k and len(G.objects) == k
         assert TS.is_principal(G)
         assert len(TS.components(G)) == 1
-        # exactly one arrow between each ordered pair of objects
-        for d in G.objects:
-            for r in G.objects:
-                arrows = [a for a in range(G.m) if G.dom[a] == d and G.ran[a] == r]
-                assert len(arrows) == 1
-        H = TS.discrete_groupoid(k)
+        # the pair groupoid: arrow i*k + j is (i,j), from object j to object i
+        for i, j, l in itertools.product(range(k), repeat=3):
+            a = i * k + j
+            assert (G.dom[a], G.ran[a], G.name(a)) == (j * k + j, i * k + i, "(%d,%d)" % (i, j))
+            assert G.compose(a, j * k + l) == i * k + l
+        H = shape(*[(1, "1")] * k)
         assert H.m == k and H.objects == list(range(k))
         assert TS.is_principal(H) and len(TS.components(H)) == k
-    G = z2_groupoid()
+    G = shape((1, "Z2"))
     assert G.m == 2 and len(G.objects) == 1
     assert not TS.is_principal(G)
-    mixed = TS.disjoint_union(z2_groupoid(), D.pair_groupoid(2))
+    mixed = shape((1, "Z2"), (2, "1"))
     assert mixed.m == 6 and len(TS.components(mixed)) == 2
     assert not TS.is_principal(mixed)
-    bundle = z2_times_pair2()
+    # objects are numbered across the shape, and a group element is named
+    # only when the local group is not trivial
+    names = ["(0,0,0)", "(0,1,0)", "(1,1)", "(1,2)", "(2,1)", "(2,2)"]
+    assert [mixed.name(a) for a in range(6)] == names
+    bundle = shape((2, "Z2"))
     assert bundle.m == 8 and len(TS.components(bundle)) == 1
     assert not TS.is_principal(bundle)
+    assert bundle.name(3) == "(0,1,1)" and bundle.compose(3, 7) == 2  # g * g = 1
+
+
+@pytest.mark.parametrize("factors, error, message", [
+    ([], ValueError, "at least one factor"),
+    ([(2, [[0]]), (0, [[0]])], ValueError, "needs an object"),
+    ([(1, [[0, 1], [1]])], ValueError, "non-empty square table"),
+    ([(1, [])], ValueError, "non-empty square table"),
+    ([(1, [[0, 1], [1, 1]])], F.TableError, "arrow 1 has 0 inverses"),  # not a group
+    ([(2, [[1, 0], [0, 1]])], F.TableError, "identity law"),  # the identity is 1
+], ids=["empty", "no-objects", "ragged", "empty-table", "not-a-group", "identity-not-at-0"])
+def test_shape_groupoid_refusals(factors, error, message):
+    with pytest.raises(error, match=message):
+        D.shape_groupoid(factors)
 
 
 def test_groupoid_inverse_laws():
@@ -153,7 +150,7 @@ def test_groupoid_inverse_laws():
 
 
 def test_groupoid_validation_rejections():
-    good = D.pair_groupoid(2)
+    good = shape((2, "1"))
 
     def comp_dict(G):
         return {
@@ -218,24 +215,23 @@ def test_local_bisections_against_definition():
 def test_bisection_counts():
     # |Bi(k x k)| = sum_i C(k,i)^2 i! = |I(k)|: 2, 7, 34, 209
     for k, count in [(1, 2), (2, 7), (3, 34), (4, 209)]:
-        assert len(D.local_bisections(D.pair_groupoid(k))) == count
+        assert len(D.local_bisections(shape((k, "1")))) == count
     # discrete groupoid: bisections = subsets of the objects
     for k in (1, 2, 3):
-        assert len(D.local_bisections(TS.discrete_groupoid(k))) == 2 ** k
+        assert len(D.local_bisections(shape(*[(1, "1")] * k))) == 2 ** k
     # one-object group: the empty set and each singleton
-    assert len(D.local_bisections(z2_groupoid())) == 3
-    assert len(D.local_bisections(z3_groupoid())) == 4
+    assert len(D.local_bisections(shape((1, "Z2")))) == 3
+    assert len(D.local_bisections(shape((1, "Z3")))) == 4
     # two objects, Z/2 local groups: 1 + 4*2 singles + 2*4 full selections
-    assert len(D.local_bisections(z2_times_pair2())) == 17
+    assert len(D.local_bisections(shape((2, "Z2")))) == 17
     # disjoint union multiplies the counts: 7 * 2
-    assert len(D.local_bisections(
-        TS.disjoint_union(D.pair_groupoid(2), TS.discrete_groupoid(1)))) == 14
+    assert len(D.local_bisections(shape((2, "1"), (1, "1")))) == 14
 
 
 def test_local_bisections_stop_at_the_size_cap():
     # 2^1100 bisections, refused by their count before any is listed
     with pytest.raises(F.SizeLimitError):
-        D.local_bisections(TS.discrete_groupoid(1100))
+        D.local_bisections(shape(*[(1, "1")] * 1100))
 
 
 def bisection_count(G):
@@ -247,15 +243,15 @@ def test_bisection_count_numbers_the_local_bisections():
     # sum_k C(n, k)^2 k! h^k local bisections, and components multiply
     for name, G in groupoid_corpus().items():
         assert bisection_count(G) == len(D.local_bisections(G)) == len(oracle_bisections(G)), name
-    assert bisection_count(TS.discrete_groupoid(1100)) == 2**1100
-    assert bisection_count(D.pair_groupoid(4)) == 209  # the rook monoid I(4)
+    assert bisection_count(shape(*[(1, "1")] * 1100)) == 2**1100
+    assert bisection_count(shape((4, "1"))) == 209  # the rook monoid I(4)
 
 
 def test_bisection_semigroup_examples():
-    B = D.bisection_semigroup(D.pair_groupoid(2))
+    B = D.bisection_semigroup(shape((2, "1")))
     assert B.m == 7
-    assert D.bisection_semigroup(TS.discrete_groupoid(1)).m == 2
-    B4 = D.bisection_semigroup(TS.discrete_groupoid(2))
+    assert D.bisection_semigroup(shape((1, "1"))).m == 2
+    B4 = D.bisection_semigroup(shape((1, "1"), (1, "1")))
     assert B4.m == 4
     assert all(B4.is_idem[s] for s in range(4))
 
@@ -277,7 +273,7 @@ def test_bisection_semigroup_meet_join_are_intersection_union():
 
 
 def test_bisection_names_track_arrow_sets():
-    G = D.pair_groupoid(2)
+    G = shape((2, "1"))
     B = D.bisection_semigroup(G)
     assert B.name(B.zero) == "{}"
     ident = B.find_identity()
@@ -446,6 +442,50 @@ def test_groupoid_roundtrip_via_singletons():
                 assert (c is None) == (c2 is None), name
                 if c is not None:
                     assert c2 == to2[c], name
+
+
+# ---------------------------------------------------------------------------
+# every finite Boolean inverse monoid up to a size, from its shape
+
+def shapes(bound):
+    """Every shape, a multiset of factors (n, name of H in TS.GROUPS), whose
+    bisection semigroup, the product of the |R_n(H)|, has at most bound
+    elements; and the number of factor types that can take part."""
+    sizes = {(n, g): F._brandt(n, len(H)) for n in range(1, bound) for g, H in TS.GROUPS.items()}
+    types = sorted(f for f, size in sizes.items() if size <= bound)
+    found = []
+
+    def grow(factors, first, size):
+        for k in range(first, len(types)):
+            if size * sizes[types[k]] <= bound:
+                found.append(factors + [types[k]])
+                grow(found[-1], k, size * sizes[types[k]])
+
+    grow([], 0, 1)
+    return found, len(types)
+
+
+def test_every_shape_up_to_fifty_elements():
+    # by Brandt's theorem and the finite duality, a finite Boolean inverse
+    # monoid is the product of its factors' R_n(H), the local bisections of
+    # n x H: I(n) exactly when it has one factor and H is trivial,
+    # fundamental exactly when every H is, and with one tightly closed ideal
+    # per union of factors
+    found, types = shapes(50)
+    assert (len(found), types) == (99, 14)
+    for factors in found:
+        B = D.bisection_semigroup(shape(*factors))
+        assert B.m == math.prod(F._brandt(n, len(TS.GROUPS[g])) for n, g in factors), factors
+        assert D.duality_roundtrip(B)[0], factors
+        trivial = all(g == "1" for _, g in factors)
+        if trivial and len(factors) == 1:
+            assert D.classify_symmetric(B)[0] == factors[0][0], factors
+        else:
+            reason = "not 0-simplifying" if trivial else "not fundamental"
+            assert D.classify_symmetric(B) == (None, reason), factors
+        assert F._fundamental(B) == trivial, factors
+        assert F.is_zero_simplifying(B) == (len(factors) == 1), factors
+        assert len(F.tightly_closed_ideals(B)) == 2 ** len(factors), factors
 
 
 # ---------------------------------------------------------------------------

@@ -612,6 +612,21 @@ def test_symmetric_inverse_monoid_sizes(monkeypatch):
     assert peak < 200_000, peak
 
 
+def test_symmetric_inverse_monoid_is_refused_before_its_groupoid(monkeypatch):
+    # I(40)'s pair groupoid would hold 1600 arrows and 64000 composites, and
+    # its validation 1600 x 1600 arrays; Brandt's count refuses it first
+    monkeypatch.delenv("STONEDUAL_MAX_ELEMENTS", raising=False)
+    tracemalloc.start()
+    try:
+        refused = r"^bisection semigroup has more than 10\^52 elements"
+        with pytest.raises(F.SizeLimitError, match=refused):
+            F.symmetric_inverse_monoid(40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
 def test_symmetric_inverse_monoid_text_matches_the_corpus(theorem_checks_off):
     # I(2) and I(3) as tables/ holds them, and I(4) and I(5) as the
     # benchmark's own generator writes them, byte for byte

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import stonedual
 from stonedual import graphisg as G
+from stonedual import polycyclic as P
 from stonedual import words as W
 from stonedual.selftest import random_word
 from tests_support_codes import random_complete_code, random_path
@@ -145,6 +147,34 @@ def test_depth_criterion_stable_beyond_max_length():
     assert W.prefix_covers_depth(comb, 2, 3000)
     assert not W.prefix_covers_depth(comb - {(0,) * 1500 + (1,)}, 2, 3000)
     assert not W.prefix_covers_depth(comb - {(0,) * 3000}, 2, 3000)
+
+
+def test_wide_alphabets_build_no_branches():
+    # with fewer tails than letters some first letter begins no tail, so
+    # the answer comes before any branch is built; the empty word covers
+    # every depth. The guard gives the branch walk's answer on small sets
+    for n in (1, 2, 3):
+        words = [w for k in range(3) for w in W.all_letter_tuples(n, k)]
+        for size in range(n + 2):
+            for tails in itertools.combinations(words, size):
+                depth = max(map(len, tails), default=0)
+                walk = W.covers_to_depth(set(tails), 0, W.letter_branches(n), depth)
+                assert W.prefix_covers_depth(set(tails), n, depth) == walk, tails
+    n = 10**6
+    one, e = P.poly_one(n), P.poly(n, (0,), (0,))
+    tracemalloc.start()
+    try:
+        answers = [
+            W.is_maximal_prefix_code([W.make_word(n, (0,))]),
+            W.is_maximal_prefix_code([W.make_word(n, ())]),
+            P.lenz_arrow(one, [e]),
+            P.ext_lenz_arrow(P.ext(n, 1, 1, one, 1), [P.ext(n, 1, 1, e, 1)]),
+        ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answers == [False, True, False, False]
+    assert peak < 100_000, peak
 
 
 # ---------------------------------------------------------------------------

@@ -57,18 +57,33 @@ def group_with_zero(table, names):
     return F.MulTable(rows, 0, 1, ["0"] + list(names))
 
 
+def cyclic(n):
+    """The group table of Z/n, 0 its identity."""
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+S3_PERMS = list(itertools.permutations(range(3)))  # the identity first
+
+
+def s3():
+    """The group table of the permutations of 3 points, composed right first."""
+    index = {p: i for i, p in enumerate(S3_PERMS)}
+    return [[index[tuple(p[x] for x in q)] for q in S3_PERMS] for p in S3_PERMS]
+
+
+# the local groups of the shapes the tests build with duality.shape_groupoid
+GROUPS = {"1": cyclic(1), **{"Z%d" % n: cyclic(n) for n in range(2, 7)},
+          "V4": [[a ^ b for b in range(4)] for a in range(4)], "S3": s3()}
+
+
 def cyclic_with_zero(n):
     """Z_n^0: the cyclic group g^0..g^(n-1) of order n with a zero."""
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return group_with_zero(table, ["g%d" % a for a in range(n)])
+    return group_with_zero(cyclic(n), ["g%d" % a for a in range(n)])
 
 
 def s3_with_zero():
     """The symmetric group on 3 points, as permutation tuples, with a zero."""
-    perms = list(itertools.permutations(range(3)))  # the identity first
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]
-    return group_with_zero(table, ["".join(map(str, p)) for p in perms])
+    return group_with_zero(s3(), ["".join(map(str, p)) for p in S3_PERMS])
 
 
 def clifford_witness():
@@ -272,46 +287,6 @@ def principal_congruence(S, a, b):
 
 # ---------------------------------------------------------------------------
 # groupoids
-
-def discrete_groupoid(k):
-    """k isolated identities and nothing else."""
-    comp = {(e, e): e for e in range(k)}
-    names = ["e%d" % e for e in range(k)]
-    return D.FiniteGroupoid(range(k), range(k), range(k), comp, names)
-
-
-def group_groupoid(table, names=None):
-    """A finite group presented as a one-object groupoid.
-
-    table[a][b] is the product; the group axioms are verified by the
-    groupoid validation."""
-    n = len(table)
-    idents = [
-        e
-        for e in range(n)
-        if all(table[e][x] == x and table[x][e] == x for x in range(n))
-    ]
-    if len(idents) != 1:
-        raise F.TableError("group table needs exactly one identity")
-    e = idents[0]
-    comp = {(a, b): table[a][b] for a in range(n) for b in range(n)}
-    return D.FiniteGroupoid([e], [e] * n, [e] * n, comp, names)
-
-
-def disjoint_union(G, H):
-    """Two groupoids side by side with no arrows between them."""
-    off = G.m
-    objects = list(G.objects) + [e + off for e in H.objects]
-    dom = list(G.dom) + [x + off for x in H.dom]
-    ran = list(G.ran) + [x + off for x in H.ran]
-    comp = {}
-    for X, off in ((G, 0), (H, G.m)):
-        for a, b in zip(*np.nonzero(X.C >= 0)):
-            comp[(int(a) + off, int(b) + off)] = int(X.C[a, b]) + off
-    names = ["L:" + G.name(a) for a in range(G.m)]
-    names += ["R:" + H.name(a) for a in range(H.m)]
-    return D.FiniteGroupoid(objects, dom, ran, comp, names)
-
 
 def components(G):
     """Connected components as sorted arrow lists, by finitesgp's labelling."""
