@@ -12,14 +12,17 @@ orthogonal, with every complete sibling family glued: the unique orthogonal
 form with nothing left to glue, so equality of elements is equality of leaf
 maps, which agrees with the arrow test on generating sets.  The leaf map of
 a reduced tree pair is the same data.  Products compose leaf maps, inverses
-swap them and reduction glues them, whichever view they come from; each
-tree pair is built, and its codes checked, once.  An element built here, by
-`cuntz` or an operation, carries its normal form's leaf map, so no operation
-scans it again; any other, a deep copy or a pickle too, is scanned once.
+swap them and reduction glues them, whichever view they come from.  Only
+`tree_pair`, so every literal, and `tp_mul` check codes; the other
+operations build their pair from a proven leaf map, and a `TreePair` built
+by hand is outside the contract.  An element built here, by `cuntz` or an
+operation, carries its normal form's leaf map, so no operation scans it
+again; any other, a deep copy or a pickle too, is scanned once.
 """
 
 import bisect
 import itertools
+import operator
 import re
 from collections import namedtuple
 
@@ -245,10 +248,12 @@ def is_unit(x):
     words and on the range words of the normal form, so x is a unit iff each
     set of words glues down to the r roots, that is, iff each is an r-rooted
     maximal prefix code: x then acts on every long enough word."""
-    pairs = _normal(x)
-    one = {RootedWord(i, ()): RootedWord(i, ()) for i in range(1, x.r + 1)}
-    codes = (list(pairs), list(pairs.values()))
-    return all(_glued(x.n, dict(zip(ws, ws))) == one for ws in codes)
+    return _glues_to_roots(x.n, x.r, _normal(x))
+
+
+def _glues_to_roots(n, r, pairs):
+    one = {RootedWord(i, ()): RootedWord(i, ()) for i in range(1, r + 1)}
+    return all(_glued(n, {w: w for w in ws}) == one for ws in (pairs, pairs.values()))
 
 
 def format_cuntz(x):
@@ -273,37 +278,38 @@ def parse_cuntz(text, n, r):
 
 
 def tree_pair(n, r, domain, range_, perm):
-    """Build a tree pair in canonical order: both codes sorted, the pairing
-    rewired to match.  Construction does not reduce; tp_reduce does."""
+    """Build a tree pair in canonical order, after checking both codes and
+    the pairing.  Construction does not reduce; tp_reduce does."""
     if n < 2:
         raise ValueError("alphabet size must be >= 2")
     if r < 1:
         raise ValueError("root count must be >= 1")
-    domain, range_ = list(domain), list(range_)
+    domain, range_, perm = list(domain), list(range_), list(perm)
     for w in domain + range_:
         if not isinstance(w, RootedWord):
             raise TypeError("codes must consist of rooted words")
-    domain = [make_rooted(w.root, w.letters, r, n) for w in domain]
-    range_ = [make_rooted(w.root, w.letters, r, n) for w in range_]
-    perm = [int(q) for q in perm]
+    domain, range_ = ([make_rooted(w.root, w.letters, r, n) for w in ws] for ws in (domain, range_))
+    for q, e in enumerate(perm):
+        try:
+            perm[q] = operator.index(e)
+        except TypeError:
+            raise ValueError("bad pairing entry %r at position %d" % (e, q)) from None
     k = len(domain)
     if len(range_) != k or len(perm) != k:
         raise ValueError("codes and pairing must have the same size")
     if sorted(perm) != list(range(k)):
         raise ValueError("pairing must be a permutation of 0..%d" % (k - 1))
-    if not is_rooted_maximal_prefix_code(domain, n, r):
-        raise ValueError("domain code is not an r-rooted maximal prefix code")
-    if not is_rooted_maximal_prefix_code(range_, n, r):
-        raise ValueError("range code is not an r-rooted maximal prefix code")
-    pairs = {d: range_[q] for d, q in zip(domain, perm)}
-    domain, range_ = sorted(domain), sorted(range_)
+    for side, code in (("domain", domain), ("range", range_)):
+        if not is_rooted_maximal_prefix_code(code, n, r):
+            raise ValueError("%s code is not an r-rooted maximal prefix code" % side)
+    return _canonical(n, r, {d: range_[q] for d, q in zip(domain, perm)})
+
+
+def _canonical(n, r, pairs):
+    """The pair of a proven leaf map, unchecked: codes sorted, pairing rewired."""
+    domain, range_ = sorted(pairs), sorted(pairs.values())
     pos = {w: q for q, w in enumerate(range_)}
-    return TreePair(n, r, tuple(domain), tuple(range_),
-                    tuple(pos[pairs[d]] for d in domain))
-
-
-def _tree_pair_of(n, r, pairs):
-    return tree_pair(n, r, pairs, pairs.values(), range(len(pairs)))
+    return TreePair(n, r, tuple(domain), tuple(range_), tuple(pos[pairs[d]] for d in domain))
 
 
 def _pairs(g):
@@ -327,23 +333,27 @@ def tp_from_unit(x):
     contractible part family is the same thing as a reducible leaf family,
     so the tree pair of a normal form is reduced."""
     try:
-        return _tree_pair_of(x.n, x.r, _normal(x))
+        pairs = _normal(x)
     except ValueError:
-        raise ValueError("not a unit") from None
+        pairs = {}  # parts that are not pairwise compatible make no unit
+    if not _glues_to_roots(x.n, x.r, pairs):
+        raise ValueError("not a unit")
+    return _canonical(x.n, x.r, pairs)
 
 
 def tp_reduce(g):
-    return _tree_pair_of(g.n, g.r, _glued(g.n, _pairs(g)))
+    return _canonical(g.n, g.r, _glued(g.n, _pairs(g)))
 
 
 def tp_inv(g):
-    return _tree_pair_of(g.n, g.r, _swap(_pairs(g)))
+    return _canonical(g.n, g.r, _swap(_pairs(g)))
 
 
 def tp_mul(g, h):
     """Compose, right factor first: the product sends w through h, then g."""
     _check_pair(g, h)
-    return _tree_pair_of(g.n, g.r, _glued(g.n, _compose(_pairs(g), _pairs(h))))
+    pairs = _glued(g.n, _compose(_pairs(g), _pairs(h)))
+    return tree_pair(g.n, g.r, pairs, pairs.values(), range(len(pairs)))
 
 
 def tp_eq(g, h):

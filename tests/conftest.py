@@ -13,6 +13,7 @@ result whose call was already checked does so under `RECHECKER.unchecked()`.
 
 import contextlib
 import functools
+import hashlib
 import itertools
 import weakref
 
@@ -135,15 +136,29 @@ def check_meet_semigroup(S, result):
     )
 
 
-# tables whose cached Lenz labelling was re-proved: it is computed once per
-# table, and tables are not changed after construction
-LABELLED = weakref.WeakSet()
+# the digest of each table's contents and zero, taken once per table object:
+# tables are not changed after construction
+TABLE_KEYS = weakref.WeakKeyDictionary()
+
+
+def _table_key(S):
+    if S not in TABLE_KEYS:
+        TABLE_KEYS[S] = (hashlib.blake2b(S.T.tobytes()).digest(), S.T.shape, S.zero)
+    return TABLE_KEYS[S]
+
+
+# the Lenz labelling re-proved for each table content: it depends on the
+# table and its zero alone, and equal tables are built many times over, so a
+# repeat only has to give the labelling already proved
+LABELLED = {}
 
 
 def check_lenz_classes(S, result):
-    if S in LABELLED:
+    key, labels = _table_key(S), tuple(map(tuple, result))
+    if key in LABELLED:
+        assert LABELLED[key] == labels, "equal tables must get equal Lenz classes"
         return
-    LABELLED.add(S)
+    LABELLED[key] = labels
     lam, reps = result
     firsts = {}
     for s, c in enumerate(lam):
@@ -601,9 +616,17 @@ def check_tp_to_unit(g, x):
         assert TH.cuntz_normalize(_plain(x)).parts == x.parts
 
 
+def check_tp_built(arg, g):
+    # a pair built from a proven leaf map, with no code check, is one that
+    # tree_pair accepts, codes checked, and leaves as it is
+    assert TH.tree_pair(g.n, g.r, g.domain, g.range, g.perm) == g
+
+
 def check_tp_from_unit(x, g):
+    check_tp_built(x, g)
     # a contractible part family is the same thing as a reducible leaf family
-    assert TH.tp_reduce(g) == g
+    with RECHECKER.unchecked():
+        assert TH.tp_reduce(g) == g
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +675,8 @@ RECHECKS = [
     (TH, "is_unit", check_is_unit),
     (TH, "tp_to_unit", check_tp_to_unit),
     (TH, "tp_from_unit", check_tp_from_unit),
+    (TH, "tp_inv", check_tp_built),
+    (TH, "tp_reduce", check_tp_built),
 ]
 
 
