@@ -71,21 +71,29 @@ def _check_pair(x, y):
 
 def _glued(n, pairs):
     """Glue, in place, every sibling family carried letter by letter onto a
-    sibling family until none is left; families never share a leaf, so one
-    sweep glues all that are present."""
-    while True:
-        fams = {}
-        for d, w in pairs.items():
-            if d.letters and w.letters and d.letters[-1] == w.letters[-1]:
-                key = (d.root, d.letters[:-1], w.root, w.letters[:-1])
-                fams.setdefault(key, set()).add(d.letters[-1])
-        full = [key for key, ks in fams.items() if len(ks) == n]
-        if not full:
-            return pairs
-        for dr, du, wr, wv in full:
-            for k in range(n):
-                del pairs[RootedWord(dr, du + (k,))]
-            pairs[RootedWord(dr, du)] = RootedWord(wr, wv)
+    sibling family until none is left.  One sweep files each leaf under its
+    family; a glued family's new leaf is filed under its parent family, which
+    is glued in turn once full.  Families never share a leaf."""
+    fams, full = {}, []
+
+    def file(d, w):
+        if d.letters and w.letters and d.letters[-1] == w.letters[-1]:
+            key = (d.root, d.letters[:-1], w.root, w.letters[:-1])
+            ks = fams.setdefault(key, set())
+            ks.add(d.letters[-1])
+            if len(ks) == n:
+                full.append(key)
+
+    for d, w in pairs.items():
+        file(d, w)
+    while full:
+        dr, du, wr, wv = full.pop()
+        for k in range(n):
+            del pairs[RootedWord(dr, du + (k,))]
+        d, w = RootedWord(dr, du), RootedWord(wr, wv)
+        pairs[d] = w
+        file(d, w)
+    return pairs
 
 
 def _tail(w, v):

@@ -1,4 +1,4 @@
-"""Theorem checks that run on every library call the test suite makes.
+"""Theorem checks that run on the library calls the test suite makes.
 
 The library computes each answer once, by one route.  The checks below
 re-prove the theorems behind those answers from a call's inputs and its
@@ -7,15 +7,14 @@ fixture `recheck_theorems` wraps each library function once, in its own
 module, so that each call made by a test, directly or from inside the
 library or a check, is followed by its check; the library calls a wrapped
 function through its module, never by an imported name
-(tests/test_source.py holds it to that).  A check that recomputes a
-result whose call was already checked does so under `RECHECKER.unchecked()`.
+(tests/test_source.py holds it to that).  A table hook re-proves each
+distinct input, by value, once per session, and a repeat compares its
+result with the one proved; the Cuntz and graph hooks check every call.
 """
 
 import contextlib
 import functools
-import hashlib
 import itertools
-import weakref
 
 import numpy as np
 import pytest
@@ -54,10 +53,6 @@ def check_is_congruence_free(S, result):
 
 def check_validate(table, zero, *args, identity=None):
     *given, diag = args
-    if diag is None:
-        # validate passed, so its hooked _check_axioms returned, and
-        # check_check_axioms already ran the index-order route on these inputs
-        return
     identity = given[0] if given else identity
     assert diag == TS.validate_by_index_order(table, zero, identity), (
         "the generating-set route must name the index-order diagnostic"
@@ -119,46 +114,13 @@ def check_zero_disjunctive(S, result):
     )
 
 
-# the counting-rule meet table of each table object, built once: tests ask
-# for many single meets, and tables are not changed after construction
-COUNTED_MEETS = weakref.WeakKeyDictionary()
-
-
-def _meets_by_counting(S):
-    if S not in COUNTED_MEETS:
-        COUNTED_MEETS[S] = TS.meet_table_by_counting(S)
-    return COUNTED_MEETS[S]
-
-
 def check_meet_semigroup(S, result):
-    assert result == bool((_meets_by_counting(S) >= 0).all()), (
+    assert result == bool((TS.meet_table_by_counting(S) >= 0).all()), (
         "a total phi must mean that every meet exists"
     )
 
 
-# the digest of each table's contents and zero, taken once per table object:
-# tables are not changed after construction
-TABLE_KEYS = weakref.WeakKeyDictionary()
-
-
-def _table_key(S):
-    if S not in TABLE_KEYS:
-        TABLE_KEYS[S] = (hashlib.blake2b(S.T.tobytes()).digest(), S.T.shape, S.zero)
-    return TABLE_KEYS[S]
-
-
-# the Lenz labelling re-proved for each table content: it depends on the
-# table and its zero alone, and equal tables are built many times over, so a
-# repeat only has to give the labelling already proved
-LABELLED = {}
-
-
-def check_lenz_classes(S, result):
-    key, labels = _table_key(S), tuple(map(tuple, result))
-    if key in LABELLED:
-        assert LABELLED[key] == labels, "equal tables must get equal Lenz classes"
-        return
-    LABELLED[key] = labels
+def _prove_lenz_classes(S, result):
     lam, reps = result
     firsts = {}
     for s, c in enumerate(lam):
@@ -172,14 +134,18 @@ def check_lenz_classes(S, result):
     if S.m > IDEAL_ROUTE_LIMIT or not F._meet_semigroup(S):
         return
     # by enumeration, the classes are exactly those of the symmetrized arrow
-    for s in S.nonzero():
-        for t in S.nonzero():
-            both = TS.arrow_enum(S, s, [t]) and TS.arrow_enum(S, t, [s])
-            assert (lam[s] == lam[t]) == both, "classes must be arrow-equivalence"
+    labels = np.array(lam)[S.nonzero()]
+    both = TS.arrow_equivalence(S)
+    assert (np.equal.outer(labels, labels) == both).all(), "classes must be arrow-equivalence"
+
+
+# the labelling reads the table and its zero alone, so each table content,
+# however it is named, is proved once
+check_lenz_classes = TS.by_value(_prove_lenz_classes, lambda S, result: (S.T, S.zero, result))
 
 
 def check_meet(S, a, b, result):
-    want = int(_meets_by_counting(S)[a, b])
+    want = int(TS.meet_table_by_counting(S)[a, b])
     assert result == (None if want < 0 else want), "phi(a b^-1) b must be the meet"
 
 
@@ -266,10 +232,9 @@ def check_distributive_completion(S, comp):
 def check_part1_isomorphism(S, result):
     ok, mapping = result
     E, emb = F.idempotent_subtable(S)
-    with RECHECKER.unchecked():
-        comp_s = FC.distributive_completion(S)
-        comp_e = FC.distributive_completion(E)
-        Q = TS.lenz_congruence(S)[0]
+    comp_s = FC.distributive_completion(S)
+    comp_e = FC.distributive_completion(E)
+    Q = TS.lenz_congruence(S)[0]
     trans = {}
     for e in range(E.m):
         qe, qs = comp_e.lam[e], comp_s.lam[emb[e]]
@@ -302,8 +267,7 @@ def check_booleanization_report(S, report):
         "a flag of the report disagrees with its definition"
     )
     E, _ = F.idempotent_subtable(S)
-    with RECHECKER.unchecked():
-        comp_e = FC.distributive_completion(E)
+    comp_e = FC.distributive_completion(E)
     ident = comp_e.D.find_identity()
     atoms = E.zero_minimal()
     assert comp_e.D.join_of_set(comp_e.delta[a] for a in atoms) == ident, (
@@ -340,8 +304,7 @@ def check_universal_property(S, T, theta, result):
     )
     if bad_any is None:
         # theta is constant on arrow classes
-        with RECHECKER.unchecked():
-            comp = FC.distributive_completion(S)
+        comp = FC.distributive_completion(S)
         theta_q = {}
         for s in range(S.m):
             assert theta_q.setdefault(comp.lam[s], theta[s]) == theta[s]
@@ -681,17 +644,32 @@ RECHECKS = [
 
 
 class _Rechecker:
-    """Wraps library functions so that each call is followed by its check."""
+    """Wraps library functions so that each call is followed by its check.
+
+    A table hook checks the first call with each value of its inputs, as
+    TS.digest names it; a repeat only asserts the result proved then.  A
+    check's own hooked calls are checked alike, when their inputs are new."""
 
     def __init__(self):
         self.off = 0
 
-    def wrap(self, func, check):
+    def wrap(self, func, check, once=True):
+        proved = {}
+
         @functools.wraps(func)
         def checked(*args, **kwargs):
             result = func(*args, **kwargs)
-            if not self.off:
+            if self.off:
+                return result
+            if not once:
                 check(*args, result, **kwargs)
+                return result
+            key, got = tuple(map(TS.digest, args + tuple(kwargs.items()))), TS.digest(result)
+            if key in proved:
+                assert proved[key] == got, "%s gave another result" % func.__qualname__
+            else:
+                check(*args, result, **kwargs)
+                proved[key] = got
             return result
 
         return checked
@@ -719,6 +697,9 @@ def theorem_checks_off():
 def recheck_theorems():
     patch = pytest.MonkeyPatch()
     for module, name, check in RECHECKS:
-        patch.setattr(module, name, RECHECKER.wrap(getattr(module, name), check))
+        # the element hooks check every call: a value key would hide the
+        # carried-map check
+        hooked = RECHECKER.wrap(getattr(module, name), check, once=module not in (gi, TH))
+        patch.setattr(module, name, hooked)
     yield
     patch.undo()

@@ -465,14 +465,14 @@ def shapes(bound):
     return found, len(types)
 
 
-def test_every_shape_up_to_fifty_elements():
+def test_every_shape_up_to_a_hundred_elements():
     # by Brandt's theorem and the finite duality, a finite Boolean inverse
     # monoid is the product of its factors' R_n(H), the local bisections of
     # n x H: I(n) exactly when it has one factor and H is trivial,
     # fundamental exactly when every H is, and with one tightly closed ideal
     # per union of factors
-    found, types = shapes(50)
-    assert (len(found), types) == (99, 14)
+    found, types = shapes(100)
+    assert (len(found), types) == (185, 17)
     for factors in found:
         B = D.bisection_semigroup(shape(*factors))
         assert B.m == math.prod(F._brandt(n, len(TS.GROUPS[g])) for n, g in factors), factors

@@ -840,3 +840,35 @@ def test_each_tree_pair_is_checked_once(monkeypatch, theorem_checks_off):
             monkeypatch.undo()
     # the counter sees the prefix tests of the one route that checks codes
     assert seen == {"tp_mul"}
+
+
+class CountedSweeps(dict):
+    """A leaf map that counts the sweeps made over it."""
+
+    sweeps = 0
+
+    def items(self):
+        self.sweeps += 1
+        return super().items()
+
+
+def caterpillar(k):
+    """The code {a, ba, bba, ..., b^(k-1)} at root 1, with a = 0 and b = 1."""
+    return [RootedWord(1, (1,) * i + (0,)) for i in range(k - 1)] + [RootedWord(1, (1,) * (k - 1))]
+
+
+def test_gluing_sweeps_the_leaf_map_once():
+    # a caterpillar glues one family per round, k - 1 rounds down to its root;
+    # each glued family's new leaf fills its parent family, so one sweep of
+    # the map finds every family there is to glue
+    root = RootedWord(1, ())
+    for k in (2, 3, 64):
+        pairs = CountedSweeps((d, d) for d in caterpillar(k))
+        assert th._glued(2, pairs) == {root: root}
+        assert pairs.sweeps == 1
+    code = caterpillar(512)
+    g = th.tree_pair(2, 1, code, code, range(512))
+    one = th.tp_identity(2, 1)
+    assert th.tp_reduce(g) == one
+    assert th.tp_eq(g, one)
+    assert th.tp_to_unit(g) == th.cuntz_one(2, 1)

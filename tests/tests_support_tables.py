@@ -1,16 +1,72 @@
 """Corpus of small inverse semigroup tables and groupoids shared across the
 test suite, the constructions that build them, and reference routes that the
-library's answers are compared against."""
+library's answers are compared against; a digest names each value, so that
+a route runs once per distinct input."""
 
+import hashlib
 import itertools
+import weakref
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
 from stonedual import duality as D
 from stonedual import filtercomp as FC
 from stonedual import finitesgp as F
+
+# each table's or groupoid's digest with the names it was taken under: the
+# contents are fixed, but symmetric_inverse_monoid renames its table
+DIGESTS = weakref.WeakKeyDictionary()
+
+
+def digest(x):
+    """A key for the value of x, a library call's inputs or result, that
+    equal values built as separate objects share: an int, str, bytes or None
+    is its own key, anything else 16 bytes of blake2b."""
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if x is None or isinstance(x, (str, bytes)):
+        return x
+    if isinstance(x, (F.MulTable, D.FiniteGroupoid)):
+        names, key = DIGESTS.get(x, (None, None))
+        if key is None or names is not x.names:
+            table = isinstance(x, F.MulTable)
+            fields = (x.T, x.zero, x.identity) if table else (x.C, x.dom, x.ran, x.objects)
+            key = digest((type(x).__name__, *fields, x.names))
+            DIGESTS[x] = x.names, key
+        return key
+    if isinstance(x, FC.Completion):
+        x = ("Completion", x._bisections, x.delta, x.lam, x.classes, x.names)
+    elif isinstance(x, dict):
+        x = ("dict", *sorted(x.items()))
+    # plain ints are their own keys, so a run or a set of them is used as it is
+    plain = isinstance(x, (list, tuple, set, frozenset)) and all(type(v) is int for v in x)
+    if isinstance(x, np.ndarray):
+        raw = repr((x.dtype.str, x.shape)).encode() + x.tobytes()
+    elif isinstance(x, (list, tuple)):
+        raw = repr(tuple(x if plain else map(digest, x))).encode()
+    elif isinstance(x, (set, frozenset)):
+        raw = b"set" + repr(sorted(x) if plain else sorted(map(digest, x), key=repr)).encode()
+    else:
+        raise TypeError("no digest for %r" % type(x))
+    return hashlib.blake2b(raw, digest_size=16).digest()
+
+
+def by_value(route, fields=lambda *args: args):
+    """route, run once per distinct value of its inputs, or of the fields of
+    them that it reads: later calls share the first result, which no caller
+    changes."""
+    results = {}
+
+    @wraps(route)
+    def once(*args):
+        key = tuple(map(digest, fields(*args)))
+        if key not in results:
+            results[key] = route(*args)
+        return results[key]
+
+    return once
 
 
 @lru_cache(maxsize=None)
@@ -561,6 +617,14 @@ def arrow_enum(S, a, B):
     return is_set_cover(S, S.below(a), B)
 
 
+def arrow_equivalence(S):
+    """eq[i, j]: s -> t and t -> s, by enumeration, for the i-th and j-th
+    nonzero elements s and t of a meet-semigroup table."""
+    nonzero = S.nonzero()
+    eq = [[arrow_enum(S, s, [t]) and arrow_enum(S, t, [s]) for t in nonzero] for s in nonzero]
+    return np.array(eq, dtype=bool).reshape(len(nonzero), len(nonzero))
+
+
 def tight_by_covers(S, generator):
     """filtercomp.is_tight_filter by its definition.
 
@@ -627,6 +691,7 @@ def generators_by_index_order(arr):
     return gens
 
 
+@by_value
 def validate_by_index_order(table, zero, identity=None):
     """validate with associativity tested against every generator
     of the index-order scan."""
@@ -765,6 +830,7 @@ def bisection_table_by_sets(G, sets):
 # library decides them from phi, the 0-minimal components and the supports
 
 
+@by_value
 def meet_table_by_counting(S):
     """out[s, t] = the meet of s and t, or -1, by the counting rule: z is the
     meet when it lies below s and t and as many elements lie below z as
