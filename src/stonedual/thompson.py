@@ -16,8 +16,9 @@ swap them and reduction glues them, whichever view they come from.  Only
 `tree_pair`, so every literal, and `tp_mul` check codes; the other
 operations build their pair from a proven leaf map, and a `TreePair` built
 by hand is outside the contract.  An element built here, by `cuntz` or an
-operation, carries its normal form's leaf map, so no operation scans it
-again; any other, a deep copy or a pickle too, is scanned once.
+operation, carries its normal form's leaf map, shared and read only, so no
+operation scans or copies it; any other, a deep copy or a pickle too, is
+scanned once.
 """
 
 import bisect
@@ -31,6 +32,7 @@ from . import polycyclic as pc
 from .words import (
     RootedWord,
     format_rooted,
+    fills_roots,
     is_rooted_maximal_prefix_code,
     make_rooted,
     parse_rooted,
@@ -71,28 +73,20 @@ def _check_pair(x, y):
 
 def _glued(n, pairs):
     """Glue, in place, every sibling family carried letter by letter onto a
-    sibling family until none is left.  One sweep files each leaf under its
-    family; a glued family's new leaf is filed under its parent family, which
-    is glued in turn once full.  Families never share a leaf."""
-    fams, full = {}, []
-
-    def file(d, w):
-        if d.letters and w.letters and d.letters[-1] == w.letters[-1]:
+    sibling family until none is left.  One sweep counts each leaf, once,
+    under its family, full at count n as letters lie in 0..n-1; a full family
+    is glued at once, and its new leaf counted under its parent family."""
+    counts = {}
+    for d, w in list(pairs.items()):
+        while d.letters and w.letters and d.letters[-1] == w.letters[-1]:
             key = (d.root, d.letters[:-1], w.root, w.letters[:-1])
-            ks = fams.setdefault(key, set())
-            ks.add(d.letters[-1])
-            if len(ks) == n:
-                full.append(key)
-
-    for d, w in pairs.items():
-        file(d, w)
-    while full:
-        dr, du, wr, wv = full.pop()
-        for k in range(n):
-            del pairs[RootedWord(dr, du + (k,))]
-        d, w = RootedWord(dr, du), RootedWord(wr, wv)
-        pairs[d] = w
-        file(d, w)
+            counts[key] = count = counts.get(key, 0) + 1
+            if count < n:
+                break
+            for k in range(n):
+                del pairs[RootedWord(d.root, key[1] + (k,))]
+            d, w = RootedWord(d.root, key[1]), RootedWord(w.root, key[3])
+            pairs[d] = w
     return pairs
 
 
@@ -193,9 +187,9 @@ def _leaf_map(parts):
 def _normal(x):
     """The leaf map of the normal form of x: its maximal parts, which are
     orthogonal, so that a complete sibling family of parts is a reducible
-    leaf family, glued until none remain; a carried map is only copied."""
+    leaf family, glued until none remain; a carried map is shared, not copied."""
     if isinstance(x.parts, _NormalParts):
-        return dict(x.parts.leaf)
+        return x.parts.leaf
     nonzero = [p for p in x.parts if not pc.ext_is_zero(p)]
     return _glued(x.n, _leaf_map(sorted(nonzero, key=_part_key)))
 
@@ -254,14 +248,14 @@ def cuntz_eq(x, y):
 def is_unit(x):
     """True iff x^-1 x = 1 = x x^-1.  These are the identities on the domain
     words and on the range words of the normal form, so x is a unit iff each
-    set of words glues down to the r roots, that is, iff each is an r-rooted
-    maximal prefix code: x then acts on every long enough word."""
-    return _glues_to_roots(x.n, x.r, _normal(x))
+    set of words is an r-rooted maximal prefix code.  The parts of a normal
+    form are orthogonal, so each is a prefix code at each root: one Kraft
+    count per root and side decides, in O(k + L) for k parts L letters deep."""
+    return _fills_roots(x.n, x.r, _normal(x))
 
 
-def _glues_to_roots(n, r, pairs):
-    one = {RootedWord(i, ()): RootedWord(i, ()) for i in range(1, r + 1)}
-    return all(_glued(n, {w: w for w in ws}) == one for ws in (pairs, pairs.values()))
+def _fills_roots(n, r, pairs):
+    return fills_roots(pairs, n, r) and fills_roots(pairs.values(), n, r)
 
 
 def format_cuntz(x):
@@ -337,14 +331,14 @@ def tp_to_unit(g):
 
 
 def tp_from_unit(x):
-    """Read the codes and the pairing off the normal form of a unit.  A
-    contractible part family is the same thing as a reducible leaf family,
-    so the tree pair of a normal form is reduced."""
+    """Read the codes and the pairing off the normal form of a unit, tested
+    as `is_unit` tests it.  A contractible part family is the same thing as
+    a reducible leaf family, so the tree pair of a normal form is reduced."""
     try:
         pairs = _normal(x)
     except ValueError:
         pairs = {}  # parts that are not pairwise compatible make no unit
-    if not _glues_to_roots(x.n, x.r, pairs):
+    if not _fills_roots(x.n, x.r, pairs):
         raise ValueError("not a unit")
     return _canonical(x.n, x.r, pairs)
 

@@ -167,14 +167,35 @@ def _checked_code(code, n):
     return ws, n
 
 
+def kraft_count(lengths, n):
+    """The Kraft sum over n letters of words of these lengths, carried up in
+    integers in O(k + L): n words at length l make one at length l - 1.
+    The count that reaches the root, and {length: count left there}."""
+    counts = [0] * (max(lengths) + 1)
+    for length in lengths:
+        counts[length] += 1
+    carry, left = 0, {}
+    for length in range(len(counts) - 1, 0, -1):
+        carry, rest = divmod(carry + counts[length], n)
+        if rest:
+            left[length] = rest
+    return counts[0] + carry, left
+
+
 def is_maximal_prefix_code(code, n=None):
-    """True iff `code` (a nonempty set of Words) is a prefix code and every word
-    of length L = max length in the code has a prefix in it."""
+    """True iff `code` (a nonempty set of Words, letters in 0..n-1) is a prefix
+    code with Kraft sum 1: a finite prefix code is maximal exactly then."""
     ws, n = _checked_code(code, n)
-    if not is_prefix_code(ws):
-        return False
-    depth = max(len(w.letters) for w in ws)
-    return prefix_covers_depth({w.letters for w in ws}, n, depth)
+    return is_prefix_code(ws) and kraft_count([len(w.letters) for w in ws], n) == (1, {})
+
+
+def fills_roots(code, n, r):
+    """True iff code, rooted words over 0..n-1 that form a prefix code at
+    each root, has Kraft sum 1 at every root 1..r, so is maximal there."""
+    lengths = {}
+    for w in code:
+        lengths.setdefault(w.root, []).append(len(w.letters))
+    return len(lengths) == r and all(kraft_count(ls, n) == (1, {}) for ls in lengths.values())
 
 
 def kraft_sum(code, n=None):
@@ -182,7 +203,8 @@ def kraft_sum(code, n=None):
     ws, n = _checked_code(code, n)
     if not is_prefix_code(ws):
         raise ValueError("not a prefix code")
-    return sum(Fraction(1, n ** len(w.letters)) for w in ws)
+    whole, left = kraft_count([len(w.letters) for w in ws], n)
+    return sum((Fraction(c, n ** length) for length, c in left.items()), Fraction(whole))
 
 
 def all_letter_tuples(n, length):
@@ -240,13 +262,8 @@ def is_rooted_maximal_prefix_code(code, n, r):
         if rw.root not in by_root:
             raise ValueError("root %d out of range 1..%d" % (rw.root, r))
         by_root[rw.root].add(rw.letters)
-    for k in range(1, r + 1):
-        ws = by_root[k]
-        if not ws:
-            return False
-        if not is_maximal_prefix_code([Word(n, t) for t in ws], n):
-            return False
-    return True
+    codes = ([Word(n, t) for t in ws] for ws in by_root.values())
+    return all(map(is_prefix_code, codes)) and fills_roots(seen, n, r)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ fixture `recheck_theorems` wraps each library function once, in its own
 module, so that each call made by a test, directly or from inside the
 library or a check, is followed by its check; the library calls a wrapped
 function through its module, never by an imported name
-(tests/test_source.py holds it to that).  A table hook re-proves each
-distinct input, by value, once per session, and a repeat compares its
-result with the one proved; the Cuntz and graph hooks check every call.
+(tests/test_source.py holds it to that).  A hook marked ONCE re-proves
+each distinct input, by value, once per session, and a repeat compares its
+result with the one proved; a hook marked EVERY checks every call.
 """
 
 import contextlib
@@ -26,6 +26,7 @@ from stonedual import graphisg as gi
 from stonedual import polycyclic as pc
 from stonedual import thompson as TH
 from stonedual import words as wd
+import tests_support_codes as TC
 import tests_support_tables as TS
 from tests_support_tables import principal_congruence
 
@@ -550,17 +551,32 @@ def check_cuntz_join(x, y, join):
     _check_against_parts(x, [*x.parts, *y.parts], join)
 
 
-def check_is_unit(x, unit):
-    # a set of words glues down to the roots iff it is an r-rooted maximal
-    # prefix code; the codes are read off the parts of the normal form
+def _by_references(n, r, codes):
+    """Whether each of codes is an r-rooted maximal prefix code, by gluing
+    and by covering, not by the library's Kraft count."""
+    return tuple(all(route(c, n, r) for c in codes)
+                 for route in (TC.glues_to_roots, TC.covers_roots))
+
+
+def _unit_by_references(x):
+    # the domain words and the range words of a fresh normal form
     with RECHECKER.unchecked():
         parts = TH.cuntz_normalize(_plain(x)).parts
     codes = (
         [wd.RootedWord(p.j, p.m.x) for p in parts],
         [wd.RootedWord(p.i, p.m.y) for p in parts],
     )
-    full = all(wd.is_rooted_maximal_prefix_code(c, x.n, x.r) for c in codes)
-    assert unit == (bool(parts) and full)
+    return _by_references(x.n, x.r, codes)
+
+
+def check_is_unit(x, unit):
+    assert _unit_by_references(x) == (unit, unit), "the unit tests disagree"
+
+
+def check_fills_roots(n, r, pairs, full):
+    # the verdict behind is_unit and tp_from_unit, refusals too, on the leaf
+    # map they test
+    assert _by_references(n, r, (pairs, pairs.values())) == (full, full)
 
 
 def check_cuntz_eq(x, y, same):
@@ -586,6 +602,7 @@ def check_tp_built(arg, g):
 
 
 def check_tp_from_unit(x, g):
+    assert _unit_by_references(x) == (True, True), "a pair read off no unit"
     check_tp_built(x, g)
     # a contractible part family is the same thing as a reducible leaf family
     with RECHECKER.unchecked():
@@ -595,60 +612,68 @@ def check_tp_from_unit(x, g):
 # ---------------------------------------------------------------------------
 # wiring
 
+# Each hook re-proves each distinct input ONCE, or checks EVERY call: the
+# element hooks, where a value key would hide the carried-map check, and
+# MulTable.meet, whose check, one lookup in a memoized meet table, costs
+# less than the digests of a memo
+ONCE, EVERY = True, False
+
 RECHECKS = [
-    (TS, "validate", check_validate),
-    (F, "_check_axioms", check_check_axioms),
-    (F, "_distributive", check_distributive),
-    (F, "_boolean", check_boolean),
-    (F, "predicates", check_predicates),
-    (F, "_zero_simple", check_zero_simple),
-    (F, "_zero_disjunctive", check_zero_disjunctive),
-    (F, "_meet_semigroup", check_meet_semigroup),
-    (F.MulTable, "meet", check_meet),
-    (F.MulTable, "lenz_classes", check_lenz_classes),
-    (TS, "all_ideals", check_all_ideals),
-    (F, "tightly_closed_ideals", check_tightly_closed_ideals),
-    (F, "is_congruence_free", check_is_congruence_free),
-    (F, "is_zero_simplifying", check_is_zero_simplifying),
-    (TS, "lenz_congruence", check_lenz_congruence),
-    (TS, "fc_semigroup", check_fc_semigroup),
-    (FC, "distributive_completion", check_distributive_completion),
-    (FC, "part1_isomorphism", check_part1_isomorphism),
-    (FC, "is_tight_filter", check_is_tight_filter),
-    (FC, "booleanization_report", check_booleanization_report),
-    (TS, "orthogonalize", check_orthogonalize),
-    (FC, "check_universal_property", check_universal_property),
-    (D, "_groupoid_of_minimals", check_groupoid_of_minimals),
-    (D, "ultrafilter_groupoid", check_ultrafilter_groupoid),
-    (D, "local_bisections", check_local_bisections),
-    (D, "_bisection_table", check_bisection_table),
-    (D, "duality_roundtrip", check_duality_roundtrip),
-    (D, "ideal_correspondence", check_ideal_correspondence),
-    (D, "classify_symmetric", check_classify_symmetric),
-    (TS, "principal_criterion", check_principal_criterion),
-    (gi, "gisg_mul", check_gisg_mul),
-    (gi, "gisg_act", check_gisg_act),
-    (TH, "cuntz", check_cuntz),
-    (TH, "cuntz_normalize", check_cuntz_normalize),
-    (TH, "cuntz_mul", check_cuntz_mul),
-    (TH, "cuntz_inv", check_cuntz_inv),
-    (TH, "cuntz_meet", check_cuntz_meet),
-    (TH, "cuntz_join", check_cuntz_join),
-    (TH, "cuntz_eq", check_cuntz_eq),
-    (TH, "is_unit", check_is_unit),
-    (TH, "tp_to_unit", check_tp_to_unit),
-    (TH, "tp_from_unit", check_tp_from_unit),
-    (TH, "tp_inv", check_tp_built),
-    (TH, "tp_reduce", check_tp_built),
+    (TS, "validate", check_validate, ONCE),
+    (F, "_check_axioms", check_check_axioms, ONCE),
+    (F, "_distributive", check_distributive, ONCE),
+    (F, "_boolean", check_boolean, ONCE),
+    (F, "predicates", check_predicates, ONCE),
+    (F, "_zero_simple", check_zero_simple, ONCE),
+    (F, "_zero_disjunctive", check_zero_disjunctive, ONCE),
+    (F, "_meet_semigroup", check_meet_semigroup, ONCE),
+    (F.MulTable, "meet", check_meet, EVERY),
+    (F.MulTable, "lenz_classes", check_lenz_classes, ONCE),
+    (TS, "all_ideals", check_all_ideals, ONCE),
+    (F, "tightly_closed_ideals", check_tightly_closed_ideals, ONCE),
+    (F, "is_congruence_free", check_is_congruence_free, ONCE),
+    (F, "is_zero_simplifying", check_is_zero_simplifying, ONCE),
+    (TS, "lenz_congruence", check_lenz_congruence, ONCE),
+    (TS, "fc_semigroup", check_fc_semigroup, ONCE),
+    (FC, "distributive_completion", check_distributive_completion, ONCE),
+    (FC, "part1_isomorphism", check_part1_isomorphism, ONCE),
+    (FC, "is_tight_filter", check_is_tight_filter, ONCE),
+    (FC, "booleanization_report", check_booleanization_report, ONCE),
+    (TS, "orthogonalize", check_orthogonalize, ONCE),
+    (FC, "check_universal_property", check_universal_property, ONCE),
+    (D, "_groupoid_of_minimals", check_groupoid_of_minimals, ONCE),
+    (D, "ultrafilter_groupoid", check_ultrafilter_groupoid, ONCE),
+    (D, "local_bisections", check_local_bisections, ONCE),
+    (D, "_bisection_table", check_bisection_table, ONCE),
+    (D, "duality_roundtrip", check_duality_roundtrip, ONCE),
+    (D, "ideal_correspondence", check_ideal_correspondence, ONCE),
+    (D, "classify_symmetric", check_classify_symmetric, ONCE),
+    (TS, "principal_criterion", check_principal_criterion, ONCE),
+    (gi, "gisg_mul", check_gisg_mul, EVERY),
+    (gi, "gisg_act", check_gisg_act, EVERY),
+    (TH, "cuntz", check_cuntz, EVERY),
+    (TH, "cuntz_normalize", check_cuntz_normalize, EVERY),
+    (TH, "cuntz_mul", check_cuntz_mul, EVERY),
+    (TH, "cuntz_inv", check_cuntz_inv, EVERY),
+    (TH, "cuntz_meet", check_cuntz_meet, EVERY),
+    (TH, "cuntz_join", check_cuntz_join, EVERY),
+    (TH, "cuntz_eq", check_cuntz_eq, EVERY),
+    (TH, "is_unit", check_is_unit, EVERY),
+    (TH, "_fills_roots", check_fills_roots, EVERY),
+    (TH, "tp_to_unit", check_tp_to_unit, EVERY),
+    (TH, "tp_from_unit", check_tp_from_unit, EVERY),
+    (TH, "tp_inv", check_tp_built, EVERY),
+    (TH, "tp_reduce", check_tp_built, EVERY),
 ]
 
 
 class _Rechecker:
     """Wraps library functions so that each call is followed by its check.
 
-    A table hook checks the first call with each value of its inputs, as
-    TS.digest names it; a repeat only asserts the result proved then.  A
-    check's own hooked calls are checked alike, when their inputs are new."""
+    A hook wrapped once checks the first call with each value of its
+    inputs, as TS.digest names it; a repeat only asserts the result proved
+    then.  A check's own hooked calls are checked alike, when their inputs
+    are new."""
 
     def __init__(self):
         self.off = 0
@@ -696,10 +721,8 @@ def theorem_checks_off():
 @pytest.fixture(scope="session", autouse=True)
 def recheck_theorems():
     patch = pytest.MonkeyPatch()
-    for module, name, check in RECHECKS:
-        # the element hooks check every call: a value key would hide the
-        # carried-map check
-        hooked = RECHECKER.wrap(getattr(module, name), check, once=module not in (gi, TH))
+    for module, name, check, once in RECHECKS:
+        hooked = RECHECKER.wrap(getattr(module, name), check, once)
         patch.setattr(module, name, hooked)
     yield
     patch.undo()

@@ -299,7 +299,7 @@ def test_hooked_functions_are_called_through_their_module():
 
     hooked = {
         (module.__name__.rpartition(".")[2], name)
-        for module, name, _ in conftest.RECHECKS
+        for module, name, *_ in conftest.RECHECKS
         if isinstance(module, types.ModuleType) and module.__name__.startswith("stonedual.")
     }
     assert ("finitesgp", "_boolean") in hooked and ("duality", "local_bisections") in hooked

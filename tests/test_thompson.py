@@ -17,6 +17,7 @@ import pickle
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -24,8 +25,9 @@ from stonedual import cli
 from stonedual import polycyclic as pc
 from stonedual import thompson as th
 from stonedual import words as wd
-from stonedual.selftest import random_tree_pair
+from stonedual.selftest import random_code, random_tree_pair
 from stonedual.words import RootedWord, is_rooted_maximal_prefix_code
+from tests_support_codes import covers_roots, glues_to_roots
 
 
 def part(text, n=2, r=1, i=1, j=1):
@@ -435,6 +437,72 @@ def test_units_are_closed_under_mul_and_inv():
             assert th.is_unit(th.cuntz_inv(x))
 
 
+def code_cases(n, r, rng):
+    """Rooted codes over n letters and whether each is an r-rooted maximal
+    prefix code: a complete code; it with one leaf split once more, which
+    keeps it complete; with that leaf knocked out, or split with a child
+    knocked out, or swapped for one child, which do not; a root missing."""
+    code = random_code(n, r, rng, rng.randrange(0, 6))
+    leaf = code.pop(rng.randrange(len(code)))
+    kids = [RootedWord(leaf.root, leaf.letters + (k,)) for k in range(n)]
+    rng.shuffle(kids)
+    return [(code + [leaf], True), (code + kids, True), (code, False),
+            (code + kids[1:], False), (code + kids[:1], False),
+            ([w for w in code + [leaf] if w.root != r], False)]
+
+
+def unit_of(n, r, domain, range_):
+    """The element pairing two lists of rooted words of one size in order."""
+    return th.cuntz(n, r, [pc.ext(n, r, w.root, pc.poly(n, w.letters, d.letters), d.root)
+                           for d, w in zip(domain, range_)])
+
+
+def test_kraft_count_agrees_with_gluing_and_covering():
+    # one Kraft count per root decides maximality, as gluing the code down
+    # to its roots and covering its deepest level do; the count reads only
+    # lengths, so it holds for letters in 0..n-1, which every constructor
+    # checks.  The hooks compare every is_unit and tp_from_unit verdict
+    # with the same two references
+    rng = random.Random(62)
+    verdicts = Counter()
+    for n in (2, 3, 4):
+        for r in (1, 2, 3):
+            lone = [RootedWord(i, ()) for i in range(1, r + 1)]
+            for _ in range(6):
+                cases = [(lone, True)] + code_cases(n, r, rng)
+                elements = [(unit_of(n, r, code, rng.sample(code, len(code))), want)
+                            for code, want in cases]
+                # a complete code paired with one that is not, both ways
+                complete, one_child = cases[1][0], cases[5][0]
+                elements += [(unit_of(n, r, complete, one_child), False),
+                             (unit_of(n, r, one_child, complete), False)]
+                for code, want in cases:
+                    assert wd.fills_roots(code, n, r) == want, (n, r, code)
+                    assert glues_to_roots(code, n, r) == covers_roots(code, n, r) == want
+                    assert is_rooted_maximal_prefix_code(code, n, r) == want
+                for x, want in elements:
+                    assert th.is_unit(x) == th.is_unit(plain(x)) == want
+                    verdicts[want] += 1
+                    if want:
+                        assert th.cuntz_eq(th.tp_to_unit(th.tp_from_unit(x)), x)
+                        continue
+                    for y in (x, plain(x)):
+                        with pytest.raises(ValueError, match="^not a unit$"):
+                            th.tp_from_unit(y)
+    assert verdicts[True] > 100 and verdicts[False] > 100
+    # the comb b, ab, aab, ..., a^3000, too long for a pairwise prefix test,
+    # is maximal, and not without one of its leaves
+    comb = [RootedWord(1, (0,) * i + (1,)) for i in range(3000)] + [RootedWord(1, (0,) * 3000)]
+    for code, want in [(comb, True), (comb[:1500] + comb[1501:], False), (comb[:-1], False)]:
+        assert wd.fills_roots(code, 2, 1) == want
+        assert glues_to_roots(code, 2, 1) == covers_roots(code, 2, 1) == want
+    # without a^3000 one word is left at every level, 2^-3000 short of 1
+    lengths = [len(w.letters) for w in comb[:-1]]
+    assert wd.kraft_count(lengths, 2) == (0, dict.fromkeys(range(1, 3001), 1))
+    assert wd.kraft_count(lengths + [3000], 2) == (1, {})
+    assert wd.kraft_sum([wd.Word(2, w.letters) for w in comb[:3]], 2) == Fraction(7, 8)
+
+
 # ---------------------------------------------------------------------------
 # tree pairs
 
@@ -722,6 +790,59 @@ def test_each_factor_is_scanned_once(monkeypatch, theorem_checks_off):
                     calls.clear()
                     op(*args[:k], plain(x), *args[k + 1:])
                     assert Counter(calls) == pairwise_scan(x), op.__name__
+
+
+def test_no_operation_changes_a_carried_map():
+    # a carried leaf map is shared, read only, between an element and the
+    # results built from it: every operation leaves each map as it found it
+    rng = random.Random(64)
+    for n, r in PARAMS:
+        for _ in range(5):
+            x = th.tp_to_unit(random_tree_pair(n, r, rng, rng.randrange(0, 4)))
+            y = th.tp_to_unit(random_tree_pair(n, r, rng, rng.randrange(0, 4)))
+            z = random_element(n, r, rng)
+            nf = th.cuntz_normalize(x)
+            xy = th.cuntz_mul(x, y)
+            kept = {id(e): (e, dict(e.parts.leaf)) for e in (x, y, z, nf, xy)}
+            for op, args in [
+                (th.cuntz_mul, (x, y)), (th.cuntz_mul, (nf, z)), (th.cuntz_mul, (z, xy)),
+                (th.cuntz_inv, (x,)), (th.cuntz_inv, (z,)),
+                (th.cuntz_eq, (x, nf)), (th.cuntz_eq, (z, xy)),
+                (th.cuntz_normalize, (nf,)), (th.cuntz_normalize, (z,)),
+                (th.cuntz_meet, (x, z)), (th.cuntz_meet, (nf, xy)),
+                (th.cuntz_join, (x, nf)), (th.cuntz_join, (z, z)),
+                (th.is_unit, (xy,)), (th.is_unit, (z,)),
+                (th.tp_from_unit, (nf,)), (th.tp_from_unit, (xy,)),
+            ]:
+                out = op(*args)
+                if isinstance(out, th.CuntzElement):
+                    kept.setdefault(id(out), (out, dict(out.parts.leaf)))
+                for e, leaf in kept.values():
+                    assert e.parts.leaf == leaf, op.__name__
+
+
+def test_a_built_unit_is_tested_without_gluing_or_scanning(monkeypatch, theorem_checks_off):
+    # is_unit and tp_from_unit count the words of a carried map: they glue
+    # nothing and scan no parts
+    calls = Counter()
+    for name in ("_glued", "_leaf_map"):
+        func = getattr(th, name)
+        monkeypatch.setattr(th, name, lambda *a, f=func, k=name: calls.update([k]) or f(*a))
+    rng = random.Random(65)
+    for n, r in PARAMS:
+        for _ in range(5):
+            x = th.tp_to_unit(random_tree_pair(n, r, rng, rng.randrange(0, 5)))
+            y = th.cuntz_mul(x, th.tp_to_unit(random_tree_pair(n, r, rng, 3)))
+            part_of = th.cuntz(n, r, sorted(y.parts, key=th._part_key)[1:])
+            calls.clear()
+            assert th.is_unit(x) and th.is_unit(y) and not th.is_unit(part_of)
+            assert th.tp_from_unit(x) and th.tp_from_unit(y)
+            with pytest.raises(ValueError, match="not a unit"):
+                th.tp_from_unit(part_of)
+            assert calls == Counter()
+            # the map of an element built elsewhere is glued and scanned once
+            assert th.is_unit(plain(y))
+            assert calls == Counter({"_glued": 1, "_leaf_map": 1})
 
 
 def test_cli_scans_each_literal_once(monkeypatch, capsys, theorem_checks_off):

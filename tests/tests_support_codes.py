@@ -1,6 +1,8 @@
-"""Shared generators for randomized tests; the seeded inputs that selftest
-also draws come from stonedual.selftest."""
+"""Shared generators for randomized tests, and two reference routes to the
+maximality of rooted prefix codes; the seeded inputs that selftest also
+draws come from stonedual.selftest."""
 
+from stonedual import thompson as th
 from stonedual import words as W
 
 
@@ -40,3 +42,21 @@ def random_path(rng, g, max_len):
         edges.append(e)
         cur = g.edge_src(e)
     return W.make_path(g, v, tuple(edges))
+
+
+def glues_to_roots(code, n, r):
+    """The gluing route to the maximality of an r-rooted prefix code, a
+    reference for the Kraft count: its identity leaf map glues down to the
+    r roots."""
+    roots = {W.RootedWord(i, ()): W.RootedWord(i, ()) for i in range(1, r + 1)}
+    return th._glued(n, {w: w for w in code}) == roots
+
+
+def covers_roots(code, n, r):
+    """The covering route, the other reference: at each root 1..r, every
+    word as long as the longest there has a prefix in the code."""
+    by_root = {i: set() for i in range(1, r + 1)}
+    for w in code:
+        by_root[w.root].add(w.letters)
+    return all(bool(ws) and W.prefix_covers_depth(ws, n, max(map(len, ws)))
+               for ws in by_root.values())
